@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+from qgap.series import DefectError
+
 __all__ = ["Generator", "FormExpr", "dim_m"]
 
 
@@ -107,7 +109,7 @@ class Generator:
             return 2
         if self.kind == "E" or self.kind in ("phi", "Phi"):
             return self.params[0]
-        raise AssertionError(self.kind)
+        raise DefectError(f"no conductor for generator kind {self.kind!r}")
 
     @property
     def valuation(self) -> int:

@@ -2,8 +2,10 @@
 
 Subcommands: expand, c0, survey, gap, theta, minima, verify.  Human-readable
 output by default, machine output (JSON / JSON-lines) with --json.  Exit
-codes: 0 when every assertable verdict passed (EXPERIMENTAL and RECORDED
-records never fail a run), 1 on any FAIL, 2 on bad input or usage.
+codes: 0 when no verdict fails (``Verdict.fails``: FAIL, ZERO_CONSTANT_TERM
+and ERROR do; EXPERIMENTAL, RECORDED and the rest never fail a run), 1 when
+one does, 2 on bad input or usage, 3 on an internal defect (a one-line
+``internal error:`` message on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -12,32 +14,20 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from qgap import congruence, siegel
-from qgap.congruence import (
-    FAILING,
-    desk_rules_config,
-    full_rules_config,
-    render_table,
-    run_survey,
-)
-from qgap.exprs import ParseError, parse_expr
-from qgap.forms import eval_expr, identity_checks
+from qgap.congruence import desk_rules_config, full_rules_config, render_table, run_survey
+from qgap.exprs import ParseError
+from qgap.forms import constant_term, eval_expr, identity_checks
 from qgap.quadratic import load_gram, min_represented, theta, verify_theorem51
 from qgap.series import ReachError
+from qgap.verdict import Verdict
 
 __all__ = ["main"]
 
 DESK_SEC33 = 512
 FULL_SEC33_DELTA = 2470
 FULL_SEC33_RECIPROCAL = 4096
-
-
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
 
 
 def _default_jobs() -> int:
@@ -54,20 +44,19 @@ def _cmd_expand(args) -> int:
         print(json.dumps({
             "expr": args.expr,
             "valuation": series.valuation,
-            "coefficients": [_fmt(c) for c in coeffs],
+            "coefficients": [str(c) for c in coeffs],
         }))
     else:
-        print(f"val {series.valuation}: [{', '.join(_fmt(c) for c in coeffs)}]")
+        print(f"val {series.valuation}: [{', '.join(str(c) for c in coeffs)}]")
     return 0
 
 
 def _cmd_c0(args) -> int:
-    expr = parse_expr(args.expr)
-    c0 = eval_expr(expr, max(1, expr.pole_order + 1)).coeff(0)
+    c0 = constant_term(args.expr)
     if args.json:
-        print(json.dumps({"expr": args.expr, "c0": _fmt(c0)}))
+        print(json.dumps({"expr": args.expr, "c0": str(c0)}))
     else:
-        print(_fmt(c0))
+        print(c0)
     return 0
 
 
@@ -91,7 +80,7 @@ def _cmd_survey(args) -> int:
 def _cmd_gap(args) -> int:
     out = siegel.run_gap_suite(level=args.level, hmax=args.hmax,
                                combos=args.combos, seed=args.seed)
-    failed = [r for r in out["records"] if r.verdict == "FAIL"]
+    failed = [r for r in out["records"] if r.verdict.fails]
     if args.json:
         for rec in out["records"]:
             print(json.dumps(rec.to_dict()))
@@ -132,63 +121,47 @@ def _cmd_theta(args) -> int:
 
 def _cmd_minima(args) -> int:
     gram = load_gram(args.gram)
-    v = gram.rank
     try:
         rec = verify_theorem51(gram)
-        line = f"min={rec['min']} bound={rec['bound']} {rec['verdict']}"
-        code = 0 if rec["verdict"] == "PASS" else 1
-        payload = rec
     except ValueError:
-        m = min_represented(gram)
-        line = f"min={m} bound=n/a NOT_APPLICABLE"
-        code = 0
-        payload = {"rank": v, "min": m, "bound": None,
-                   "verdict": "NOT_APPLICABLE"}
-    print(json.dumps(payload) if args.json else line)
-    return code
+        rec = {"rank": gram.rank, "min": min_represented(gram), "bound": None,
+               "verdict": Verdict.NOT_APPLICABLE}
+    bound = "n/a" if rec["bound"] is None else rec["bound"]
+    print(json.dumps(rec) if args.json
+          else f"min={rec['min']} bound={bound} {rec['verdict']}")
+    return 1 if rec["verdict"].fails else 0
 
 
 def _suite_identities(full: bool, jobs: int):
-    checks = identity_checks(200)
-    lines = [f"identity {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
-    ok = all(flag for _, flag in checks)
-    return ok, lines, [{"check": n, "verdict": "PASS" if f else "FAIL"}
-                       for n, f in checks]
+    records = [{"check": name, "verdict": Verdict.PASS if ok else Verdict.FAIL}
+               for name, ok in identity_checks(200)]
+    lines = [f"identity {r['check']}: {r['verdict']}" for r in records]
+    return [r["verdict"] for r in records], lines, records
 
 
 def _suite_satz(full: bool, jobs: int):
     out = siegel.run_satz_suite()
-    records = []
-    ok = True
-    for rec in out["vanishing"]:
-        records.append({"check": f"vanishing {rec['form']}",
-                        "verdict": rec["verdict"]})
-        ok &= rec["verdict"] == "PASS"
-    for rec in out["signs"]:
-        records.append({"check": f"sign c0[T2({rec['weight']})]",
-                        "verdict": rec["verdict"]})
-        ok &= rec["verdict"] == "PASS"
-    for rec in out["experimental"]:
-        records.append({
-            "check": f"c0[T2({rec['weight']})] nonzero (h=2 mod 4)",
-            "verdict": "EXPERIMENTAL",
-            "observed_nonzero": rec["nonzero"],
-        })
+    records = [{"check": f"vanishing {rec['form']}", "verdict": rec["verdict"]}
+               for rec in out["vanishing"]]
+    records += [{"check": f"sign c0[T2({rec['weight']})]", "verdict": rec["verdict"]}
+                for rec in out["signs"]]
+    records += [{"check": f"c0[T2({rec['weight']})] nonzero (h=2 mod 4)",
+                 "verdict": rec["verdict"], "observed_nonzero": rec["nonzero"]}
+                for rec in out["experimental"]]
     lines = [
-        f"vanishing checks: {sum(r['verdict'] == 'PASS' for r in out['vanishing'])}"
+        f"vanishing checks: {sum(r['verdict'] == Verdict.PASS for r in out['vanishing'])}"
         f"/{len(out['vanishing'])} pass",
-        f"sign checks: {sum(r['verdict'] == 'PASS' for r in out['signs'])}"
+        f"sign checks: {sum(r['verdict'] == Verdict.PASS for r in out['signs'])}"
         f"/{len(out['signs'])} pass",
         f"experimental nonvanishing records (h=2 mod 4): {len(out['experimental'])}",
     ]
-    return ok, lines, records
+    return [r["verdict"] for r in records], lines, records
 
 
 def _suite_theorems4(full: bool, jobs: int):
     records = siegel.theorem4_checks()
-    ok = all(r["verdict"] == "PASS" for r in records)
     lines = [f"{r['theorem']} {r['instance']}: {r['verdict']}" for r in records]
-    return ok, lines, records
+    return [r["verdict"] for r in records], lines, records
 
 
 def _suite_rules(full: bool, jobs: int):
@@ -196,12 +169,11 @@ def _suite_rules(full: bool, jobs: int):
     if full:
         print("warning: --full survey ranges take a long time", file=sys.stderr)
     report = run_survey(config, jobs=jobs)
-    ok = not report.failed
     lines = [render_table(report).splitlines()[-1]]
     for rec in report.failed[:20]:
-        lines.append(f"FAIL: {rec.expr} {rec.to_dict()['rules']}")
+        lines.append(f"{rec.verdict}: {rec.expr} {rec.to_dict()['rules']}")
     records = [{"summary": report.summary, "config": config["name"]}]
-    return ok, lines, records
+    return [r.verdict for r in report.records], lines, records
 
 
 def _suite_sec33(full: bool, jobs: int):
@@ -210,33 +182,26 @@ def _suite_sec33(full: bool, jobs: int):
     if full:
         print(f"warning: --full recomputes expansions to {n_recip} terms; "
               "expect a long run", file=sys.stderr)
-    records = []
-    ok = True
+    verdicts, records = [], []
+
+    def table(name, n_max, rows, **extra):
+        verdicts.extend(r["verdict"] for r in rows)
+        records.append({"table": name, "n_max": n_max, "rows": len(rows),
+                        "failed": sum(r["verdict"].fails for r in rows), **extra})
+
     for p in (2, 3, 5):
         rows = congruence.delta_pn_compare(p, n_delta)
-        bad = [r for r in rows if r["verdict"] == "FAIL"]
-        exceptions = [r for r in rows if r["verdict"] == "EXCEPTION"]
-        ok &= not bad
-        records.append({"table": f"delta_{p}n", "n_max": n_delta,
-                        "rows": len(rows), "failed": len(bad),
-                        "exceptions": [r["n"] for r in exceptions]})
-    rows = congruence.reciprocal_compare(n_recip)
-    bad = [r for r in rows if r["verdict"] == "FAIL"]
-    ok &= not bad
-    records.append({"table": "reciprocal", "n_max": n_recip,
-                    "rows": len(rows), "failed": len(bad)})
-    rows = congruence.lehner_check(n_recip)
-    bad = [r for r in rows if r["verdict"] == "FAIL"]
-    ok &= not bad
-    records.append({"table": "lehner", "n_max": n_recip,
-                    "rows": len(rows), "failed": len(bad)})
+        table(f"delta_{p}n", n_delta, rows, exceptions=[
+            r["n"] for r in rows if r["verdict"] == Verdict.EXCEPTION])
+    table("reciprocal", n_recip, congruence.reciprocal_compare(n_recip))
+    table("lehner", n_recip, congruence.lehner_check(n_recip))
     lines = [
         f"{r['table']} (n<={r['n_max']}): {r['rows']} rows, "
         f"{r['failed']} failed"
         + (f", exceptions at {r['exceptions']}" if r.get("exceptions") else "")
         for r in records
     ]
-    return ok, lines, records
+    return verdicts, lines, records
 
 
 _SUITES = {
@@ -249,17 +214,17 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    ok, lines, records = _SUITES[args.suite](args.full, args.jobs)
+    verdicts, lines, records = _SUITES[args.suite](args.full, args.jobs)
+    verdict = Verdict.FAIL if any(v.fails for v in verdicts) else Verdict.PASS
     if args.json:
         for rec in records:
             print(json.dumps(rec))
-        print(json.dumps({"suite": args.suite,
-                          "verdict": "PASS" if ok else "FAIL"}))
+        print(json.dumps({"suite": args.suite, "verdict": verdict}))
     else:
         for line in lines:
             print(line)
-        print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+        print(f"suite {args.suite}: {verdict}")
+    return 1 if verdict.fails else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,6 +293,10 @@ def main(argv=None) -> int:
     except (ParseError, ReachError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # DefectError or any other internal fault
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,17 +35,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
-from qgap.catalog import FormExpr
+from qgap.catalog import FormExpr, Generator
 from qgap.exprs import parse_expr
-from qgap.forms import delta, eval_expr, j_invariant
+from qgap.forms import constant_term, generator_series
+from qgap.series import DefectError, ReachError
+from qgap.verdict import Verdict
 
 __all__ = [
     "RuleCheck",
     "SurveyRecord",
     "SurveyReport",
-    "classify_conductor1",
-    "classify_conductor2",
-    "classify_conductor3",
     "classify_expr",
     "delta_pn_compare",
     "desk_rules_config",
@@ -58,23 +57,12 @@ __all__ = [
     "run_survey",
 ]
 
-PASS = "PASS"
-FAIL = "FAIL"
-NOT_APPLICABLE = "NOT_APPLICABLE"
-RECORDED = "RECORDED"
-EXCEPTION = "EXCEPTION"
-ZERO_CONSTANT_TERM = "ZERO_CONSTANT_TERM"
-
-#: verdicts that make a suite fail
-FAILING = (FAIL, ZERO_CONSTANT_TERM)
-
-
 @dataclass(frozen=True)
 class RuleCheck:
     rule_id: str
     predicted: str
     observed: str
-    verdict: str
+    verdict: Verdict
 
 
 @dataclass(frozen=True)
@@ -83,7 +71,7 @@ class SurveyRecord:
     conductor: int
     weight: int
     pole_order: int
-    c0: object  # exact int or Fraction
+    c0: object  # exact int or Fraction; None on an ERROR record
     beta: int
     gamma: int
     largest3: int
@@ -93,13 +81,15 @@ class SurveyRecord:
     checks: tuple[RuleCheck, ...]
 
     @property
-    def verdict(self) -> str:
-        verdicts = [c.verdict for c in self.checks]
-        if any(v in FAILING for v in verdicts):
-            return FAIL
-        if PASS in verdicts:
-            return PASS
-        return NOT_APPLICABLE
+    def verdict(self) -> Verdict:
+        verdicts = {c.verdict for c in self.checks}
+        if Verdict.ERROR in verdicts:
+            return Verdict.ERROR
+        if any(v.fails for v in verdicts):
+            return Verdict.FAIL
+        if Verdict.PASS in verdicts:
+            return Verdict.PASS
+        return Verdict.NOT_APPLICABLE
 
     @property
     def rule_ids(self) -> str:
@@ -111,7 +101,7 @@ class SurveyRecord:
             "conductor": self.conductor,
             "weight": self.weight,
             "pole_order": self.pole_order,
-            "c0": str(self.c0),
+            "c0": None if self.c0 is None else str(self.c0),
             "beta": self.beta,
             "gamma": self.gamma,
             "largest3": self.largest3,
@@ -134,7 +124,6 @@ class SurveyRecord:
 @dataclass
 class SurveyReport:
     records: list[SurveyRecord]
-    config: dict
     timestamp: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
 
     @property
@@ -150,10 +139,12 @@ class SurveyReport:
 
     @property
     def failed(self) -> list[SurveyRecord]:
-        return [r for r in self.records if r.verdict == FAIL]
+        return [r for r in self.records if r.verdict.fails]
 
 
 def _ord_str(v):
+    if v is None:
+        return None
     return "inf" if v == INFINITE else int(v)
 
 
@@ -178,15 +169,17 @@ def _check_2adic(prefix: str, w: int, s: int, c0) -> RuleCheck:
     o2 = ord_p(c0, 2)
     observed = f"ord2={_ord_str(o2)}"
     if w % 2 != 0:
-        return RuleCheck(prefix + "?", "even weight required", observed, NOT_APPLICABLE)
+        return RuleCheck(prefix + "?", "even weight required", observed,
+                         Verdict.NOT_APPLICABLE)
     if w % 4 == 0:
         want = 3 * beta
-        verdict = ZERO_CONSTANT_TERM if c0 == 0 else (PASS if o2 == want else FAIL)
+        verdict = (Verdict.ZERO_CONSTANT_TERM if c0 == 0
+                   else Verdict.PASS if o2 == want else Verdict.FAIL)
         return RuleCheck(prefix + "a", f"ord2={want}", observed, verdict)
     # divisibility only: a vanishing constant term satisfies it (ord = inf)
     want = 4 * beta
     return RuleCheck(prefix + "b", f"ord2>={want}", observed,
-                     PASS if o2 >= want else FAIL)
+                     Verdict.PASS if o2 >= want else Verdict.FAIL)
 
 
 def _check_3adic(prefix: str, w: int, s: int, L: int, c0) -> RuleCheck:
@@ -201,38 +194,25 @@ def _check_3adic(prefix: str, w: int, s: int, L: int, c0) -> RuleCheck:
         if wm3 == 0 or (wm3 == 1 and L == 1):
             clause = "c" if wm3 == 0 else "d"
             return RuleCheck(prefix + clause, "finite 3-order", observed,
-                             ZERO_CONSTANT_TERM)
+                             Verdict.ZERO_CONSTANT_TERM)
     if w % 3 == 0:
         want = 1 if s % 2 == 0 else -1
         ok = o3 == gamma and sign == want
         return RuleCheck(
             prefix + "c", f"ord3={gamma},sign={'+' if want > 0 else '-'}",
-            observed, PASS if ok else FAIL,
+            observed, Verdict.PASS if ok else Verdict.FAIL,
         )
     if w % 3 == 1:
         if L == 1:
             ok = o3 == gamma and sign == 1
             return RuleCheck(prefix + "d", f"ord3={gamma},sign=+", observed,
-                             PASS if ok else FAIL)
+                             Verdict.PASS if ok else Verdict.FAIL)
         ok = o3 >= gamma + 1
         return RuleCheck(prefix + "e", f"ord3>={gamma + 1}", observed,
-                         PASS if ok else FAIL)
+                         Verdict.PASS if ok else Verdict.FAIL)
     ok = o3 >= gamma + 1
     return RuleCheck(prefix + "f", f"ord3>={gamma + 1}", observed,
-                     PASS if ok else FAIL)
-
-
-def classify_conductor1(w: int, s: int, L: int, c0) -> list[RuleCheck]:
-    """Both clause families; the 2-adic and 3-adic dimensions are independent."""
-    return [_check_2adic("1", w, s, c0), _check_3adic("1", w, s, L, c0)]
-
-
-def classify_conductor2(w: int, s: int, c0) -> list[RuleCheck]:
-    return [_check_2adic("2", w, s, c0)]
-
-
-def classify_conductor3(w: int, s: int, L: int, c0) -> list[RuleCheck]:
-    return [_check_3adic("3", w, s, L, c0)]
+                     Verdict.PASS if ok else Verdict.FAIL)
 
 
 # -- deviation rules for pure E(N,inf,k)^-a powers ---------------------------
@@ -270,38 +250,33 @@ def deviation_rules(N: int, k: int, a: int, c0) -> RuleCheck:
     sign = _sign3(c0)
     if window is None:
         return RuleCheck("dev-none", "no deviation window",
-                         f"ord2={_ord_str(o2)},ord3={_ord_str(o3)}", NOT_APPLICABLE)
+                         f"ord2={_ord_str(o2)},ord3={_ord_str(o3)}",
+                         Verdict.NOT_APPLICABLE)
     if c0 == 0:
-        return RuleCheck(window, "finite order", "c0=0", ZERO_CONSTANT_TERM)
+        return RuleCheck(window, "finite order", "c0=0", Verdict.ZERO_CONSTANT_TERM)
     if window == "dev-3-1":
-        want = 3 * digit_sum(a, 2) + _int_ord(a + 1, 2) + k - 5
+        want = 3 * digit_sum(a, 2) + ord_p(a + 1, 2) + k - 5
         return RuleCheck(window, f"ord2={want}", f"ord2={_ord_str(o2)}",
-                         PASS if o2 == want else FAIL)
+                         Verdict.PASS if o2 == want else Verdict.FAIL)
     if window == "dev-3-2":
         g = digit_sum(a, 3)
         want_sign = 1 if (a + 1) % 2 == 0 else -1
         ok = o3 == g and sign == want_sign
         return RuleCheck(window, f"ord3={g},sign={'+' if want_sign > 0 else '-'}",
-                         f"ord3={_ord_str(o3)},sign={sign}", PASS if ok else FAIL)
+                         f"ord3={_ord_str(o3)},sign={sign}",
+                         Verdict.PASS if ok else Verdict.FAIL)
     if window == "dev-3-3":
         # only the order is systematic; the +- side is recorded, not asserted
-        want = digit_sum(a, 3) + _int_ord(a + 1, 3)
+        want = digit_sum(a, 3) + ord_p(a + 1, 3)
         return RuleCheck(window, f"ord3={want}",
                          f"ord3={_ord_str(o3)},sign={sign}",
-                         PASS if o3 == want else FAIL)
+                         Verdict.PASS if o3 == want else Verdict.FAIL)
     # dev-3-4
     g = digit_sum(a, 3)
     ok = o3 == g and sign == -1
     return RuleCheck(window, f"ord3={g},sign=-",
-                     f"ord3={_ord_str(o3)},sign={sign}", PASS if ok else FAIL)
-
-
-def _int_ord(n: int, p: int) -> int:
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a
+                     f"ord3={_ord_str(o3)},sign={sign}",
+                     Verdict.PASS if ok else Verdict.FAIL)
 
 
 # -- record assembly ---------------------------------------------------------
@@ -331,11 +306,10 @@ def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
     w = expr.weight
     conductor = expr.conductor
     if c0 is None:
-        c0 = eval_expr(expr, max(1, s + 1)).coeff(0) if s > 0 else \
-            eval_expr(expr, 1).coeff(0)
+        c0 = constant_term(expr)
     if s <= 0:
         checks = (RuleCheck("-", "pole at infinity required",
-                            f"pole_order={s}", NOT_APPLICABLE),)
+                            f"pole_order={s}", Verdict.NOT_APPLICABLE),)
         return SurveyRecord(str(expr), conductor, w, s, c0, 0, 0, 0,
                             ord_p(c0, 2), ord_p(c0, 3), _sign3(c0), checks)
     beta, gamma, L = digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3)
@@ -344,14 +318,15 @@ def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
     if pure is not None and deviation_window(*pure) is not None:
         checks = [deviation_rules(pure[0], pure[1], pure[2], c0)]
     elif conductor == 1:
-        checks = classify_conductor1(w, s, L, c0)
+        # the 2-adic and 3-adic clause families are independent
+        checks = [_check_2adic("1", w, s, c0), _check_3adic("1", w, s, L, c0)]
     elif conductor == 2:
-        checks = classify_conductor2(w, s, c0)
+        checks = [_check_2adic("2", w, s, c0)]
     elif conductor == 3:
-        checks = classify_conductor3(w, s, L, c0)
+        checks = [_check_3adic("3", w, s, L, c0)]
     else:
         checks = [RuleCheck("-", f"no rule for conductor {conductor}", "-",
-                            NOT_APPLICABLE)]
+                            Verdict.NOT_APPLICABLE)]
     return SurveyRecord(str(expr), conductor, w, s, c0, beta, gamma, L,
                         ord_p(c0, 2), ord_p(c0, 3), _sign3(c0), tuple(checks))
 
@@ -414,7 +389,15 @@ def _instantiate(config: dict) -> list[tuple[str, tuple, str]]:
 
 
 def _survey_task(expr_text: str) -> SurveyRecord:
-    return classify_expr(expr_text)
+    """Classify one form; a defect or arithmetic failure on it becomes an
+    ERROR record carrying the exception text instead of ending the survey."""
+    try:
+        return classify_expr(expr_text)
+    except (DefectError, ReachError, ArithmeticError) as exc:
+        expr = parse_expr(expr_text)
+        check = RuleCheck("error", "-", f"{type(exc).__name__}: {exc}", Verdict.ERROR)
+        return SurveyRecord(expr_text, expr.conductor, expr.weight, expr.pole_order,
+                            None, 0, 0, 0, None, None, None, (check,))
 
 
 def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
@@ -430,7 +413,7 @@ def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
             records = list(pool.map(_survey_task, texts, chunksize=chunk))
     else:
         records = [_survey_task(t) for t in texts]
-    return SurveyReport(records=records, config=config)
+    return SurveyReport(records=records)
 
 
 def render_table(report: SurveyReport) -> str:
@@ -471,9 +454,7 @@ def render_table(report: SurveyReport) -> str:
 
 @lru_cache(maxsize=4)
 def _coefficient_tables(n_max: int):
-    window = n_max + 2
-    j = j_invariant(window)
-    d = delta(window)
+    j, d = (generator_series(Generator(kind), n_max + 2) for kind in ("j", "Delta"))
     return j, d, j.invert(), d.invert()
 
 
@@ -493,21 +474,21 @@ def delta_pn_compare(p: int, n_max: int) -> list[dict]:
         od = ord_p(inv_d.coeff(n), p)
         diff = oj - od if INFINITE not in (oj, od) else INFINITE
         predicted = None
-        verdict = RECORDED
+        verdict = Verdict.RECORDED
         if n >= 1:
             if p == 2 and n % 2 == 0:
-                predicted = 3 * _int_ord(n, 2) + 1
+                predicted = 3 * ord_p(n, 2) + 1
             elif p == 3 and n % 3 == 0:
-                predicted = 2 * _int_ord(n, 3)
+                predicted = 2 * ord_p(n, 3)
             elif p == 3 and n % 3 == 1:
                 predicted = -1
             elif p == 5 and n % 5 == 0 and n >= 5:
-                predicted = _int_ord(n, 5)
+                predicted = ord_p(n, 5)
         if predicted is not None:
             if diff == predicted:
-                verdict = PASS
+                verdict = Verdict.PASS
             else:
-                verdict = EXCEPTION if p == 5 else FAIL
+                verdict = Verdict.EXCEPTION if p == 5 else Verdict.FAIL
         rows.append({
             "n": n, "p": p, "ord_j": _ord_str(oj), "ord_inv_delta": _ord_str(od),
             "delta_pn": _ord_str(diff) if diff == INFINITE else diff,
@@ -531,13 +512,13 @@ def reciprocal_compare(n_max: int) -> list[dict]:
             if p == 5:
                 applicable = n % 5 not in (3, 4)
                 if not applicable:
-                    verdict = NOT_APPLICABLE
+                    verdict = Verdict.NOT_APPLICABLE
                 elif n > 1225:
-                    verdict = RECORDED
+                    verdict = Verdict.RECORDED
                 else:
-                    verdict = PASS if oj == od else FAIL
+                    verdict = Verdict.PASS if oj == od else Verdict.FAIL
             else:
-                verdict = PASS if oj == od else FAIL
+                verdict = Verdict.PASS if oj == od else Verdict.FAIL
             rows.append({
                 "n": n, "p": p, "ord_inv_j": _ord_str(oj),
                 "ord_delta": _ord_str(od), "verdict": verdict,
@@ -563,7 +544,7 @@ def lehner_check(n_max: int) -> list[dict]:
     rows = []
     for m in range(1, n_max + 1):
         for p in (2, 3, 5, 7):
-            a = _int_ord(m, p)
+            a = ord_p(m, p)
             if a == 0:
                 continue
             need = _LEHNER_BOUND[p](a)
@@ -571,12 +552,22 @@ def lehner_check(n_max: int) -> list[dict]:
             rows.append({
                 "n": m, "p": p, "alpha": a, "required": need,
                 "ord": _ord_str(have),
-                "verdict": PASS if have >= need else FAIL,
+                "verdict": Verdict.PASS if have >= need else Verdict.FAIL,
             })
     return rows
 
 
 # -- built-in survey configurations -------------------------------------------
+
+
+def _family_adder(fams: list):
+    """add(template, **ranges) appends one family to fams."""
+
+    def add(template, **ranges):
+        fams.append({"template": template,
+                     "ranges": {k: list(v) for k, v in ranges.items()}})
+
+    return add
 
 
 def desk_rules_config() -> dict:
@@ -585,15 +576,7 @@ def desk_rules_config() -> dict:
     the mixed families below produce a blend of rule and deviation records,
     all of which must PASS."""
     fams = []
-
-    def add(template, note=None, filters=None, **ranges):
-        fam = {"template": template, "ranges": {k: list(v) for k, v in ranges.items()}}
-        if filters:
-            fam["filters"] = filters
-        if note:
-            fam["note"] = note
-        fams.append(fam)
-
+    add = _family_adder(fams)
     # conductor one
     add("Delta^-{a}", a=(1, 64))
     add("j^{a}", a=(1, 20))
@@ -630,13 +613,7 @@ def desk_rules_config() -> dict:
 def full_rules_config() -> dict:
     """The full survey ranges (long-running; not part of the test suite)."""
     fams = []
-
-    def add(template, filters=None, **ranges):
-        fam = {"template": template, "ranges": {k: list(v) for k, v in ranges.items()}}
-        if filters:
-            fam["filters"] = filters
-        fams.append(fam)
-
+    add = _family_adder(fams)
     add("Delta^-{a}", a=(1, 140))
     add("j^{a}", a=(1, 50))
     add("j*Delta^-{a}", a=(1, 100))

@@ -18,26 +18,20 @@ from functools import lru_cache
 from qgap.arith import alpha_coeff, sigma, sigma_alt, sigma_odd, sigma_star
 from qgap.catalog import FormExpr, Generator, dim_m
 from qgap.exprs import parse_expr
-from qgap.series import QSeries, product_expand
+from qgap.series import DefectError, QSeries, product_expand
 
 __all__ = [
     "basis_m1",
     "basis_m2",
-    "delta",
-    "delta2",
-    "delta_quotient",
-    "delta_quotient_root",
+    "constant_term",
     "dim_m",
-    "eisenstein_en_inf",
     "eisenstein_g",
     "eval_expr",
     "factor_power",
     "generator_series",
     "identity_checks",
-    "j2",
-    "j_invariant",
-    "level2_eisenstein",
     "m2",
+    "t_series",
 ]
 
 
@@ -55,53 +49,9 @@ def eisenstein_g(h: int, prec: int) -> QSeries:
     return QSeries(0, [1] + [a * sigma(n, h - 1) for n in range(1, prec)])
 
 
-def delta(prec: int) -> QSeries:
-    """The weight-12 cusp form q * prod (1-q^n)^24."""
-    if prec < 1:
-        raise ValueError("prec must be >= 1")
-    return product_expand(lambda n: 24, prec).shift(1)
-
-
-def j_invariant(prec: int) -> QSeries:
-    """The modular invariant G4^3 / Delta (valuation -1, monic)."""
-    return generator_series(Generator("j"), prec)
-
-
-def level2_eisenstein(prec: int) -> tuple[QSeries, QSeries, QSeries]:
-    """The three level-two generators (E_gamma2, E_04, E_inf4)."""
-    return (
-        generator_series(Generator("Egamma2"), prec),
-        generator_series(Generator("E04"), prec),
-        generator_series(Generator("Einf4"), prec),
-    )
-
-
-def eisenstein_en_inf(N: int, k: int, prec: int) -> QSeries:
-    """E_{N,inf,k} = sum sigma*_{N,k-1}(n) q^n, vanishing at infinity only."""
-    return generator_series(Generator("E", (N, k)), prec)
-
-
-def delta2(prec: int) -> QSeries:
-    return generator_series(Generator("Delta2"), prec)
-
-
-def j2(prec: int) -> QSeries:
-    return generator_series(Generator("j2"), prec)
-
-
 def m2(prec: int) -> QSeries:
     """The hauptmodul shift j2 - 64 (equals E04/Einf4)."""
-    return j2(prec) - 64
-
-
-def delta_quotient(N: int, prec: int) -> QSeries:
-    """phi_N = Delta(Nz)/Delta(z); valuation N-1."""
-    return generator_series(Generator("phi", (N,)), prec)
-
-
-def delta_quotient_root(N: int, prec: int) -> QSeries:
-    """Phi_N = phi_N^(1/(N-1)): phi_2 itself at N=2, sqrt(phi_3) at N=3."""
-    return generator_series(Generator("Phi", (N,)), prec)
+    return generator_series(Generator("j2"), prec) - 64
 
 
 def t_series(level: int, h: int, prec: int) -> QSeries:
@@ -181,7 +131,7 @@ def generator_series(gen: Generator, window: int) -> QSeries:
         if h % 4 == 0:
             return eg * e04 * einf ** (-r)
         return eg * eg * e04 * einf ** (-(1 + r))
-    raise AssertionError(f"unhandled generator kind {kind!r}")
+    raise DefectError(f"unhandled generator kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -210,8 +160,17 @@ def eval_expr(expr: FormExpr | str, prec: int) -> QSeries:
     for gen, e in expr.factors:
         piece = factor_power(gen, e, window)
         acc = piece if acc is None else acc * piece
-    assert acc.window >= prec, "reach propagation failure (defect)"
+    if acc.window < prec:
+        raise DefectError(f"reach propagation failure: window {acc.window} < {prec}")
     return acc
+
+
+def constant_term(expr: FormExpr | str):
+    """Exact constant term of a monomial expression: evaluated with
+    max(1, s + 1) coefficients, s its pole order at infinity."""
+    if isinstance(expr, str):
+        expr = parse_expr(expr)
+    return eval_expr(expr, max(1, expr.pole_order + 1)).coeff(0)
 
 
 def basis_m2(h: int, prec: int) -> list[QSeries]:
@@ -260,7 +219,8 @@ def basis_m1(h: int, prec: int) -> list[QSeries]:
 def identity_checks(prec: int = 200) -> list[tuple[str, bool]]:
     """The structural series identities among the generators, each checked
     to ``prec`` coefficients with exact equality."""
-    eg, e04, einf = level2_eisenstein(prec + 2)
+    eg, e04, einf, ej2 = (generator_series(Generator(kind), prec + 2)
+                          for kind in ("Egamma2", "E04", "Einf4", "j2"))
     g4 = eisenstein_g(4, prec + 2)
     results = []
 
@@ -281,9 +241,9 @@ def identity_checks(prec: int = 200) -> list[tuple[str, bool]]:
     results.append(
         ("m2 = E04/Einf4", (mm * einf).agrees_with(e04, upto=prec))
     )
-    results.append(("j2 = m2 + 64", j2(prec + 2).agrees_with(mm + 64, upto=prec)))
+    results.append(("j2 = m2 + 64", ej2.agrees_with(mm + 64, upto=prec)))
 
-    dj2 = j2(prec + 2).q_derivative()
+    dj2 = ej2.q_derivative()
     rhs = -(eg * e04 * einf.invert())
     results.append(("D(j2) = -Egamma2*E04/Einf4", dj2.agrees_with(rhs, upto=prec)))
 

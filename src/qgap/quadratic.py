@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from qgap.series import QSeries
+from qgap.series import DefectError
+from qgap.verdict import Verdict
 
 __all__ = [
     "D4",
@@ -30,7 +31,6 @@ __all__ = [
     "min_represented",
     "parse_gram",
     "theta",
-    "theta_qseries",
     "verify_theorem51",
 ]
 
@@ -56,47 +56,23 @@ E8 = (
 
 
 def _leading_minors(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """All leading principal minors, by fraction-free (Bareiss) elimination."""
+    """Leading principal minors by fraction-free (Bareiss) elimination,
+    which keeps m[k][k] equal to the k-th one.  Stops after the first zero
+    minor: going on would need row swaps, and validation rejects there."""
     n = len(rows)
     m = [list(r) for r in rows]
     minors = []
     prev = 1
     for k in range(n):
         pivot = m[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        minors.append(pivot if k == 0 else m[k][k])
-        prev = m[k][k]
-        if prev == 0:
-            # remaining minors are computed directly; only happens on
-            # non-positive-definite input
-            for kk in range(k + 1, n):
-                minors.append(_det([r[: kk + 1] for r in rows[: kk + 1]]))
-            break
-    # Bareiss keeps m[k][k] equal to the k-th leading minor
-    return minors[:n]
-
-
-def _det(rows) -> int:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        prev = pivot
+    return minors
 
 
 @dataclass(frozen=True)
@@ -137,7 +113,7 @@ class GramMatrix:
 
     @property
     def det(self) -> int:
-        return _det(self.entries)
+        return _leading_minors(self.entries)[-1]
 
     def value(self, x) -> int:
         """Q_A(x) = x^T A x."""
@@ -247,12 +223,6 @@ def theta(gram: GramMatrix, n_max: int) -> list[int]:
     return counts
 
 
-def theta_qseries(gram: GramMatrix, n_max: int) -> QSeries:
-    """The theta series as a QSeries in q (coefficient of q^n counts
-    vectors of value 2n)."""
-    return QSeries(0, theta(gram, n_max))
-
-
 def min_represented(gram: GramMatrix) -> int:
     """Smallest positive even value represented: found by expanding the
     theta series out to half the smallest diagonal entry (Q(e_i) = a_ii
@@ -262,7 +232,7 @@ def min_represented(gram: GramMatrix) -> int:
     for m, c in enumerate(counts):
         if m > 0 and c > 0:
             return 2 * m
-    raise AssertionError("positive-definite form must represent its diagonal")
+    raise DefectError("positive-definite form must represent its diagonal")
 
 
 def verify_theorem51(gram: GramMatrix) -> dict:
@@ -281,7 +251,7 @@ def verify_theorem51(gram: GramMatrix) -> dict:
         "level": lv,
         "min": m,
         "bound": bound,
-        "verdict": "PASS" if m <= bound else "FAIL",
+        "verdict": Verdict.PASS if m <= bound else Verdict.FAIL,
     }
 
 

@@ -20,11 +20,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-__all__ = ["QSeries", "ReachError", "product_expand", "neg_power_einf4"]
+__all__ = ["DefectError", "QSeries", "ReachError", "product_expand", "neg_power_einf4"]
 
 
 class ReachError(LookupError):
     """A coefficient beyond the justified truncation order was requested."""
+
+
+class DefectError(Exception):
+    """An internal invariant failed: a bug in qgap, not a problem with the
+    input."""
 
 
 def _norm_coeff(c):
@@ -113,10 +118,6 @@ class QSeries:
         if n < self._val:
             return 0
         return self._coeffs[n - self._val]
-
-    @property
-    def constant_term(self):
-        return self.coeff(0)
 
     def coefficients(self, count: int | None = None) -> list:
         """The first ``count`` coefficients from the valuation (all if None)."""

@@ -21,9 +21,10 @@ import random
 from dataclasses import dataclass
 
 from qgap.arith import digit_sum, ord_p
-from qgap.catalog import dim_m
-from qgap.forms import basis_m1, basis_m2, eval_expr, t_series
+from qgap.catalog import Generator, dim_m
+from qgap.forms import basis_m1, basis_m2, constant_term, t_series
 from qgap.series import QSeries, ReachError, neg_power_einf4
+from qgap.verdict import Verdict
 
 __all__ = [
     "DEFAULT_SEED",
@@ -38,10 +39,6 @@ __all__ = [
 
 DEFAULT_SEED = 271828
 
-PASS = "PASS"
-FAIL = "FAIL"
-EXPERIMENTAL = "EXPERIMENTAL"
-
 
 @dataclass(frozen=True)
 class GapCheckResult:
@@ -51,7 +48,7 @@ class GapCheckResult:
     bound: int
     form_id: str
     first_nonzero_index: int | None
-    verdict: str
+    verdict: Verdict
     conjectured_bound: int | None = None  # r+1 for h = 2 mod 4; reported only
     within_conjectured: bool | None = None
 
@@ -69,6 +66,20 @@ class GapCheckResult:
         }
 
 
+def _pole(level: int, h: int) -> int:
+    """Pole order at infinity of the pairing series T(h) (level 1) or
+    T2(h) (level 2)."""
+    return Generator("T" if level == 1 else "T2", (h,)).pole_order
+
+
+def _gap_bounds(level: int, h: int) -> tuple[int, int, int | None]:
+    """(r, asserted gap bound, conjectured bound or None) at weight h."""
+    r = dim_m(level, h)
+    if level == 1 or h % 4 == 0:
+        return r, r, None
+    return r, 2 * r, r + 1
+
+
 def satz1_check(level: int, h: int, f: QSeries) -> dict:
     """Exact check that c_0[f * T] vanishes for an entire weight-h form f.
 
@@ -79,8 +90,7 @@ def satz1_check(level: int, h: int, f: QSeries) -> dict:
         raise ValueError(f"satz1_check supports levels 1 and 2, not {level}")
     if not f.is_zero and f.valuation < 0:
         raise ValueError("satz1_check requires a holomorphic form")
-    t_probe = t_series(level, h, 2)  # domain validation + pole order
-    pole = t_probe.pole_order
+    pole = _pole(level, h)
     if f.reach < pole + 1:
         raise ReachError(
             f"f needs reach >= {pole + 1} to pair against a pole of order {pole}"
@@ -91,7 +101,7 @@ def satz1_check(level: int, h: int, f: QSeries) -> dict:
         "level": level,
         "weight": h,
         "c0": c0,
-        "verdict": PASS if c0 == 0 else FAIL,
+        "verdict": Verdict.PASS if c0 == 0 else Verdict.FAIL,
     }
 
 
@@ -108,7 +118,7 @@ def constant_term_t2(h: int) -> dict:
         "dim": r,
         "c0": c0,
         "expected_sign": "+" if want_positive else "-",
-        "verdict": PASS if ok else FAIL,
+        "verdict": Verdict.PASS if ok else Verdict.FAIL,
     }
 
 
@@ -118,13 +128,7 @@ def gap_check(h: int, forms, level: int = 2, form_ids=None) -> list[GapCheckResu
     reach beyond the bound."""
     if h <= 0 or h % 2 != 0:
         raise ValueError(f"gap_check needs even h > 0, got {h}")
-    r = dim_m(level, h)
-    if level == 1:
-        bound = r
-        conj = None
-    else:
-        bound = r if h % 4 == 0 else 2 * r
-        conj = None if h % 4 == 0 else r + 1
+    r, bound, conj = _gap_bounds(level, h)
     if form_ids is None:
         form_ids = [f"form[{i}]" for i in range(len(forms))]
     results = []
@@ -137,7 +141,7 @@ def gap_check(h: int, forms, level: int = 2, form_ids=None) -> list[GapCheckResu
         ok = first is not None and first <= bound
         results.append(GapCheckResult(
             weight=h, level=level, dim_r=r, bound=bound, form_id=fid,
-            first_nonzero_index=first, verdict=PASS if ok else FAIL,
+            first_nonzero_index=first, verdict=Verdict.PASS if ok else Verdict.FAIL,
             conjectured_bound=conj,
             within_conjectured=None if conj is None or first is None
             else first <= conj,
@@ -167,9 +171,7 @@ def run_gap_suite(level: int = 2, hmax: int = 40, combos: int = 20,
     records: list[GapCheckResult] = []
     h_start = 2 if level == 2 else 4
     for h in range(h_start, hmax + 1, 2):
-        r = dim_m(level, h)
-        bound = (r if h % 4 == 0 else 2 * r) if level == 2 else r
-        prec = bound + 2
+        prec = _gap_bounds(level, h)[1] + 2
         basis = basis_m2(h, prec) if level == 2 else basis_m1(h, prec)
         forms, ids = [], []
         for d, b in enumerate(basis):
@@ -195,15 +197,12 @@ def run_satz_suite(hmax_level1: int = 36, hmax_level2: int = 40) -> dict:
     c_0[T_{2,h}] for h = 2 mod 4."""
     vanishing = []
     for h in range(4, hmax_level1 + 1, 2):
-        pole = dim_m(1, h)
-        for d, f in enumerate(basis_m1(h, pole + 2)):
+        for d, f in enumerate(basis_m1(h, _pole(1, h) + 2)):
             rec = satz1_check(1, h, f)
             rec["form"] = f"level1 h={h} basis[{d}]"
             vanishing.append(rec)
     for h in range(2, hmax_level2 + 1, 2):
-        r = dim_m(2, h)
-        pole = r if h % 4 == 0 else r + 1
-        for d, f in enumerate(basis_m2(h, pole + 2)):
+        for d, f in enumerate(basis_m2(h, _pole(2, h) + 2)):
             rec = satz1_check(2, h, f)
             rec["form"] = f"level2 h={h} basis[{d}]"
             vanishing.append(rec)
@@ -216,7 +215,7 @@ def run_satz_suite(hmax_level1: int = 36, hmax_level2: int = 40) -> dict:
             "weight": h,
             "c0": c0,
             "nonzero": c0 != 0,
-            "verdict": EXPERIMENTAL,
+            "verdict": Verdict.EXPERIMENTAL,
         })
     return {"vanishing": vanishing, "signs": signs, "experimental": experimental}
 
@@ -238,18 +237,18 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
         records.append({
             "theorem": "4.1", "instance": f"s={s}",
             "predicted": "ord2=3", "observed": f"ord2={o}",
-            "verdict": PASS if o == 3 else FAIL,
+            "verdict": Verdict.PASS if o == 3 else Verdict.FAIL,
         })
     for D in (1, 3, 5):
         s = D
         while s <= s42_max:
-            c0 = eval_expr(f"Delta^-{s}", s + 1).coeff(0)
+            c0 = constant_term(f"Delta^-{s}")
             want = 3 * digit_sum(s, 2)
             o = ord_p(c0, 2)
             records.append({
                 "theorem": "4.2", "instance": f"s={s}",
                 "predicted": f"ord2={want}", "observed": f"ord2={o}",
-                "verdict": PASS if o == want else FAIL,
+                "verdict": Verdict.PASS if o == want else Verdict.FAIL,
             })
             s *= 2
     for h in range(4, h43_max + 1, 2):
@@ -266,20 +265,18 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
         records.append({
             "theorem": "4.3", "instance": f"T({h})",
             "predicted": f"{want} mod {mod}", "observed": f"{int(c0) % mod} mod {mod}",
-            "verdict": PASS if int(c0) % mod == want else FAIL,
+            "verdict": Verdict.PASS if int(c0) % mod == want else Verdict.FAIL,
         })
     for x in range(3, x43_max + 1):
         for offset, want, mod in ((6, 8, 16), (4, 16, 32)):
             h = 2**x - offset
             if h < 2:
                 continue
-            r = dim_m(2, h)
-            pole = r if h % 4 == 0 else r + 1
-            c0 = t_series(2, h, pole + 2).coeff(0)
+            c0 = t_series(2, h, _pole(2, h) + 2).coeff(0)
             records.append({
                 "theorem": "4.3", "instance": f"T2({h})",
                 "predicted": f"{want} mod {mod}",
                 "observed": f"{int(c0) % mod} mod {mod}",
-                "verdict": PASS if int(c0) % mod == want else FAIL,
+                "verdict": Verdict.PASS if int(c0) % mod == want else Verdict.FAIL,
             })
     return records

@@ -10,15 +10,15 @@ from fractions import Fraction
 
 from qgap import congruence, siegel
 from qgap.arith import sigma_star
-from qgap.catalog import dim_m
+from qgap.catalog import Generator, dim_m
 from qgap.forms import (
     basis_m1,
     basis_m2,
     eval_expr,
+    generator_series,
     identity_checks,
-    level2_eisenstein,
 )
-from qgap.quadratic import D4, direct_sum, level, theta, theta_qseries, validate, verify_theorem51
+from qgap.quadratic import D4, direct_sum, level, theta, validate, verify_theorem51
 from qgap.series import QSeries, neg_power_einf4, product_expand
 
 
@@ -129,9 +129,9 @@ def test_criterion_7_quadratic_suite():
     d4 = validate(D4)
     ok = level(d4) == 2
     counts = theta(d4, 50)
-    eg = level2_eisenstein(52)[0]
+    eg = generator_series(Generator("Egamma2"), 52)
     ok &= counts == [1] + [eg.coeff(n) for n in range(1, 51)]
-    t = theta_qseries(d4, 8)
+    t = QSeries(0, theta(d4, 8))
     conv = t * t
     ok &= theta(direct_sum(d4, d4), 6) == [conv.coeff(n) for n in range(7)]
     acc = None

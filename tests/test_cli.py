@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,67 @@ class TestSurvey:
         assert ":1:" in err
 
 
+    def test_error_record_does_not_abort_batch(self, tmp_path, capsys, monkeypatch):
+        import qgap.congruence
+        from qgap.forms import constant_term
+        from qgap.series import DefectError
+
+        def flaky(expr):
+            if str(expr) == "Delta^-3":
+                raise DefectError("injected\nfault")
+            return constant_term(expr)
+
+        monkeypatch.setattr(qgap.congruence, "constant_term", flaky)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 4]}}]
+        }))
+        code, out, _ = run(capsys, "survey", str(cfg), "--json")
+        records = [json.loads(x) for x in out.strip().splitlines()]
+        assert code == 1
+        assert [r["verdict"] for r in records[:-1]] == ["PASS", "PASS", "ERROR", "PASS"]
+        assert records[2]["c0"] is None
+        assert "DefectError: injected" in records[2]["rules"][0]["observed"]
+        assert records[-1]["summary"]["verdicts"] == {"PASS": 3, "ERROR": 1}
+
+    def test_bad_template_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "families": [{"template": "Delta^-{a}*G(3)", "ranges": {"a": [1, 2]}}]
+        }))
+        code, _, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert "error:" in err
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("exc", [
+        "DefectError", "ZeroDivisionError", "RuntimeError",
+    ])
+    def test_exit_3_one_line_no_traceback(self, capsys, monkeypatch, exc):
+        import builtins
+
+        import qgap.cli
+        from qgap.series import DefectError
+
+        cls = DefectError if exc == "DefectError" else getattr(builtins, exc)
+
+        def broken(args):
+            raise cls("something\nbroke")
+
+        monkeypatch.setattr(qgap.cli, "_cmd_c0", broken)
+        code, out, err = run(capsys, "c0", "Delta^-1")
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {exc}: something broke\n"
+        assert "Traceback" not in err
+
+    def test_bad_input_still_exit_2(self, capsys):
+        code, _, err = run(capsys, "c0", "Delta^")
+        assert code == 2
+        assert err.startswith("error: ")
+
+
 class TestGap:
     def test_small_run(self, capsys):
         code, out, _ = run(capsys, "gap", "--hmax", "8", "--combos", "2")
@@ -162,3 +224,47 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "satz")
         assert code == 0
         assert "suite satz: PASS" in out
+
+
+# sha256 of stdout for commands whose output must stay byte-identical
+GOLDEN = {
+    ("verify", "--suite", "identities"):
+        "9eaf11c602db7964ba4047069e2c02013aac83aa8f1d2bdbb1a4294a23876755",
+    ("verify", "--suite", "identities", "--json"):
+        "684046b39616e84f54cac765361ab8b0fdb49cb949750065e157a07b81f9c133",
+    ("verify", "--suite", "satz"):
+        "802d8a24b2138f51c3b79f8a96c145c206036f338b82425b77c9cdca49c47b4f",
+    ("verify", "--suite", "satz", "--json"):
+        "39a0b66ef672759e8406b924122d34f6d3d7490764e4622d54f517a1c17f570b",
+    ("verify", "--suite", "theorems4"):
+        "4324c963ee9187d03b1296510841452b58d82ad755e580671161efd0895d0f0b",
+    ("verify", "--suite", "theorems4", "--json"):
+        "56973c3012a06ca2c195d7255107d17dac7cdbe91b51a64fc772f65a1b87306a",
+    ("verify", "--suite", "sec33"):
+        "6727fee499739168f6a7a67067e4625fe35c8150731db79221c581b3e5f066b4",
+    ("verify", "--suite", "sec33", "--json"):
+        "6effa145ba1298e3e594d4b47ed09eab25349ff190587c234798a85fb073474d",
+    ("gap", "--hmax", "8", "--combos", "2"):
+        "1fd34656dadedc002591d1bc0aceab272320011758538a1c13d6f42c39f63f0b",
+    ("gap", "--hmax", "8", "--combos", "2", "--json"):
+        "9c85bac0b83c7cd0f4897f16434b70bee3962b8797da93801bc26a3e6f45b9f7",
+    ("minima", "{d4}"):
+        "7ca34117cd745dfa48015a71ad9e2f00e9f92a50954bd905dc40b0d1a5e3b652",
+    ("theta", "{d4}", "--terms", "3"):
+        "1baa2cc343e2792e48437fd0a404079d01a4508a6a4429a99bef6a41332dbcf2",
+    ("c0", "Delta^-1"):
+        "68ca3fba3b7e864770cb61aeb306d4bd4354b68ab4dd38450860c5d823e42a53",
+    ("expand", "G(12)", "--prec", "3"):
+        "38cea9290686160695dfb9e9455c98ba7e3f930ee5f7240c0010f650c6b50181",
+    ("expand", "G(12)", "--prec", "3", "--json"):
+        "ea966a28b6097114065f4fcbe604e591344267efa28145483e767378e9fd4d7c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_golden_output(argv, tmp_path, capsys):
+    gram = tmp_path / "d4.gram"
+    gram.write_text(D4_GRAM)
+    code, out, _ = run(capsys, *(a.format(d4=gram) for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

@@ -4,9 +4,6 @@ import pytest
 
 from qgap.arith import INFINITE
 from qgap.congruence import (
-    classify_conductor1,
-    classify_conductor2,
-    classify_conductor3,
     classify_expr,
     delta_pn_compare,
     deviation_rules,
@@ -27,13 +24,13 @@ def only(checks):
 class TestConductor1:
     def test_delta_inverse_2adic(self):
         # c0[Delta^-1] = 24, ord2 = 3 = 3*d_2(1)
-        checks = classify_conductor1(-12, 1, 1, 24)
+        checks = classify_expr("Delta^-1", c0=24).checks
         assert checks[0].rule_id == "1a"
         assert checks[0].verdict == "PASS"
 
     def test_delta_inverse_3adic(self):
         # 24 = (-1)^1 * 3 mod 9
-        checks = classify_conductor1(-12, 1, 1, 24)
+        checks = classify_expr("Delta^-1", c0=24).checks
         assert checks[1].rule_id == "1c"
         assert checks[1].verdict == "PASS"
 
@@ -53,7 +50,7 @@ class TestConductor1:
         assert two.verdict == "PASS"
 
     def test_zero_constant_term_flagged(self):
-        checks = classify_conductor1(-12, 1, 1, 0)
+        checks = classify_expr("Delta^-1", c0=0).checks
         assert checks[0].verdict == "ZERO_CONSTANT_TERM"
         assert checks[1].verdict == "ZERO_CONSTANT_TERM"
 
@@ -83,7 +80,7 @@ class TestConductor2:
         assert rec.verdict == "PASS"
 
     def test_only_2adic_clause(self):
-        assert len(classify_conductor2(-4, 1, -8)) == 1
+        assert len(classify_expr("Einf4^-1", c0=-8).checks) == 1
 
 
 class TestConductor3:

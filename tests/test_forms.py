@@ -6,22 +6,20 @@ from qgap.catalog import Generator, dim_m
 from qgap.forms import (
     basis_m1,
     basis_m2,
-    delta,
-    delta2,
-    delta_quotient,
-    delta_quotient_root,
-    eisenstein_en_inf,
+    constant_term,
     eisenstein_g,
     eval_expr,
+    generator_series,
     identity_checks,
-    j2,
-    j_invariant,
-    level2_eisenstein,
     m2,
     t_series,
 )
-from qgap.series import QSeries
+from qgap.series import DefectError, QSeries, product_expand
 
+
+def gen(kind, window, *params):
+    """Cached expansion of one catalog generator."""
+    return generator_series(Generator(kind, params), window)
 
 class TestEisensteinG:
     def test_g4(self):
@@ -50,17 +48,17 @@ class TestEisensteinG:
 
 class TestDeltaAndJ:
     def test_delta_leading(self):
-        d = delta(6)
+        d = gen("Delta", 6)
         assert d.valuation == 1
         assert d.coeff(1) == 1
         assert d.coeff(2) == -24
 
     def test_delta_inverse_round_trip(self):
-        d = delta(10)
+        d = gen("Delta", 10)
         assert (d * d.invert()).agrees_with(QSeries.one(1), upto=8)
 
     def test_j_expansion(self):
-        j = j_invariant(4)
+        j = gen("j", 4)
         assert j.valuation == -1
         assert j.coeff(-1) == 1
         assert j.coeff(0) == 744
@@ -70,59 +68,59 @@ class TestDeltaAndJ:
 
 class TestLevel2Generators:
     def test_egamma2(self):
-        eg, _, _ = level2_eisenstein(4)
+        eg = gen("Egamma2", 4)
         assert eg.coefficients() == [1, 24, 24, 96]
 
     def test_e04(self):
-        _, e04, _ = level2_eisenstein(4)
+        e04 = gen("E04", 4)
         assert e04.coefficients() == [1, -16, 112, -448]
 
     def test_einf4(self):
-        _, _, einf = level2_eisenstein(4)
+        einf = gen("Einf4", 4)
         assert einf.valuation == 1
         assert einf.coefficients() == [1, 8, 28, 64]
 
     def test_e2inf4_alias(self):
-        assert eisenstein_en_inf(2, 4, 10) == level2_eisenstein(10)[2]
+        assert gen("E", 10, 2, 4) == gen("Einf4", 10)
 
     def test_e3inf6(self):
-        e = eisenstein_en_inf(3, 6, 3)
+        e = gen("E", 3, 3, 6)
         assert e.coeff(1) == 1
         assert e.coeff(3) == 243  # divisors 1 (excluded: 3 | 3) and 3
 
     def test_integrality(self):
-        for s in level2_eisenstein(40):
+        for s in (gen(kind, 40) for kind in ("Egamma2", "E04", "Einf4")):
             assert all(isinstance(c, int) for c in s.coefficients())
 
 
 class TestDerivedForms:
     def test_delta2_is_cusp_like(self):
-        d2 = delta2(5)
+        d2 = gen("Delta2", 5)
         assert d2.valuation == 1
         assert d2.coeff(1) == 1
 
     def test_j2_constant_term(self):
-        assert j2(3).coeff(-1) == 1
-        assert j2(3).coeff(0) == 40
+        assert gen("j2", 3).coeff(-1) == 1
+        assert gen("j2", 3).coeff(0) == 40
 
     def test_m2_constant_term(self):
         assert m2(3).coeff(0) == -24
 
     def test_phi2(self):
-        phi2 = delta_quotient(2, 5)
+        phi2 = gen("phi", 5, 2)
         assert phi2.valuation == 1
         # Delta(2z)/Delta(z) recomputed directly
-        d = delta(12)
+        d = product_expand(lambda n: 24, 12).shift(1)
         assert phi2.agrees_with(d.rescale(2) * d.invert())
 
     def test_phi3_valuation(self):
-        assert delta_quotient(3, 4).valuation == 2
+        assert gen("phi", 4, 3).valuation == 2
 
     def test_phi_root_round_trips(self):
-        assert delta_quotient_root(2, 6) == delta_quotient(2, 6)
-        big = delta_quotient_root(3, 8)
+        assert gen("Phi", 6, 2) == gen("phi", 6, 2)
+        big = gen("Phi", 8, 3)
         assert big.valuation == 1
-        assert (big * big).agrees_with(delta_quotient(3, 8))
+        assert (big * big).agrees_with(gen("phi", 8, 3))
 
     def test_s_family(self):
         s22 = eval_expr("S(2,2)", 4)  # Delta * G4^3 = Delta * j * Delta = ...
@@ -145,7 +143,7 @@ class TestTSeries:
 
     def test_t_level1_h14_is_delta_inverse(self):
         t = t_series(1, 14, 4)
-        d_inv = delta(6).invert()
+        d_inv = gen("Delta", 6).invert()
         assert t.agrees_with(d_inv)
 
     def test_t_level1_valuation(self):
@@ -195,13 +193,13 @@ class TestBases:
         b = basis_m2(4, 6)
         assert len(b) == 2
         # j2 * Einf4 = Egamma2^2
-        eg = level2_eisenstein(8)[0]
+        eg = gen("Egamma2", 8)
         assert b[1].agrees_with(eg * eg, upto=6)
 
     def test_basis_m2_2(self):
         b = basis_m2(2, 6)
         assert len(b) == 1
-        assert b[0].agrees_with(level2_eisenstein(8)[0], upto=6)
+        assert b[0].agrees_with(gen("Egamma2", 8), upto=6)
 
     def test_basis_m2_valuations_triangular(self):
         for h in (4, 6, 8, 12, 20, 26, 40):
@@ -225,7 +223,7 @@ class TestEvalExpr:
         assert s.coefficients(5) == [1, 24, 324, 3200, 25650]
 
     def test_j2_definition(self):
-        assert eval_expr("Egamma2^2 * Einf4^-1", 3).agrees_with(j2(3), upto=2)
+        assert eval_expr("Egamma2^2 * Einf4^-1", 3).agrees_with(gen("j2", 3), upto=2)
 
     def test_g4(self):
         assert eval_expr("G(4)", 2).coefficients(2) == [1, 240]
@@ -240,6 +238,44 @@ class TestEvalExpr:
 
         e = parse_expr("Delta^-2")
         assert eval_expr(e, 3).coeff(0) == 1224
+
+
+class TestConstantTerm:
+    def test_matches_evaluation_at_pole_order_plus_one(self):
+        for text, s in [("Delta^-1", 1), ("Delta^-3", 3), ("j^2*Delta^-2", 4)]:
+            assert constant_term(text) == eval_expr(text, s + 1).coeff(0)
+
+    def test_known_values(self):
+        assert constant_term("Delta^-1") == 24
+        assert constant_term("j") == 744
+        assert constant_term("Delta") == 0
+        assert constant_term("G(4)") == 1
+
+    def test_accepts_parsed_expr(self):
+        from qgap.exprs import parse_expr
+
+        assert constant_term(parse_expr("Delta^-2")) == 1224
+
+
+class TestDefects:
+    def test_reach_shortfall_raises_defect(self, monkeypatch):
+        import qgap.forms
+
+        monkeypatch.setattr(qgap.forms, "factor_power",
+                            lambda gen, e, window: QSeries(0, [1]))
+        with pytest.raises(DefectError, match="reach propagation"):
+            eval_expr("Delta^-1", 5)
+
+    def test_unhandled_kind_raises_defect(self):
+        g = Generator("Delta")
+        object.__setattr__(g, "kind", "bogus")
+        with pytest.raises(DefectError):
+            generator_series.__wrapped__(g, 3)
+        with pytest.raises(DefectError):
+            g.conductor
+
+    def test_defect_is_not_a_value_error(self):
+        assert not issubclass(DefectError, ValueError)
 
 
 class TestIdentities:

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from qgap.forms import level2_eisenstein
+from qgap.catalog import Generator
+from qgap.forms import generator_series
 from qgap.quadratic import (
     D4,
     E8,
@@ -12,10 +13,10 @@ from qgap.quadratic import (
     min_represented,
     parse_gram,
     theta,
-    theta_qseries,
     validate,
     verify_theorem51,
 )
+from qgap.series import DefectError, QSeries
 
 
 def box_counts(gram: GramMatrix, n_max: int, radius: int) -> list[int]:
@@ -43,6 +44,12 @@ class TestValidation:
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
             validate([[2, 3], [3, 2]])
+
+    def test_zero_leading_minor_rejected(self):
+        with pytest.raises(ValueError, match="leading minor 2 is 0"):
+            validate([[2, 2], [2, 2]])
+        with pytest.raises(ValueError, match="leading minor 2 is 0"):
+            validate([[2, 2, 0], [2, 2, 0], [0, 0, 2]])
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -89,8 +96,8 @@ class TestTheta:
 
     def test_d4_is_egamma2(self):
         counts = theta(validate(D4), 12)
-        eg = level2_eisenstein(13)
-        assert counts == [1] + [eg[0].coeff(n) for n in range(1, 13)]
+        eg = generator_series(Generator("Egamma2"), 13)
+        assert counts == [1] + [eg.coeff(n) for n in range(1, 13)]
 
     def test_d4_against_box_oracle(self):
         g = validate(D4)
@@ -111,7 +118,7 @@ class TestTheta:
         d4 = validate(D4)
         pair = direct_sum(d4, d4)
         n = 6
-        a = theta_qseries(d4, n)
+        a = QSeries(0, theta(d4, n))
         prod = a * a
         assert theta(pair, n) == [prod.coeff(m) for m in range(n + 1)]
 
@@ -129,6 +136,13 @@ class TestMinima:
     def test_scaled_d4(self):
         scaled = validate([[2 * x for x in row] for row in D4])
         assert min_represented(scaled) == 4
+
+    def test_missing_diagonal_value_is_defect(self, monkeypatch):
+        import qgap.quadratic
+
+        monkeypatch.setattr(qgap.quadratic, "theta", lambda gram, n: [1] + [0] * n)
+        with pytest.raises(DefectError):
+            min_represented(validate(D4))
 
 
 class TestTheorem51:

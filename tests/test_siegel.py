@@ -1,7 +1,7 @@
 import pytest
 
-from qgap.catalog import dim_m
-from qgap.forms import basis_m2, eisenstein_g, level2_eisenstein, t_series
+from qgap.catalog import Generator, dim_m
+from qgap.forms import basis_m2, eisenstein_g, generator_series, t_series
 from qgap.series import QSeries, ReachError
 from qgap.siegel import (
     constant_term_t2,
@@ -15,7 +15,7 @@ from qgap.siegel import (
 
 class TestSatz1:
     def test_level2_einf4(self):
-        einf = level2_eisenstein(8)[2]
+        einf = generator_series(Generator("Einf4"), 8)
         assert satz1_check(2, 4, einf)["verdict"] == "PASS"
 
     def test_level1_g4(self):
@@ -27,7 +27,7 @@ class TestSatz1:
             satz1_check(1, 2, QSeries.one(5))
 
     def test_insufficient_reach(self):
-        einf = level2_eisenstein(2)[2]
+        einf = generator_series(Generator("Einf4"), 2)
         with pytest.raises(ReachError):
             satz1_check(2, 40, einf)
 
@@ -59,14 +59,14 @@ class TestConstantTermT2:
 
 class TestGapCheck:
     def test_egamma2(self):
-        eg = level2_eisenstein(6)[0]
+        eg = generator_series(Generator("Egamma2"), 6)
         (res,) = gap_check(2, [eg])
         assert res.bound == 2  # 2*r(2,2)
         assert res.first_nonzero_index == 1
         assert res.verdict == "PASS"
 
     def test_e04(self):
-        e04 = level2_eisenstein(6)[1]
+        e04 = generator_series(Generator("E04"), 6)
         (res,) = gap_check(4, [e04])
         assert res.bound == 2  # r(2,4)
         assert res.first_nonzero_index == 1
@@ -78,12 +78,12 @@ class TestGapCheck:
         assert res.first_nonzero_index == 1
 
     def test_zero_constant_term_rejected(self):
-        einf = level2_eisenstein(8)[2]
+        einf = generator_series(Generator("Einf4"), 8)
         with pytest.raises(ValueError):
             gap_check(4, [einf])
 
     def test_conjectured_bound_reported_only(self):
-        eg = level2_eisenstein(6)[0]
+        eg = generator_series(Generator("Egamma2"), 6)
         (res,) = gap_check(2, [eg])
         assert res.conjectured_bound == 2  # r + 1
         assert res.within_conjectured is True
