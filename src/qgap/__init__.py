@@ -6,6 +6,6 @@ surveys, Fourier gap-bound and vanishing checks, and lattice theta series.
 """
 
 from qgap.arith import INFINITE, alpha_coeff, bernoulli, digit_sum, largest_digit, moebius, ord_p, sigma, sigma_alt, sigma_odd, sigma_star
-from qgap.series import QSeries, ReachError, neg_power_einf4, product_expand
+from qgap.series import QSeries, ReachError, product_expand
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from string import Formatter
 
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import FormExpr, Generator
@@ -342,7 +343,7 @@ _FILTER_RE = re.compile(
 
 
 def _filter_ok(filt: str, env: dict) -> bool:
-    m = _FILTER_RE.match(filt)
+    m = _FILTER_RE.match(filt) if isinstance(filt, str) else None
     if not m:
         raise ValueError(f"unsupported filter syntax: {filt!r}")
     var = m.group("var")
@@ -362,28 +363,46 @@ def _filter_ok(filt: str, env: dict) -> bool:
 
 
 def _expand_range(spec) -> list[int]:
-    if isinstance(spec, list):
-        if len(spec) == 2:
-            return list(range(spec[0], spec[1] + 1))
-        if len(spec) == 3:
-            return list(range(spec[0], spec[1] + 1, spec[2]))
-    raise ValueError(f"range must be [lo, hi] or [lo, hi, step], got {spec!r}")
+    if isinstance(spec, list) and len(spec) in (2, 3) \
+            and all(type(x) is int for x in spec):
+        return list(range(spec[0], spec[1] + 1, *spec[2:]))
+    raise ValueError(f"range must be [lo, hi] or [lo, hi, step] of integers, got {spec!r}")
+
+
+def _family_tasks(fam) -> list[tuple[str, tuple, str]]:
+    """(template, parameter tuple, expression text) for each instance of one
+    survey family; ValueError when the family is malformed."""
+    if not isinstance(fam, dict) or not isinstance(fam.get("template"), str):
+        raise ValueError("a family is an object with a string 'template'")
+    template, ranges, filters = fam["template"], fam.get("ranges", {}), fam.get("filters", [])
+    if not isinstance(ranges, dict) or not isinstance(filters, list):
+        raise ValueError("'ranges' must be an object and 'filters' a list")
+    fields = {name for _, name, _, _ in Formatter().parse(template) if name is not None}
+    missing = sorted(fields - set(ranges))
+    if missing:
+        raise ValueError(f"template {template!r} names {missing}, absent from 'ranges'")
+    names = sorted(ranges)
+    tasks = []
+    for combo in itertools.product(*(_expand_range(ranges[n]) for n in names)):
+        env = dict(zip(names, combo))
+        if all(_filter_ok(f, env) for f in filters):
+            tasks.append((template, combo, template.format(**env)))
+    return tasks
 
 
 def _instantiate(config: dict) -> list[tuple[str, tuple, str]]:
     """(template, parameter tuple, expression text) for every instance,
-    sorted lexicographically by template then parameters."""
+    sorted lexicographically by template then parameters.  A malformed
+    config raises ValueError naming the index of the family at fault."""
+    families = config.get("families", []) if isinstance(config, dict) else None
+    if not isinstance(families, list):
+        raise ValueError("a survey config is an object with a 'families' list")
     tasks = []
-    for fam in config.get("families", []):
-        template = fam["template"]
-        ranges = fam.get("ranges", {})
-        filters = fam.get("filters", [])
-        names = sorted(ranges)
-        values = [_expand_range(ranges[n]) for n in names]
-        for combo in itertools.product(*values) if names else [()]:
-            env = dict(zip(names, combo))
-            if all(_filter_ok(f, env) for f in filters):
-                tasks.append((template, combo, template.format(**env)))
+    for i, fam in enumerate(families):
+        try:
+            tasks.extend(_family_tasks(fam))
+        except ValueError as exc:
+            raise ValueError(f"survey family {i}: {exc}") from None
     tasks.sort(key=lambda t: (t[0], t[1]))
     return tasks
 

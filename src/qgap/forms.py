@@ -3,11 +3,13 @@ level-2 spaces, and evaluation of parsed expressions.
 
 All builders take a ``window``: the number of justified coefficients from
 the valuation.  Every construction here preserves windows (a product of
-series with window L has window L), so evaluating a monomial expression at
-window L yields exactly L justified coefficients from its leading term.
+series with window L has window L), so a builder returns exactly the
+coefficients it is asked for, and each caller asks for exactly those it
+reads: the constant term of a monomial with pole order s takes s + 1.
 
-Expansions are memoized per (generator, window); QSeries values are
-immutable, so the memo is safe for concurrent readers.
+Expansions are memoized per (generator, window), factor powers in an LRU
+cache of FACTOR_CACHE_SIZE entries; QSeries values are immutable, so the
+memos are safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -134,31 +136,31 @@ def generator_series(gen: Generator, window: int) -> QSeries:
     raise DefectError(f"unhandled generator kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by ``factor_power``; chosen from desk-survey peak RSS and time.
+FACTOR_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def factor_power(gen: Generator, exponent: int, window: int) -> QSeries:
     """Cached gen**exponent at the given window."""
     return generator_series(gen, window) ** exponent
 
 
 def eval_expr(expr: FormExpr | str, prec: int) -> QSeries:
-    """Evaluate a monomial expression with ``prec`` justified coefficients
-    from its valuation.
+    """Evaluate a monomial expression with exactly ``prec`` justified
+    coefficients from its valuation.
 
-    The internal window is prec + (total pole order contributed by the
-    factors) + 1, rounded up to a multiple of 32 so that batch evaluations
-    share cached factor powers; window-preserving arithmetic then guarantees
-    at least prec justified coefficients, so a reach failure here is a
-    defect, not an input problem.
+    Each factor power is taken at window ``prec``; window-preserving
+    arithmetic then makes the product's window exactly ``prec``, so a reach
+    failure here is a defect, not an input problem.
     """
     if isinstance(expr, str):
         expr = parse_expr(expr)
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    margin = sum(max(0, -e * g.valuation) for g, e in expr.factors)
-    window = -(-(prec + margin + 1) // 32) * 32
     acc = None
     for gen, e in expr.factors:
-        piece = factor_power(gen, e, window)
+        piece = factor_power(gen, e, prec)
         acc = piece if acc is None else acc * piece
     if acc.window < prec:
         raise DefectError(f"reach propagation failure: window {acc.window} < {prec}")
@@ -176,18 +178,18 @@ def constant_term(expr: FormExpr | str):
 def basis_m2(h: int, prec: int) -> list[QSeries]:
     """Monic triangular basis of the level-2 weight-h space: powers of j2
     times E_inf4^(r-1), with an E_gamma2 factor when h = 2 mod 4.  The d-th
-    element has valuation r-1-d, so valuations run over 0..r-1."""
+    element has valuation r-1-d, so valuations run over 0..r-1.  Each
+    element carries exactly ``prec`` coefficients from its valuation."""
     if h <= 0 or h % 2 != 0:
         raise ValueError(f"basis_m2 needs even h > 0, got {h}")
     r = dim_m(2, h)
-    window = prec + r + 2
-    ej2 = generator_series(Generator("j2"), window)
-    einf = generator_series(Generator("Einf4"), window)
+    ej2 = generator_series(Generator("j2"), prec)
+    einf = generator_series(Generator("Einf4"), prec)
     tail = einf ** (r - 1)
     if h % 4 != 0:
-        tail = generator_series(Generator("Egamma2"), window) * tail
+        tail = generator_series(Generator("Egamma2"), prec) * tail
     basis = []
-    jpow = QSeries.one(window)
+    jpow = QSeries.one(prec)
     for _ in range(r):
         basis.append(jpow * tail)
         jpow = jpow * ej2
@@ -197,16 +199,16 @@ def basis_m2(h: int, prec: int) -> list[QSeries]:
 def basis_m1(h: int, prec: int) -> list[QSeries]:
     """Monic triangular basis of the level-1 weight-h space: Delta^d times
     the monomial G4^a G6^b of weight h - 12d (b in {0,1} fixed by h mod 4).
-    The d-th element has valuation d."""
+    The d-th element has valuation d and exactly ``prec`` coefficients from
+    it."""
     if h < 4 or h % 2 != 0:
         raise ValueError(f"basis_m1 needs even h >= 4, got {h}")
     r = dim_m(1, h)
-    window = prec + r + 2
-    g4 = generator_series(Generator("G", (4,)), window)
-    g6 = generator_series(Generator("G", (6,)), window)
-    dl = generator_series(Generator("Delta"), window)
+    g4 = generator_series(Generator("G", (4,)), prec)
+    g6 = generator_series(Generator("G", (6,)), prec)
+    dl = generator_series(Generator("Delta"), prec)
     basis = []
-    dpow = QSeries.one(window)
+    dpow = QSeries.one(prec)
     for d in range(r):
         w = h - 12 * d
         b = 0 if w % 4 == 0 else 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from qgap.arith import digit_sum, ord_p
 from qgap.catalog import Generator, dim_m
 from qgap.forms import basis_m1, basis_m2, constant_term, t_series
-from qgap.series import QSeries, ReachError, neg_power_einf4
+from qgap.series import QSeries, ReachError
 from qgap.verdict import Verdict
 
 __all__ = [
@@ -95,8 +95,9 @@ def satz1_check(level: int, h: int, f: QSeries) -> dict:
         raise ReachError(
             f"f needs reach >= {pole + 1} to pair against a pole of order {pole}"
         )
-    t = t_series(level, h, max(pole + 2, f.reach - f.valuation))
-    c0 = (t * f).coeff(0)
+    # t reaches q^0 only; the product's reach min(f.valuation + 1,
+    # f.reach - pole) is still >= 1, so c_0 is justified
+    c0 = (t_series(level, h, pole + 1) * f).coeff(0)
     return {
         "level": level,
         "weight": h,
@@ -110,7 +111,7 @@ def constant_term_t2(h: int) -> dict:
     if h < 4 or h % 4 != 0:
         raise ValueError(f"constant_term_t2 needs h = 0 mod 4, h >= 4, got {h}")
     r = dim_m(2, h)
-    c0 = t_series(2, h, r + 2).coeff(0)
+    c0 = constant_term(f"T2({h})")
     want_positive = (r + 1) % 2 == 0
     ok = c0 != 0 and (c0 > 0) == want_positive
     return {
@@ -167,11 +168,15 @@ def run_gap_suite(level: int = 2, hmax: int = 40, combos: int = 20,
                   seed: int = DEFAULT_SEED) -> dict:
     """Gap bounds over every basis element with nonzero constant term plus
     seeded random combinations, for even weights up to hmax."""
+    h_start = 2 if level == 2 else 4
+    if hmax < h_start:
+        raise ValueError(f"hmax {hmax} is below the first level-{level} weight {h_start}")
+    if combos < 0:
+        raise ValueError(f"combos must be >= 0, got {combos}")
     rng = random.Random(seed)
     records: list[GapCheckResult] = []
-    h_start = 2 if level == 2 else 4
     for h in range(h_start, hmax + 1, 2):
-        prec = _gap_bounds(level, h)[1] + 2
+        prec = _gap_bounds(level, h)[1] + 1
         basis = basis_m2(h, prec) if level == 2 else basis_m1(h, prec)
         forms, ids = [], []
         for d, b in enumerate(basis):
@@ -196,21 +201,17 @@ def run_satz_suite(hmax_level1: int = 36, hmax_level2: int = 40) -> dict:
     for c_0[T_{2,h}] (h = 0 mod 4), and the EXPERIMENTAL record of
     c_0[T_{2,h}] for h = 2 mod 4."""
     vanishing = []
-    for h in range(4, hmax_level1 + 1, 2):
-        for d, f in enumerate(basis_m1(h, _pole(1, h) + 2)):
-            rec = satz1_check(1, h, f)
-            rec["form"] = f"level1 h={h} basis[{d}]"
-            vanishing.append(rec)
-    for h in range(2, hmax_level2 + 1, 2):
-        for d, f in enumerate(basis_m2(h, _pole(2, h) + 2)):
-            rec = satz1_check(2, h, f)
-            rec["form"] = f"level2 h={h} basis[{d}]"
-            vanishing.append(rec)
+    for level, h_start, hmax, basis in ((1, 4, hmax_level1, basis_m1),
+                                        (2, 2, hmax_level2, basis_m2)):
+        for h in range(h_start, hmax + 1, 2):
+            for d, f in enumerate(basis(h, _pole(level, h) + 1)):
+                rec = satz1_check(level, h, f)
+                rec["form"] = f"level{level} h={h} basis[{d}]"
+                vanishing.append(rec)
     signs = [constant_term_t2(h) for h in range(4, hmax_level2 + 1, 4)]
     experimental = []
     for h in range(2, hmax_level2 + 1, 4):
-        r = dim_m(2, h)
-        c0 = t_series(2, h, r + 3).coeff(0)
+        c0 = constant_term(f"T2({h})")
         experimental.append({
             "weight": h,
             "c0": c0,
@@ -232,7 +233,7 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
     """
     records = []
     for s in s_powers:
-        c0 = neg_power_einf4(s, s + 1).coeff(0)
+        c0 = constant_term(f"Einf4^-{s}")
         o = ord_p(c0, 2)
         records.append({
             "theorem": "4.1", "instance": f"s={s}",
@@ -261,7 +262,7 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
             want, mod = 8, 32
         else:
             continue
-        c0 = t_series(1, h, r + 2).coeff(0)
+        c0 = constant_term(f"T({h})")
         records.append({
             "theorem": "4.3", "instance": f"T({h})",
             "predicted": f"{want} mod {mod}", "observed": f"{int(c0) % mod} mod {mod}",
@@ -272,7 +273,7 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
             h = 2**x - offset
             if h < 2:
                 continue
-            c0 = t_series(2, h, _pole(2, h) + 2).coeff(0)
+            c0 = constant_term(f"T2({h})")
             records.append({
                 "theorem": "4.3", "instance": f"T2({h})",
                 "predicted": f"{want} mod {mod}",

@@ -125,6 +125,23 @@ class TestSurvey:
         assert code == 2
         assert "error:" in err
 
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        code, _, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert err.startswith("error: ") and "'families'" in err
+
+    def test_template_variable_missing_from_ranges_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}},
+            {"template": "Delta^-{b}", "ranges": {"a": [1, 2]}},
+        ]}))
+        code, _, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert err.startswith("error: survey family 1: ") and "'b'" in err
+
 
 class TestInternalError:
     @pytest.mark.parametrize("exc", [
@@ -167,6 +184,17 @@ class TestGap:
         assert code == 0
         assert lines[0]["verdict"] == "PASS"
         assert lines[-1]["failed"] == 0
+
+    def test_negative_combos_exit_2(self, capsys):
+        code, out, err = run(capsys, "gap", "--combos", "-1")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "combos" in err
+
+    def test_hmax_below_first_weight_exit_2(self, capsys):
+        for argv in (("--hmax", "1"), ("--level", "1", "--hmax", "3")):
+            code, out, err = run(capsys, "gap", *argv)
+            assert code == 2
+            assert out == "" and err.startswith("error: ") and "hmax" in err
 
 
 class TestThetaMinima:

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgap.catalog import Generator, dim_m
+from qgap.catalog import FormExpr, Generator, dim_m
 from qgap.forms import (
     basis_m1,
     basis_m2,
@@ -20,6 +22,31 @@ from qgap.series import DefectError, QSeries, product_expand
 def gen(kind, window, *params):
     """Cached expansion of one catalog generator."""
     return generator_series(Generator(kind, params), window)
+
+
+CATALOG = [Generator(kind, params) for kind, params in (
+    ("G", (4,)), ("G", (6,)), ("G", (10,)), ("Delta", ()), ("j", ()),
+    ("Egamma2", ()), ("E04", ()), ("Einf4", ()), ("E", (2, 8)), ("E", (3, 6)),
+    ("Delta2", ()), ("j2", ()), ("phi", (2,)), ("phi", (3,)), ("Phi", (3,)),
+    ("S", (1, 2)), ("T", (8,)), ("T2", (6,)),
+)]
+
+
+@st.composite
+def monomial_st(draw):
+    """A catalog monomial of one to three distinct generators."""
+    gens = draw(st.lists(st.sampled_from(CATALOG), min_size=1, max_size=3,
+                         unique=True))
+    exps = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(gens),
+                         max_size=len(gens)))
+    return FormExpr(tuple(zip(gens, exps)))
+
+
+def padded_window(expr, prec):
+    """The window eval_expr once used: prec plus the factors' pole margin
+    plus one, rounded up to a multiple of 32."""
+    margin = sum(max(0, -e * g.valuation) for g, e in expr.factors)
+    return -(-(prec + margin + 1) // 32) * 32
 
 class TestEisensteinG:
     def test_g4(self):
@@ -209,6 +236,11 @@ class TestBases:
             for s in b:
                 assert s.valuation >= 0  # holomorphic
 
+    def test_elements_carry_exactly_prec(self):
+        for prec in (1, 3, 9):
+            for b in (*basis_m1(36, prec), *basis_m2(26, prec), *basis_m2(40, prec)):
+                assert b.window == prec
+
     def test_basis_m1_valuations_triangular(self):
         for h in (4, 12, 14, 24, 26, 36):
             b = basis_m1(h, 4)
@@ -231,7 +263,20 @@ class TestEvalExpr:
     def test_window_guarantee(self):
         for text, prec in [("j^3 Delta^-2", 7), ("T2(20)", 4), ("phi(3)^-5", 9)]:
             s = eval_expr(text, prec)
-            assert s.window >= prec
+            assert s.window == prec
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(monomial_st(), st.integers(1, 12))
+    def test_exact_window_matches_padded_oracle(self, expr, prec):
+        s = eval_expr(expr, prec)
+        w = padded_window(expr, prec)
+        oracle = None
+        for g, e in expr.factors:
+            piece = generator_series(g, w) ** e
+            oracle = piece if oracle is None else oracle * piece
+        assert s.window == prec
+        assert s.valuation == oracle.valuation
+        assert s.coefficients(prec) == oracle.coefficients(prec)
 
     def test_accepts_parsed_expr(self):
         from qgap.exprs import parse_expr

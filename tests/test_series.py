@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap.series import QSeries, ReachError, neg_power_einf4, product_expand
+from qgap.series import QSeries, ReachError, product_expand
+
+from einf4_oracle import neg_power_einf4
 
 # -- independent oracles -----------------------------------------------------
 
@@ -274,6 +276,13 @@ class TestNegPowerEinf4:
         einf = QSeries(1, [sigma_star(n, 2, 3) for n in range(1, prec + 1)])
         assert neg_power_einf4(1, prec).agrees_with(einf.invert())
         assert neg_power_einf4(3, prec).agrees_with(einf**-3)
+
+    def test_matches_constant_term_path(self):
+        from qgap.forms import constant_term
+
+        # the Theorem 4.1 constant terms come from the generic Einf4^-s path
+        for s in range(1, 65):
+            assert constant_term(f"Einf4^-{s}") == neg_power_einf4(s, s + 1).coeff(0)
 
 
 # -- property tests ----------------------------------------------------------
