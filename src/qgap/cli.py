@@ -16,7 +16,7 @@ import os
 import sys
 
 from qgap import congruence, siegel
-from qgap.congruence import desk_rules_config, full_rules_config, render_table, run_survey
+from qgap.congruence import desk_rules_config, full_rules_config, render_summary, render_table, run_survey
 from qgap.exprs import ParseError
 from qgap.forms import constant_term, eval_expr, identity_checks
 from qgap.quadratic import load_gram, min_represented, theta, verify_theorem51
@@ -30,11 +30,13 @@ FULL_SEC33_DELTA = 2470
 FULL_SEC33_RECIPROCAL = 4096
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("QGAP_JOBS", "1")))
-    except ValueError:
-        return 1
+def _jobs(flag: int | None) -> int:
+    """The worker count: --jobs, else QGAP_JOBS, else 1."""
+    source, text = (("--jobs", str(flag)) if flag is not None
+                    else ("QGAP_JOBS", os.environ.get("QGAP_JOBS", "1")))
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _cmd_expand(args) -> int:
@@ -66,7 +68,7 @@ def _cmd_survey(args) -> int:
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}:{exc.lineno}: {exc.msg}") from None
-    report = run_survey(config, jobs=args.jobs)
+    report = run_survey(config, jobs=_jobs(args.jobs))
     if args.json:
         for rec in report.records:
             print(json.dumps(rec.to_dict()))
@@ -169,7 +171,7 @@ def _suite_rules(full: bool, jobs: int):
     if full:
         print("warning: --full survey ranges take a long time", file=sys.stderr)
     report = run_survey(config, jobs=jobs)
-    lines = [render_table(report).splitlines()[-1]]
+    lines = [render_summary(report)]
     for rec in report.failed[:20]:
         lines.append(f"{rec.verdict}: {rec.expr} {rec.to_dict()['rules']}")
     records = [{"summary": report.summary, "config": config["name"]}]
@@ -214,7 +216,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    verdicts, lines, records = _SUITES[args.suite](args.full, args.jobs)
+    verdicts, lines, records = _SUITES[args.suite](args.full, _jobs(args.jobs))
     verdict = Verdict.FAIL if any(v.fails for v in verdicts) else Verdict.PASS
     if args.json:
         for rec in records:
@@ -249,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="run a survey config (JSON)")
     p.add_argument("config")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true",
                    help="JSON-lines records instead of a table")
     p.set_defaults(func=_cmd_survey)
@@ -278,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--full", action="store_true",
                    help="paper-scale ranges instead of desk defaults")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -54,6 +54,7 @@ __all__ = [
     "full_rules_config",
     "lehner_check",
     "reciprocal_compare",
+    "render_summary",
     "render_table",
     "run_survey",
 ]
@@ -342,36 +343,40 @@ _FILTER_RE = re.compile(
 )
 
 
-def _filter_ok(filt: str, env: dict) -> bool:
+def _parse_filter(filt, names) -> tuple[str, int, frozenset, bool]:
+    """(variable, modulus, residues, negate): the filter holds for env when
+    (env[variable] % modulus in residues) != negate.  ValueError on bad
+    syntax, a zero modulus, or a variable not among ``names``."""
     m = _FILTER_RE.match(filt) if isinstance(filt, str) else None
     if not m:
         raise ValueError(f"unsupported filter syntax: {filt!r}")
     var = m.group("var")
-    if var not in env:
+    if var not in names:
         raise ValueError(f"filter {filt!r} references unknown variable {var!r}")
-    value = env[var]
     if m.group("parity"):
-        return value % 2 == (1 if m.group("parity") == "odd" else 0)
+        return var, 2, frozenset({1 if m.group("parity") == "odd" else 0}), False
     mod = int(m.group("mod"))
+    if mod == 0:
+        raise ValueError(f"filter {filt!r} has modulus 0")
     rhs = [int(x) for x in re.findall(r"\d+", m.group("rhs"))]
-    residue = value % mod
-    if m.group("op") == "==":
-        return residue == rhs[0]
-    if m.group("op") == "!=":
-        return residue != rhs[0]
-    return residue in rhs
+    op = m.group("op")
+    return var, mod, frozenset(rhs if op == "in" else rhs[:1]), op == "!="
 
 
 def _expand_range(spec) -> list[int]:
     if isinstance(spec, list) and len(spec) in (2, 3) \
             and all(type(x) is int for x in spec):
-        return list(range(spec[0], spec[1] + 1, *spec[2:]))
+        values = list(range(spec[0], spec[1] + 1, *spec[2:]))
+        if not values:
+            raise ValueError(f"range {spec!r} is empty")
+        return values
     raise ValueError(f"range must be [lo, hi] or [lo, hi, step] of integers, got {spec!r}")
 
 
 def _family_tasks(fam) -> list[tuple[str, tuple, str]]:
     """(template, parameter tuple, expression text) for each instance of one
-    survey family; ValueError when the family is malformed."""
+    survey family; ValueError when the family is malformed, checked before
+    any instance is built."""
     if not isinstance(fam, dict) or not isinstance(fam.get("template"), str):
         raise ValueError("a family is an object with a string 'template'")
     template, ranges, filters = fam["template"], fam.get("ranges", {}), fam.get("filters", [])
@@ -382,10 +387,12 @@ def _family_tasks(fam) -> list[tuple[str, tuple, str]]:
     if missing:
         raise ValueError(f"template {template!r} names {missing}, absent from 'ranges'")
     names = sorted(ranges)
+    preds = [_parse_filter(f, names) for f in filters]
+    values = [_expand_range(ranges[n]) for n in names]
     tasks = []
-    for combo in itertools.product(*(_expand_range(ranges[n]) for n in names)):
+    for combo in itertools.product(*values):
         env = dict(zip(names, combo))
-        if all(_filter_ok(f, env) for f in filters):
+        if all((env[var] % mod in res) != neg for var, mod, res, neg in preds):
             tasks.append((template, combo, template.format(**env)))
     return tasks
 
@@ -459,13 +466,16 @@ def render_table(report: SurveyReport) -> str:
     ]
     lines.extend("  ".join(row[i].ljust(widths[i]) for i in range(len(headers)))
                  for row in rows)
-    s = report.summary
     lines.append("")
-    lines.append(
-        f"total {s['total']}: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(s["verdicts"].items()))
-    )
+    lines.append(render_summary(report))
     return "\n".join(lines)
+
+
+def render_summary(report: SurveyReport) -> str:
+    """The closing line of the table: the total and the count per verdict."""
+    s = report.summary
+    return f"total {s['total']}: " + ", ".join(
+        f"{k}={v}" for k, v in sorted(s["verdicts"].items()))
 
 
 # -- section 3.3 style tables: j vs 1/Delta, 1/j vs Delta, Lehner -------------

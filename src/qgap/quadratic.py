@@ -6,17 +6,20 @@ Q_A(x) = x^T A x for an integer symmetric matrix A with even diagonal, so
 Q_A takes even values on integer vectors.  The theta series counts exact
 representation numbers: entry n is #{x in Z^v : Q_A(x) = 2n}.
 
-Enumeration works through an exact rational LDL^T decomposition of A,
-Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, walking coordinates from the
-last to the first with exact integer interval bounds at every layer (no
-floating point anywhere, so no boundary misses).
+One exact rational LDL^T decomposition of A,
+Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, serves every question about
+the matrix: its pivots decide positive-definiteness and give the
+determinant, its triangular factor gives A^-1 for the level, and
+enumeration walks coordinates from the last to the first with exact integer
+interval bounds at every layer (no floating point anywhere, so no boundary
+misses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from qgap.series import DefectError
 from qgap.verdict import Verdict
@@ -55,24 +58,27 @@ E8 = (
 )
 
 
-def _leading_minors(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Leading principal minors by fraction-free (Bareiss) elimination,
-    which keeps m[k][k] equal to the k-th one.  Stops after the first zero
-    minor: going on would need row swaps, and validation rejects there."""
+def _ldl(rows: tuple[tuple[int, ...], ...]):
+    """Pivots d and multipliers u with Q(x) = sum_i d_i (x_i + sum_{j>i}
+    u_ij x_j)^2.  The product d_1...d_k is the k-th leading minor, so the
+    pivots decide positive-definiteness; elimination stops after the first
+    pivot <= 0, where going on would need row swaps."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    minors = []
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if pivot == 0:
+    m = [[Fraction(x) for x in row] for row in rows]
+    d = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        di = m[i][i]
+        d.append(di)
+        if di <= 0:
             break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return minors
+        for j in range(i + 1, n):
+            u[i][j] = m[i][j] / di
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                m[j][k] -= m[i][j] * m[i][k] / di
+                m[k][j] = m[j][k]
+    return d, u
 
 
 @dataclass(frozen=True)
@@ -100,12 +106,11 @@ class GramMatrix:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"not symmetric at ({i},{j})")
-        minors = _leading_minors(rows)
-        for k, mk in enumerate(minors):
-            if mk <= 0:
-                raise ValueError(
-                    f"not positive definite: leading minor {k + 1} is {mk}"
-                )
+        d, _ = _ldl(rows)
+        if d[-1] <= 0:
+            raise ValueError(
+                f"not positive definite: leading minor {len(d)} is {int(prod(d))}"
+            )
 
     @property
     def rank(self) -> int:
@@ -113,7 +118,7 @@ class GramMatrix:
 
     @property
     def det(self) -> int:
-        return _leading_minors(self.entries)[-1]
+        return int(prod(_ldl(self.entries)[0]))
 
     def value(self, x) -> int:
         """Q_A(x) = x^T A x."""
@@ -137,52 +142,21 @@ def direct_sum(a: GramMatrix, b: GramMatrix) -> GramMatrix:
     return GramMatrix(tuple(rows))
 
 
-def _inverse(gram: GramMatrix) -> list[list[Fraction]]:
-    n = gram.rank
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(gram.entries)]
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv = Fraction(1, 1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 def level(gram: GramMatrix) -> int:
     """Smallest positive N with N*A^-1 integral and even on the diagonal:
     the lcm of the denominators of the entries of A^-1 and of half its
-    diagonal entries."""
-    inv = _inverse(gram)
+    diagonal entries.  With A = U^T D U from the LDL^T decomposition,
+    A^-1 = V D^-1 V^T for the unit upper triangular V = U^-1."""
+    d, u = _ldl(gram.entries)
     n = gram.rank
-    dens = []
-    for i in range(n):
-        for j in range(n):
-            dens.append(inv[i][j].denominator)
-        dens.append((inv[i][i] / 2).denominator)
-    return lcm(*dens)
-
-
-def _ldl(gram: GramMatrix):
-    """d, u with Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
-    n = gram.rank
-    m = [[Fraction(x) for x in row] for row in gram.entries]
-    d = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = m[i][i]
-        d.append(di)
-        for j in range(i + 1, n):
-            u[i][j] = m[i][j] / di
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                m[j][k] -= m[i][j] * m[i][k] / di
-                m[k][j] = m[j][k]
-    return d, u
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            v[i][j] = -sum(u[i][k] * v[k][j] for k in range(i + 1, j + 1))
+    inv = [[sum(v[i][k] * v[j][k] / d[k] for k in range(max(i, j), n))
+            for j in range(n)] for i in range(n)]
+    return lcm(*(x.denominator for row in inv for x in row),
+               *((inv[i][i] / 2).denominator for i in range(n)))
 
 
 def _interval(c: Fraction, bound: Fraction) -> range:
@@ -203,7 +177,7 @@ def theta(gram: GramMatrix, n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n = gram.rank
-    d, u = _ldl(gram)
+    d, u = _ldl(gram.entries)
     counts = [0] * (n_max + 1)
     budget = Fraction(2 * n_max)
     x = [0] * n

@@ -12,12 +12,15 @@ rationals and compare equal).  Floats are rejected.
 
 Multiplication is schoolbook convolution.  Series at the scale this package
 targets are a few thousand terms at most, and bignum coefficient growth
-dominates the cost anyway.
+dominates the cost anyway.  Integer powers, the inverse and m-th roots share
+one O(n^2) recurrence for u^(p/q) (J. C. P. Miller's), so none of them goes
+through repeated multiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 __all__ = ["DefectError", "QSeries", "ReachError", "product_expand"]
@@ -141,11 +144,14 @@ class QSeries:
         return None
 
     def agrees_with(self, other: "QSeries", upto: int | None = None) -> bool:
-        """Coefficientwise equality on the shared justified range
-        (optionally capped at exponent ``upto`` exclusive)."""
+        """Coefficientwise equality on the shared justified range, or below
+        exponent ``upto`` (exclusive); ReachError when ``upto`` lies beyond
+        either reach, where agreement cannot be checked."""
         end = min(self._reach, other._reach)
         if upto is not None:
-            end = min(end, upto)
+            if upto > end:
+                raise ReachError(f"agreement below q^{upto} asked; justified below q^{end} only")
+            end = upto
         start = min(self._val, other._val)
         return all(self.coeff(n) == other.coeff(n) for n in range(start, end))
 
@@ -255,36 +261,18 @@ class QSeries:
         Requires a nonzero leading coefficient (in particular, at least one
         justified coefficient).
         """
-        if not self._coeffs:
-            raise ZeroDivisionError("cannot invert a series that is zero up to reach")
-        u = self._coeffs
-        n = len(u)
-        u0 = u[0]
-        monic = u0 == 1
-        w = [1 if monic else _norm_coeff(Fraction(1, 1) / u0)]
-        for m in range(1, n):
-            s = 0
-            for k in range(1, m + 1):
-                if u[k] != 0:
-                    s += u[k] * w[m - k]
-            w.append(-s if monic else _norm_coeff(Fraction(-s, 1) / u0))
-        return QSeries(-self._val, w)
+        return self._power(-1)
 
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int):
             raise TypeError("series powers must be integers")
         if e == 0:
             return QSeries.one(max(self.window, 1))
-        base = self.invert() if e < 0 else self
-        e = abs(e)
-        result = None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if e == 1:
+            return self
+        if e > 0 and not self._coeffs:
+            return QSeries.zero(e * self._reach)
+        return self._power(e)
 
     def root(self, m: int) -> "QSeries":
         """The monic m-th root: b with b**m == self, requiring m | valuation
@@ -297,19 +285,36 @@ class QSeries:
             raise ValueError(f"valuation {self._val} is not divisible by {m}")
         if self._coeffs[0] != 1:
             raise ValueError("root requires a monic unit part (leading coefficient 1)")
+        return self._power(1, m)
+
+    def _power(self, p: int, q: int = 1) -> "QSeries":
+        """self^(p/q) on the same window; q > 1 needs q | valuation and a
+        monic unit part, which the caller checks.  J. C. P. Miller's
+        recurrence (Knuth, TAOCP Vol. 2, 4.7), from q*u*D(b) = p*D(u)*b
+        with D = q d/dq:
+
+            q*k*u_0*b_k = sum_{i=1..k} ((p+q)*i - q*k) * u_i * b_{k-i}.
+        """
+        if not self._coeffs:
+            raise ZeroDivisionError("cannot invert a series that is zero up to reach")
         u = self._coeffs
-        n = len(u)
-        b = [1]
-        # from m*u*D(b) = D(u)*b with D = q d/dq:
-        #   m*k*b_k = sum_{i=1..k} (i - m*(k-i)) u_i b_{k-i}
-        for k in range(1, n):
-            s = 0
-            for i in range(1, k + 1):
-                ui = u[i] if i < n else 0
-                if ui != 0:
-                    s += (i - m * (k - i)) * ui * b[k - i]
-            b.append(_norm_coeff(Fraction(s, m * k)))
-        return QSeries(self._val // m, b)
+        u0 = u[0]
+        b = [_norm_coeff(Fraction(u0) ** p) if q == 1 else 1]
+        # p + q == 0 is the inverse: the i-weighted sum drops out, and
+        # dividing by q*k leaves u_0*b_k = -sum u_i*b_{k-i}
+        iu = [(p + q) * i * c for i, c in enumerate(u)] if p + q else None
+        for k in range(1, len(u)):
+            s = sum(map(mul, u[1:k + 1], reversed(b)))
+            if iu is None:
+                s, d = -s, u0
+            else:
+                s = sum(map(mul, iu[1:k + 1], reversed(b))) - q * k * s
+                d = q * k * u0
+            if type(s) is int and type(d) is int and not s % d:
+                b.append(s // d)
+            else:
+                b.append(_norm_coeff(Fraction(s, d)))
+        return QSeries(self._val * p // q, b)
 
     def q_derivative(self) -> "QSeries":
         """The operator q d/dq (= d/d log q): coefficient of q^n becomes n*c_n."""

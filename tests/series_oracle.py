@@ -1,0 +1,44 @@
+"""Exact oracles for ``QSeries.invert``, ``root`` and ``**``, independent of
+the one recurrence those share: the classical inverse and root coefficient
+loops, and powers by repeated multiplication."""
+
+from fractions import Fraction
+
+from qgap.series import QSeries
+
+
+def invert(a: QSeries) -> QSeries:
+    """1/a on the same window: u_0*w_m = -sum_{k=1..m} u_k*w_{m-k}."""
+    if a.is_zero:
+        raise ZeroDivisionError("cannot invert a series that is zero up to reach")
+    u = a.coefficients()
+    w = [Fraction(1) / u[0]]
+    for m in range(1, len(u)):
+        s = sum(u[k] * w[m - k] for k in range(1, m + 1) if u[k] != 0)
+        w.append(Fraction(-s) / u[0])
+    return QSeries(-a.valuation, w)
+
+
+def root(a: QSeries, m: int) -> QSeries:
+    """The monic m-th root of a monic a with m | valuation, from
+    m*u*D(b) = D(u)*b with D = q d/dq:
+
+        m*k*b_k = sum_{i=1..k} (i - m*(k-i)) u_i b_{k-i}.
+    """
+    u = a.coefficients()
+    b = [1]
+    for k in range(1, len(u)):
+        s = sum((i - m * (k - i)) * u[i] * b[k - i] for i in range(1, k + 1) if u[i] != 0)
+        b.append(Fraction(s, m * k))
+    return QSeries(a.valuation // m, b)
+
+
+def power(a: QSeries, e: int) -> QSeries:
+    """a**e by repeated multiplication (of 1/a when e < 0)."""
+    if e == 0:
+        return QSeries.one(max(a.window, 1))
+    base = invert(a) if e < 0 else a
+    result = base
+    for _ in range(abs(e) - 1):
+        result = result * base
+    return result

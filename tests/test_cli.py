@@ -142,6 +142,54 @@ class TestSurvey:
         assert code == 2
         assert err.startswith("error: survey family 1: ") and "'b'" in err
 
+    def test_empty_range_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}},
+            {"template": "Delta^-{a}", "ranges": {"a": [5, 1]}},
+        ]}))
+        code, out, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error: survey family 1: ")
+        assert "empty" in err
+
+    @pytest.mark.parametrize("filt, word", [("b odd", "'b'"), ("a % 0 == 1", "modulus 0")])
+    def test_bad_filter_exit_2_even_when_nothing_survives(self, tmp_path, capsys, filt, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [2, 2]},
+             "filters": ["a odd", filt]},
+        ]}))
+        code, out, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error: survey family 0: ") and word in err
+
+
+class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ("survey", "cfg.json", "--jobs", "0"),
+        ("verify", "--suite", "theorems4", "--jobs", "-1"),
+    ])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}}]}))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "jobs" in err
+
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_non_integer_env_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QGAP_JOBS", value)
+        code, out, err = run(capsys, "verify", "--suite", "theorems4")
+        assert code == 2
+        assert out == "" and err.startswith("error: QGAP_JOBS")
+
+    def test_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QGAP_JOBS", "two")
+        code, out, _ = run(capsys, "verify", "--suite", "theorems4", "--jobs", "1")
+        assert code == 0 and out.endswith("suite theorems4: PASS\n")
+
 
 class TestInternalError:
     @pytest.mark.parametrize("exc", [

@@ -11,6 +11,7 @@ from qgap.congruence import (
     lehner_check,
     reciprocal_compare,
     run_survey,
+    render_summary,
     render_table,
 )
 from qgap.forms import eval_expr
@@ -221,8 +222,10 @@ class TestSurveyRunner:
 
     def test_table_renderer(self):
         cfg = {"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 2]}}]}
-        text = render_table(run_survey(cfg))
+        report = run_survey(cfg)
+        text = render_table(report)
         assert "Delta^-1" in text and "PASS" in text
+        assert text.splitlines()[-1] == render_summary(report) == "total 2: PASS=2"
 
 
 class TestSection33:

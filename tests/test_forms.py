@@ -82,7 +82,7 @@ class TestDeltaAndJ:
 
     def test_delta_inverse_round_trip(self):
         d = gen("Delta", 10)
-        assert (d * d.invert()).agrees_with(QSeries.one(1), upto=8)
+        assert (d * d.invert()).agrees_with(QSeries.one(d.window))
 
     def test_j_expansion(self):
         j = gen("j", 4)

@@ -1,4 +1,8 @@
 import itertools
+import operator
+import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -29,6 +33,51 @@ def box_counts(gram: GramMatrix, n_max: int, radius: int) -> list[int]:
         if v <= 2 * n_max:
             counts[v // 2] += 1
     return counts
+
+
+def gauss_jordan(rows) -> tuple[Fraction, list[list[Fraction]]]:
+    """Independent oracle: determinant and inverse by Fraction Gauss-Jordan
+    elimination with row swaps."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if m[r][col] != 0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det, [row[n:] for row in m]
+
+
+def oracle_level(rows) -> int:
+    _, inv = gauss_jordan(rows)
+    return lcm(*(x.denominator for row in inv for x in row),
+               *((inv[i][i] / 2).denominator for i in range(len(rows))))
+
+
+def unimodular_change(rows, seed: int) -> list[list[int]]:
+    """P^T A P for a seeded unimodular P: a signed permutation times a few
+    elementary column operations with multipliers in -1..1."""
+    rng = random.Random(seed)
+    n = len(rows)
+    perm = rng.sample(range(n), n)
+    p = [[rng.choice((-1, 1)) if perm[j] == i else 0 for j in range(n)]
+         for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for r in range(n):
+            p[r][j] += c * p[r][i]
+    return [[sum(p[k][i] * rows[k][l] * p[l][j] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
 
 
 class TestValidation:
@@ -63,10 +112,11 @@ class TestValidation:
         assert validate(E8).det == 1
 
     def test_d4_leading_minors(self):
-        # 2, 3, 4, 4
-        from qgap.quadratic import _leading_minors
+        # the partial products of the LDL^T pivots are the leading minors
+        from qgap.quadratic import _ldl
 
-        assert _leading_minors(validate(D4).entries) == [2, 3, 4, 4]
+        pivots, _ = _ldl(validate(D4).entries)
+        assert list(itertools.accumulate(pivots, operator.mul)) == [2, 3, 4, 4]
 
 
 class TestLevel:
@@ -88,6 +138,24 @@ class TestLevel:
 
     def test_a1(self):
         assert level(validate([[2]])) == 4  # inverse 1/2; 1/4 on half-diagonal
+
+
+class TestAgainstGaussJordan:
+    FORMS = {
+        "D4": (D4, 4, 2),
+        "E8": (E8, 1, 1),
+        "D4+D4": (direct_sum(validate(D4), validate(D4)).entries, 16, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_det_and_level(self, name, seed):
+        rows, det, lev = self.FORMS[name]
+        if seed is not None:
+            rows = unimodular_change(rows, seed)
+        g = validate(rows)
+        assert (g.det, level(g)) == (det, lev)
+        assert (g.det, level(g)) == (gauss_jordan(rows)[0], oracle_level(rows))
 
 
 class TestTheta:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qgap.series import QSeries, ReachError, product_expand
 
+import series_oracle
 from einf4_oracle import neg_power_einf4
 
 # -- independent oracles -----------------------------------------------------
@@ -94,6 +95,12 @@ class TestStructure:
         assert s.coeff(1) == 2
         with pytest.raises(ReachError):
             s.coeff(2)
+
+    def test_agrees_with_beyond_reach_raises(self):
+        short, long = QSeries(0, [1]), QSeries(0, [1, 5])
+        assert short.agrees_with(long, upto=1)
+        with pytest.raises(ReachError):
+            short.agrees_with(long, upto=10)
 
     def test_below_valuation_is_exact_zero(self):
         s = QSeries(3, [5])
@@ -313,7 +320,7 @@ class TestRingLaws:
 @settings(max_examples=100, derandomize=True)
 @given(series_st(invertible=True))
 def test_invert_round_trip(a):
-    assert (a * a.invert()).agrees_with(QSeries.one(1), upto=a.reach - a.valuation)
+    assert (a * a.invert()).agrees_with(QSeries.one(a.window))
 
 
 @settings(max_examples=100, derandomize=True)
@@ -342,3 +349,39 @@ def test_root_round_trip(a, m):
     coeffs = [1] + list(a.coefficients()[1:])
     a = QSeries(a.valuation * m, coeffs)
     assert (a.root(m) ** m).agrees_with(a)
+
+
+# -- one recurrence for powers, inverses and roots against the old loops -----
+
+
+@settings(max_examples=200, derandomize=True)
+@given(series_st(invertible=True), st.integers(min_value=-6, max_value=6))
+def test_pow_matches_repeated_mul(a, e):
+    assert a**e == series_oracle.power(a, e)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(series_st(invertible=True))
+def test_invert_matches_old_recurrence(a):
+    assert a.invert() == series_oracle.invert(a)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(series_st(invertible=True), st.integers(min_value=1, max_value=4))
+def test_root_matches_old_recurrence(a, m):
+    a = QSeries(a.valuation * m, [1] + a.coefficients()[1:])
+    assert a.root(m) == series_oracle.root(a, m)
+
+
+@pytest.mark.parametrize("reach", range(-3, 4))
+def test_powers_of_zero_series(reach):
+    z = QSeries.zero(reach)
+    for e in range(-6, 7):
+        if e < 0:
+            with pytest.raises(ZeroDivisionError):
+                z**e
+            with pytest.raises(ZeroDivisionError):
+                series_oracle.power(z, e)
+        else:
+            assert z**e == series_oracle.power(z, e)
+    assert (z**3).reach == 3 * reach
