@@ -2,6 +2,11 @@
 symbolic data (weight, conductor, leading exponent) and the dimension
 formulas for the spaces they live in.
 
+``KINDS`` holds one entry per generator kind: its parameter syntax, its
+parameter check and its symbolic data.  The parser, the printer and the
+``Generator`` properties all read it, so adding a kind takes one ``KINDS``
+entry plus one builder branch in ``forms.generator_series``.
+
 Every generator is normalized: the leading Fourier coefficient is 1.  The
 weight of a monomial is the sum of the factor weights, and its leading
 exponent is the sum of the factor leading exponents (no cancellation can
@@ -10,12 +15,15 @@ occur among monic leading terms).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
+from string import Formatter
 
 from qgap.series import DefectError
 
-__all__ = ["Generator", "FormExpr", "dim_m"]
+__all__ = ["KINDS", "FormExpr", "Generator", "Kind", "dim_m"]
 
 
 def dim_m(level: int, h: int) -> int:
@@ -31,16 +39,71 @@ def dim_m(level: int, h: int) -> int:
     raise ValueError(f"dimension formula implemented for levels 1 and 2, not {level}")
 
 
-_FIXED = {
-    # kind: (weight, conductor, leading exponent)
-    "Delta": (12, 1, 1),
-    "j": (0, 1, -1),
-    "Egamma2": (2, 2, 0),
-    "E04": (4, 2, 0),
-    "Einf4": (4, 2, 1),
-    "Delta2": (8, 2, 1),
-    "j2": (0, 2, -1),
-}
+@dataclass(frozen=True)
+class Kind:
+    """Everything the catalog knows about one generator kind.
+
+    ``syntax`` is the text after the name with one ``{slot}`` per integer
+    parameter, e.g. ``"({N},inf,{k})"``.  The other fields are functions of
+    the parameters: ``check`` returns the violated condition or None,
+    ``valuation`` is the leading exponent, and ``e_inf`` is the (N, k) of
+    the series E(N,inf,k) the generator equals, or None.
+    """
+
+    name: str
+    syntax: str
+    check: Callable[..., str | None]
+    weight: Callable[..., int]
+    conductor: Callable[..., int]
+    valuation: Callable[..., int]
+    e_inf: Callable[..., tuple[int, int] | None] = lambda *params: None
+
+    @cached_property
+    def slots(self) -> tuple[str, ...]:
+        return tuple(f for _, f, _, _ in Formatter().parse(self.syntax) if f)
+
+    def render(self, values) -> str:
+        return self.name + self.syntax.format(**dict(zip(self.slots, values)))
+
+    @cached_property
+    def shape(self) -> str:
+        """The kind with its slot names, e.g. ``E(N,inf,k)``."""
+        return self.render(self.slots)
+
+
+def _fixed(name: str, weight: int, conductor: int, valuation: int, **extra) -> Kind:
+    return Kind(name, "", lambda: None, lambda: weight, lambda: conductor,
+                lambda: valuation, **extra)
+
+
+def _n_23(N):
+    return None if N in (2, 3) else "N in {2,3}"
+
+
+#: The generator kinds, in the order error messages list them.
+KINDS = {kind.name: kind for kind in (
+    _fixed("Delta", 12, 1, 1),
+    _fixed("Delta2", 8, 2, 1),
+    _fixed("j", 0, 1, -1),
+    _fixed("j2", 0, 2, -1),
+    Kind("G", "({h})", lambda h: None if h >= 0 and h % 2 == 0 else "even h >= 0",
+         lambda h: h, lambda h: 1, lambda h: 0),
+    _fixed("Egamma2", 2, 2, 0),
+    _fixed("E04", 4, 2, 0),
+    _fixed("Einf4", 4, 2, 1, e_inf=lambda: (2, 4)),
+    Kind("E", "({N},inf,{k})",
+         lambda N, k: _n_23(N) or (None if k > 2 and k % 2 == 0 else "even k > 2"),
+         lambda N, k: k, lambda N, k: N, lambda N, k: 1, e_inf=lambda N, k: (N, k)),
+    Kind("phi", "({N})", _n_23, lambda N: 0, lambda N: N, lambda N: N - 1),
+    Kind("Phi", "({N})", _n_23, lambda N: 0, lambda N: N, lambda N: 1),
+    Kind("S", "({n},{d})", lambda n, d: None if 1 <= n <= d <= 4 else "1 <= n <= d <= 4",
+         lambda n, d: 24, lambda n, d: 1, lambda n, d: 1),
+    Kind("T", "({h})", lambda h: None if h > 2 and h % 2 == 0 else "even h > 2",
+         lambda h: 2 - h, lambda h: 1, lambda h: -dim_m(1, h)),
+    # T2(h): pole order r for h = 0 mod 4, r+1 for h = 2 mod 4
+    Kind("T2", "({h})", lambda h: None if h >= 2 and h % 2 == 0 else "even h >= 2",
+         lambda h: 2 - h, lambda h: 2, lambda h: -dim_m(2, h) - h % 4 // 2),
+)}
 
 
 @dataclass(frozen=True)
@@ -51,104 +114,49 @@ class Generator:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        kind, p = self.kind, self.params
-        if kind in _FIXED:
-            if p:
-                raise ValueError(f"{kind} takes no parameters")
-        elif kind == "G":
-            (h,) = p
-            if h < 0 or h % 2 != 0:
-                raise ValueError(f"G(h) needs even h >= 0, got G({h})")
-        elif kind == "E":
-            N, k = p
-            if N not in (2, 3):
-                raise ValueError(f"E(N,inf,k) needs N in {{2,3}}, got N={N}")
-            if k <= 2 or k % 2 != 0:
-                raise ValueError(f"E(N,inf,k) needs even k > 2, got k={k}")
-        elif kind in ("phi", "Phi"):
-            (N,) = p
-            if N not in (2, 3):
-                raise ValueError(f"{kind}(N) supports N in {{2,3}}, got N={N}")
-        elif kind == "S":
-            n, d = p
-            if not (1 <= d <= 4 and 1 <= n <= d):
-                raise ValueError(f"S(n,d) needs 1 <= n <= d <= 4, got S({n},{d})")
-        elif kind == "T":
-            (h,) = p
-            if h <= 2 or h % 2 != 0:
-                raise ValueError(f"T(h) needs even h > 2, got T({h})")
-        elif kind == "T2":
-            (h,) = p
-            if h < 2 or h % 2 != 0:
-                raise ValueError(f"T2(h) needs even h >= 2, got T2({h})")
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        p = self.params
+        if (not isinstance(p, tuple) or len(p) != len(kind.slots)
+                or any(type(x) is not int for x in p)):
+            raise ValueError(f"{kind.shape} takes {len(kind.slots)} integer "
+                             f"parameter(s), got {p!r}")
+        violated = kind.check(*p)
+        if violated is not None:
+            raise ValueError(f"{kind.shape} needs {violated}, got {self}")
+
+    @property
+    def _spec(self) -> Kind:
+        try:
+            return KINDS[self.kind]
+        except KeyError:
+            raise DefectError(f"no catalog entry for generator kind {self.kind!r}") from None
 
     @property
     def weight(self) -> int:
-        if self.kind in _FIXED:
-            return _FIXED[self.kind][0]
-        if self.kind == "G":
-            return self.params[0]
-        if self.kind == "E":
-            return self.params[1]
-        if self.kind in ("phi", "Phi"):
-            return 0
-        if self.kind == "S":
-            return 24
-        # T(h), T2(h)
-        return 2 - self.params[0]
+        return self._spec.weight(*self.params)
 
     @property
     def conductor(self) -> int:
-        if self.kind in _FIXED:
-            return _FIXED[self.kind][1]
-        if self.kind in ("G", "S", "T"):
-            return 1
-        if self.kind == "T2":
-            return 2
-        if self.kind == "E" or self.kind in ("phi", "Phi"):
-            return self.params[0]
-        raise DefectError(f"no conductor for generator kind {self.kind!r}")
+        return self._spec.conductor(*self.params)
 
     @property
     def valuation(self) -> int:
         """Leading exponent of the normalized expansion at infinity."""
-        kind = self.kind
-        if kind in _FIXED:
-            return _FIXED[kind][2]
-        if kind == "G":
-            return 0
-        if kind == "E":
-            return 1
-        if kind == "phi":
-            return self.params[0] - 1
-        if kind == "Phi":
-            return 1
-        if kind == "S":
-            return 1
-        if kind == "T":
-            return -dim_m(1, self.params[0])
-        # T2(h): pole order r for h = 0 mod 4, r+1 for h = 2 mod 4
-        h = self.params[0]
-        r = dim_m(2, h)
-        return -r if h % 4 == 0 else -(r + 1)
+        return self._spec.valuation(*self.params)
 
     @property
     def pole_order(self) -> int:
         return max(0, -self.valuation)
 
     @property
-    def text(self) -> str:
-        if self.kind in _FIXED:
-            return self.kind
-        if self.kind == "E":
-            N, k = self.params
-            return f"E({N},inf,{k})"
-        return f"{self.kind}({','.join(str(x) for x in self.params)})"
+    def e_inf(self) -> tuple[int, int] | None:
+        """(N, k) when the generator is the series E(N,inf,k), else None."""
+        return self._spec.e_inf(*self.params)
 
     def __str__(self) -> str:
-        return self.text
+        return self._spec.render(self.params)
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,7 @@ class FormExpr:
     def canonical_text(self) -> str:
         parts = []
         for g, e in self.factors:
-            parts.append(g.text if e == 1 else f"{g.text}^{e}")
+            parts.append(str(g) if e == 1 else f"{g}^{e}")
         return "*".join(parts)
 
     def __str__(self) -> str:

@@ -285,18 +285,14 @@ def deviation_rules(N: int, k: int, a: int, c0) -> RuleCheck:
 
 
 def _pure_e_power(expr: FormExpr) -> tuple[int, int, int] | None:
-    """(N, k, a) when the expression is a single negative power of an
-    E(N,inf,k) generator (Einf4 counts as E(2,inf,4))."""
+    """(N, k, a) when the expression is a single negative power of a
+    generator whose catalog ``e_inf`` is (N, k)."""
     if len(expr.factors) != 1:
         return None
     gen, e = expr.factors[0]
-    if e >= 0:
+    if e >= 0 or gen.e_inf is None:
         return None
-    if gen.kind == "Einf4":
-        return (2, 4, -e)
-    if gen.kind == "E":
-        return (gen.params[0], gen.params[1], -e)
-    return None
+    return (*gen.e_inf, -e)
 
 
 def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:

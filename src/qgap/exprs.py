@@ -2,27 +2,42 @@
 
     expr := term (('*' | whitespace) term)*
     term := gen ('^' signed-integer)?
-    gen  := 'Delta' | 'Delta2' | 'j' | 'j2' | 'G(' even-int ')'
-          | 'Egamma2' | 'E04' | 'Einf4' | 'E(' N ',inf,' k ')'
-          | 'phi(' N ')' | 'Phi(' N ')' | 'S(' n ',' d ')'
-          | 'T(' h ')' | 'T2(' h ')'
+    gen  := name syntax
 
+The generator grammar is read from ``catalog.KINDS``: a kind's name, then
+its syntax with an integer in each slot (``({N},inf,{k})`` reads
+``E(3,inf,8)``).  Names are tried longest first, so ``Delta2`` is not read
+as ``Delta``.
 Whitespace-insensitive; a missing exponent means 1; exponents must be
 nonzero.  Errors carry the offending position and what was expected.
 """
 
 from __future__ import annotations
 
-from qgap.catalog import FormExpr, Generator
+import re
+from string import Formatter
+
+from qgap.catalog import KINDS, FormExpr, Generator
 
 __all__ = ["ParseError", "parse_expr"]
 
-_GENERATOR_NAMES = (
-    "Delta2", "Delta", "Egamma2", "E04", "Einf4", "E", "G",
-    "j2", "j", "phi", "Phi", "S", "T2", "T",
-)
 
-_PARAMETERIZED = {"G", "E", "phi", "Phi", "S", "T", "T2"}
+def _steps(name: str, syntax: str) -> tuple[tuple[str | None, str | None], ...]:
+    """The syntax after ``name`` as (literal, expected) steps; (None, None)
+    is an integer slot."""
+    steps = []
+    for literal, slot, _, _ in Formatter().parse(syntax):
+        for token in re.findall(r"\w+|\S", literal):
+            steps.append((token, f"'{token}'" + (f" after {name}" if not steps else "")))
+        if slot:
+            steps.append((None, None))
+    return tuple(steps)
+
+
+_NAME = re.compile("|".join(map(re.escape, sorted(KINDS, key=len, reverse=True))))
+_STEPS = {name: _steps(name, kind.syntax) for name, kind in KINDS.items()}
+_EXPECTED_NAME = ("a generator name (one of "
+                  + ", ".join(kind.shape for kind in KINDS.values()) + ")")
 
 
 class ParseError(ValueError):
@@ -45,10 +60,6 @@ class _Scanner:
     def at_end(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self, literal: str) -> bool:
         self.skip_ws()
@@ -78,37 +89,19 @@ class _Scanner:
 def _parse_generator(sc: _Scanner) -> Generator:
     sc.skip_ws()
     start = sc.pos
-    name = None
-    for cand in _GENERATOR_NAMES:
-        if sc.text.startswith(cand, sc.pos):
-            name = cand
-            sc.pos += len(cand)
-            break
-    if name is None:
-        raise ParseError(sc.text, start,
-                         "a generator name (one of "
-                         "Delta, Delta2, j, j2, G(h), Egamma2, E04, Einf4, "
-                         "E(N,inf,k), phi(N), Phi(N), S(n,d), T(h), T2(h))")
-    if name not in _PARAMETERIZED:
-        return Generator(name)
-    sc.expect("(", f"'(' after {name}")
-    if name == "E":
-        N = sc.integer()
-        sc.expect(",", "','")
-        sc.expect("inf", "'inf'")
-        sc.expect(",", "','")
-        k = sc.integer()
-        params = (N, k)
-    elif name == "S":
-        n = sc.integer()
-        sc.expect(",", "','")
-        d = sc.integer()
-        params = (n, d)
-    else:
-        params = (sc.integer(),)
-    sc.expect(")", "')'")
+    match = _NAME.match(sc.text, start)
+    if match is None:
+        raise ParseError(sc.text, start, _EXPECTED_NAME)
+    name = match[0]
+    sc.pos = match.end()
+    params = []
+    for literal, expected in _STEPS[name]:
+        if literal is None:
+            params.append(sc.integer())
+        else:
+            sc.expect(literal, expected)
     try:
-        return Generator(name, params)
+        return Generator(name, tuple(params))
     except ValueError as exc:
         raise ParseError(sc.text, start, f"a valid generator ({exc})") from None
 

@@ -26,7 +26,6 @@ __all__ = [
     "basis_m1",
     "basis_m2",
     "constant_term",
-    "dim_m",
     "eisenstein_g",
     "eval_expr",
     "factor_power",
@@ -76,6 +75,9 @@ def generator_series(gen: Generator, window: int) -> QSeries:
         raise ValueError("window must be >= 1")
     kind, p = gen.kind, gen.params
 
+    if gen.e_inf is not None:
+        N, k = gen.e_inf
+        return QSeries(1, [sigma_star(n, N, k - 1) for n in range(1, window + 1)])
     if kind == "G":
         return eisenstein_g(p[0], window)
     if kind == "Delta":
@@ -87,13 +89,6 @@ def generator_series(gen: Generator, window: int) -> QSeries:
         return QSeries(0, [1] + [24 * sigma_odd(n) for n in range(1, window)])
     if kind == "E04":
         return QSeries(0, [1] + [16 * sigma_alt(n, 3) for n in range(1, window)])
-    if kind == "Einf4":
-        return QSeries(1, [sigma_star(n, 2, 3) for n in range(1, window + 1)])
-    if kind == "E":
-        N, k = p
-        if (N, k) == (2, 4):
-            return generator_series(Generator("Einf4"), window)
-        return QSeries(1, [sigma_star(n, N, k - 1) for n in range(1, window + 1)])
     if kind == "Delta2":
         return (
             generator_series(Generator("E04"), window)

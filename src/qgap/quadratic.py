@@ -6,7 +6,7 @@ Q_A(x) = x^T A x for an integer symmetric matrix A with even diagonal, so
 Q_A takes even values on integer vectors.  The theta series counts exact
 representation numbers: entry n is #{x in Z^v : Q_A(x) = 2n}.
 
-One exact rational LDL^T decomposition of A,
+One exact rational LDL^T decomposition of A, computed once at validation,
 Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, serves every question about
 the matrix: its pivots decide positive-definiteness and give the
 determinant, its triangular factor gives A^-1 for the level, and
@@ -17,7 +17,7 @@ misses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
@@ -84,9 +84,14 @@ def _ldl(rows: tuple[tuple[int, ...], ...]):
 @dataclass(frozen=True)
 class GramMatrix:
     """Validated Gram matrix: integer, symmetric, even diagonal, positive
-    definite."""
+    definite.  Validation keeps the LDL^T factors (``pivots`` d and
+    ``multipliers`` u, see ``_ldl``) for the determinant, level and theta
+    series."""
 
     entries: tuple[tuple[int, ...], ...]
+    pivots: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    multipliers: tuple[tuple[Fraction, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.entries)
@@ -106,11 +111,13 @@ class GramMatrix:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"not symmetric at ({i},{j})")
-        d, _ = _ldl(rows)
+        d, u = _ldl(rows)
         if d[-1] <= 0:
             raise ValueError(
                 f"not positive definite: leading minor {len(d)} is {int(prod(d))}"
             )
+        object.__setattr__(self, "pivots", tuple(d))
+        object.__setattr__(self, "multipliers", tuple(map(tuple, u)))
 
     @property
     def rank(self) -> int:
@@ -118,7 +125,7 @@ class GramMatrix:
 
     @property
     def det(self) -> int:
-        return int(prod(_ldl(self.entries)[0]))
+        return int(prod(self.pivots))
 
     def value(self, x) -> int:
         """Q_A(x) = x^T A x."""
@@ -147,7 +154,7 @@ def level(gram: GramMatrix) -> int:
     the lcm of the denominators of the entries of A^-1 and of half its
     diagonal entries.  With A = U^T D U from the LDL^T decomposition,
     A^-1 = V D^-1 V^T for the unit upper triangular V = U^-1."""
-    d, u = _ldl(gram.entries)
+    d, u = gram.pivots, gram.multipliers
     n = gram.rank
     v = [[int(i == j) for j in range(n)] for i in range(n)]
     for j in range(n):
@@ -177,7 +184,7 @@ def theta(gram: GramMatrix, n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n = gram.rank
-    d, u = _ldl(gram.entries)
+    d, u = gram.pivots, gram.multipliers
     counts = [0] * (n_max + 1)
     budget = Fraction(2 * n_max)
     x = [0] * n

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from qgap.catalog import FormExpr, Generator
+from qgap.catalog import KINDS, FormExpr, Generator
 from qgap.exprs import ParseError, parse_expr
 
 
@@ -85,3 +87,70 @@ class TestSymbolicData:
     def test_empty_factors_rejected(self):
         with pytest.raises(ValueError):
             FormExpr(())
+
+
+#: One valid instance per kind: (kind, params, (str, weight, conductor,
+#: leading exponent)), and an out-of-range parameter tuple (None when the
+#: kind takes no parameters).
+KIND_CASES = [
+    ("Delta", (), ("Delta", 12, 1, 1), None),
+    ("Delta2", (), ("Delta2", 8, 2, 1), None),
+    ("j", (), ("j", 0, 1, -1), None),
+    ("j2", (), ("j2", 0, 2, -1), None),
+    ("G", (10,), ("G(10)", 10, 1, 0), (5,)),
+    ("Egamma2", (), ("Egamma2", 2, 2, 0), None),
+    ("E04", (), ("E04", 4, 2, 0), None),
+    ("Einf4", (), ("Einf4", 4, 2, 1), None),
+    ("E", (3, 6), ("E(3,inf,6)", 6, 3, 1), (4, 6)),
+    ("phi", (3,), ("phi(3)", 0, 3, 2), (4,)),
+    ("Phi", (3,), ("Phi(3)", 0, 3, 1), (5,)),
+    ("S", (1, 2), ("S(1,2)", 24, 1, 1), (3, 2)),
+    ("T", (14,), ("T(14)", -12, 1, -1), (2,)),
+    ("T2", (10,), ("T2(10)", -8, 2, -4), (3,)),
+]
+
+
+def test_kind_cases_cover_the_catalog():
+    assert [case[0] for case in KIND_CASES] == list(KINDS)
+
+
+@pytest.mark.parametrize("kind, params, data, out_of_range", KIND_CASES)
+class TestKinds:
+    def test_symbolic_data_and_text(self, kind, params, data, out_of_range):
+        g = Generator(kind, params)
+        assert (str(g), g.weight, g.conductor, g.valuation) == data
+
+    def test_parse_round_trip(self, kind, params, data, out_of_range):
+        g = Generator(kind, params)
+        spaced = str(g).replace("(", "( ").replace(",", " , ").replace(")", " )")
+        for text in (str(g), spaced, f" {spaced}^-2 "):
+            assert parse_expr(text).factors[0][0] == g
+
+    def test_bad_parameters_raise(self, kind, params, data, out_of_range):
+        bad = [params + (0,), tuple(map(str, params)) or ("0",), list(params) or [0]]
+        if out_of_range is not None:
+            bad.append(out_of_range)
+        for p in bad:
+            with pytest.raises(ValueError):
+                Generator(kind, p)
+
+    def test_bad_parameters_through_parser(self, kind, params, data, out_of_range):
+        text = str(Generator(kind, params))
+        inside = text[len(kind):]
+        bad = ([kind + inside[:-1] + ",0)",
+                kind + inside.replace(str(params[0]), "x", 1)]
+               if params else [kind + "(0)", kind + "(x)"])
+        for t in bad:
+            with pytest.raises(ParseError):
+                parse_expr(t)
+        if out_of_range is not None:
+            spec = KINDS[kind]
+            with pytest.raises(ParseError, match=rf"{re.escape(spec.shape)} needs"):
+                parse_expr(spec.render(out_of_range))
+
+
+def test_unknown_name_message_lists_every_kind():
+    with pytest.raises(ParseError) as exc:
+        parse_expr("Zeta")
+    for spec in KINDS.values():
+        assert spec.shape in str(exc.value)

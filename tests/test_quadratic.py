@@ -21,6 +21,7 @@ from qgap.quadratic import (
     verify_theorem51,
 )
 from qgap.series import DefectError, QSeries
+from qgap.verdict import Verdict
 
 
 def box_counts(gram: GramMatrix, n_max: int, radius: int) -> list[int]:
@@ -117,6 +118,24 @@ class TestValidation:
 
         pivots, _ = _ldl(validate(D4).entries)
         assert list(itertools.accumulate(pivots, operator.mul)) == [2, 3, 4, 4]
+
+    def test_factors_once_per_matrix(self, monkeypatch):
+        import qgap.quadratic
+
+        calls = []
+        real = qgap.quadratic._ldl
+        monkeypatch.setattr(qgap.quadratic, "_ldl",
+                            lambda rows: calls.append(rows) or real(rows))
+        g = validate(D4)
+        assert (g.det, level(g), min_represented(g)) == (4, 2, 2)
+        assert theta(g, 2) == [1, 24, 24]
+        assert verify_theorem51(g)["verdict"] is Verdict.PASS
+        assert calls == [g.entries]
+
+    def test_factors_stay_out_of_equality_and_repr(self):
+        assert validate(D4) == validate(list(map(list, D4)))
+        assert hash(validate(D4)) == hash(GramMatrix(D4))
+        assert "pivots" not in repr(validate(D4))
 
 
 class TestLevel:
