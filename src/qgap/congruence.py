@@ -23,6 +23,15 @@ conductor rule.  Weights of any sign use least non-negative residues.
 Congruence tests on rationals are evaluated through ord_p directly, and the
 mod-3 sign through c_0 * 3^(-ord_3) reduced mod 3 (well-defined whenever the
 denominator is prime to 3).
+
+The section 3.3 tables report p-adic orders only.  j, Delta and 1/Delta
+(at most about 250 digits a coefficient) are exact expansions; the orders
+of 1/j, whose coefficients reach thousands of digits, come from 1/j
+computed mod M = 2^96 * 3^60 * 5^40.  A residue with ord_p < K_p gives the
+exact order.  A residue that is 0 mod p^K_p falls back to the exact
+``j.invert()`` for that row, so a true zero still reads ``inf`` and no
+order is guessed.  The residue table has the valuation and reach of the
+exact inverse: exactness and reach are unchanged.
 """
 
 from __future__ import annotations
@@ -33,13 +42,15 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from operator import mul
 from string import Formatter
 
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import FormExpr, Generator
 from qgap.exprs import parse_expr
 from qgap.forms import constant_term, generator_series
-from qgap.series import DefectError, ReachError
+from qgap.series import DefectError, QSeries, ReachError
 from qgap.verdict import Verdict
 
 __all__ = [
@@ -477,10 +488,67 @@ def render_summary(report: SurveyReport) -> str:
 # -- section 3.3 style tables: j vs 1/Delta, 1/j vs Delta, Lehner -------------
 
 
+#: (p, K_p): the orders of 1/j are read mod M = 2^96 * 3^60 * 5^40.  The
+#: largest orders to n = 4096 are 36, 14 and 5, so the exact fallback in
+#: ``_InverseOrders`` stays cold on the paper's tables.
+_RESIDUE_EXPONENTS = ((2, 96), (3, 60), (5, 40))
+
+#: T(14) is Delta^-1: the cache entry the j expansion reads too.
+_DELTA_INVERSE = Generator("T", (14,))
+
+
+def _inverse_mod(u: QSeries, modulus: int) -> QSeries:
+    """1/u with every coefficient reduced mod ``modulus``, on the valuation
+    and window of ``u.invert()``.  The inverse branch of Miller's recurrence
+    (``QSeries._power``) divides only by u_0:
+
+        b_k = -u_0^-1 * sum_{i=1..k} u_i * b_{k-i}  (mod modulus),
+
+    so u needs int coefficients and a leading coefficient prime to the
+    modulus; anything else is a DefectError."""
+    c = u.coefficients()
+    if not c:
+        raise ZeroDivisionError("cannot invert a series that is zero up to reach")
+    if any(type(x) is not int for x in c):
+        raise DefectError("a residue inverse needs integer coefficients")
+    try:
+        inv0 = pow(c[0], -1, modulus)
+    except ValueError:
+        raise DefectError(
+            f"leading coefficient {c[0]} is not a unit mod {modulus}") from None
+    r = [x % modulus for x in c]
+    b = [inv0]
+    for k in range(1, len(r)):
+        b.append(-inv0 * sum(map(mul, r[1:k + 1], reversed(b))) % modulus)
+    return QSeries(-u.valuation, b)
+
+
+class _InverseOrders:
+    """ord_p of the coefficients of 1/u for each (p, K_p) in ``exponents``,
+    read from 1/u mod M = prod p^K_p.  A residue r with ord_p(r) < K_p
+    agrees with the exact coefficient mod p^K_p, so its order is exact.  A
+    residue that is 0 mod p^K_p (an order of K_p or more, or an exact zero)
+    is read from the exact ``u.invert()`` instead, built on first need.
+    Reading at or beyond the reach of ``u.invert()`` raises ReachError."""
+
+    def __init__(self, u: QSeries, exponents=_RESIDUE_EXPONENTS):
+        self._u = u
+        self._bounds = dict(exponents)
+        self._exact = None
+        self.residues = _inverse_mod(u, prod(p**k for p, k in exponents))
+
+    def ord(self, n: int, p: int):
+        o = ord_p(self.residues.coeff(n), p)
+        if o < self._bounds[p]:
+            return o
+        if self._exact is None:
+            self._exact = self._u.invert()
+        return ord_p(self._exact.coeff(n), p)
+
+
 @lru_cache(maxsize=4)
-def _coefficient_tables(n_max: int):
-    j, d = (generator_series(Generator(kind), n_max + 2) for kind in ("j", "Delta"))
-    return j, d, j.invert(), d.invert()
+def _inverse_j_orders(window: int, exponents) -> _InverseOrders:
+    return _InverseOrders(generator_series(Generator("j"), window), exponents)
 
 
 def delta_pn_compare(p: int, n_max: int) -> list[dict]:
@@ -492,7 +560,8 @@ def delta_pn_compare(p: int, n_max: int) -> list[dict]:
         raise ValueError(f"delta_pn_compare supports p in {{2,3,5}}, got {p}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    j, _, _, inv_d = _coefficient_tables(n_max)
+    j = generator_series(Generator("j"), n_max + 2)
+    inv_d = generator_series(_DELTA_INVERSE, n_max + 2)
     rows = []
     for n in [-1, *range(1, n_max + 1)]:
         oj = ord_p(j.coeff(n), p)
@@ -522,17 +591,19 @@ def delta_pn_compare(p: int, n_max: int) -> list[dict]:
     return rows
 
 
-def reciprocal_compare(n_max: int) -> list[dict]:
+def reciprocal_compare(n_max: int, *, _exponents=_RESIDUE_EXPONENTS) -> list[dict]:
     """Rows checking ord_p(c_n[1/j]) = ord_p(c_n[Delta]) for p = 2, 3 over
     1 <= n <= n_max, and for p = 5 when n is not 3 or 4 mod 5 (asserted only
-    on n <= 1225, recorded beyond)."""
+    on n <= 1225, recorded beyond).  The 1/j orders come from residues
+    (``_InverseOrders``); ``_exponents`` sets their K_p."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _, d, inv_j, _ = _coefficient_tables(n_max)
+    d = generator_series(Generator("Delta"), n_max + 2)
+    inv_j = _inverse_j_orders(n_max + 2, _exponents)
     rows = []
     for n in range(1, n_max + 1):
         for p in (2, 3, 5):
-            oj = ord_p(inv_j.coeff(n), p)
+            oj = inv_j.ord(n, p)
             od = ord_p(d.coeff(n), p)
             if p == 5:
                 applicable = n % 5 not in (3, 4)
@@ -565,7 +636,7 @@ def lehner_check(n_max: int) -> list[dict]:
     bounds 3a+8 / 2a+3 / a+1 / a."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    j, _, _, _ = _coefficient_tables(n_max)
+    j = generator_series(Generator("j"), n_max + 2)
     rows = []
     for m in range(1, n_max + 1):
         for p in (2, 3, 5, 7):

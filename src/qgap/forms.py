@@ -83,8 +83,10 @@ def generator_series(gen: Generator, window: int) -> QSeries:
     if kind == "Delta":
         return product_expand(lambda n: 24, window).shift(1)
     if kind == "j":
+        # T(14) is Delta^-1: its entry is the one inversion of Delta per
+        # window, shared by j, phi and the section 3.3 tables
         g4 = generator_series(Generator("G", (4,)), window)
-        return g4**3 * generator_series(Generator("Delta"), window).invert()
+        return g4**3 * generator_series(Generator("T", (14,)), window)
     if kind == "Egamma2":
         return QSeries(0, [1] + [24 * sigma_odd(n) for n in range(1, window)])
     if kind == "E04":
@@ -100,7 +102,7 @@ def generator_series(gen: Generator, window: int) -> QSeries:
     if kind == "phi":
         N = p[0]
         dl = generator_series(Generator("Delta"), window)
-        return dl.rescale(N) * dl.invert()
+        return dl.rescale(N) * generator_series(Generator("T", (14,)), window)
     if kind == "Phi":
         N = p[0]
         phi = generator_series(Generator("phi", (N,)), window)

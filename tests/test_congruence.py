@@ -1,8 +1,13 @@
 import json
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgap.arith import INFINITE
+from qgap import congruence
+from qgap.arith import INFINITE, ord_p
+from qgap.catalog import Generator
 from qgap.congruence import (
     classify_expr,
     delta_pn_compare,
@@ -14,7 +19,8 @@ from qgap.congruence import (
     render_summary,
     render_table,
 )
-from qgap.forms import eval_expr
+from qgap.forms import eval_expr, generator_series
+from qgap.series import DefectError, QSeries, ReachError
 
 
 def only(checks):
@@ -269,6 +275,125 @@ class TestSection33:
         assert by_key[(7, 7)]["required"] == 1
         assert by_key[(7, 7)]["verdict"] == "PASS"
         assert (1, 2) not in by_key
+
+
+TINY_K = ((2, 1), (3, 1), (5, 1))
+
+
+def exact_orders(u, exponents):
+    """(n, p) -> ord_p of the exact inverse's coefficient, over its window."""
+    inv = u.invert()
+    return {(n, p): ord_p(inv.coeff(n), p)
+            for n in range(inv.valuation, inv.reach) for p, _ in exponents}
+
+
+def residue_orders(u, exponents):
+    orders = congruence._InverseOrders(u, exponents)
+    inv_val = -u.valuation
+    return {(n, p): orders.ord(n, p)
+            for n in range(inv_val, inv_val + u.window) for p, _ in exponents}
+
+
+@st.composite
+def unit_series(draw):
+    """Integer series with a leading coefficient prime to 2, 3 and 5."""
+    lead = draw(st.sampled_from([1, -1, 7, 49]))
+    rest = draw(st.lists(st.integers(-60, 60), max_size=95))
+    return QSeries(draw(st.integers(-3, 3)), [lead, *rest])
+
+
+class TestInverseOrders:
+    """The residue path for the orders of 1/u against the exact invert()."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(unit_series(), st.tuples(*(st.integers(1, 6) for _ in range(3))))
+    def test_orders_equal_the_exact_inverse(self, u, small):
+        small_k = tuple(zip((2, 3, 5), small))
+        want = exact_orders(u, congruence._RESIDUE_EXPONENTS)
+        assert residue_orders(u, congruence._RESIDUE_EXPONENTS) == want
+        assert residue_orders(u, small_k) == want
+
+    def test_j_orders_and_residues_at_512(self):
+        j = generator_series(Generator("j"), 512)
+        exact = j.invert()
+        orders = congruence._InverseOrders(j)
+        modulus = prod(p**k for p, k in congruence._RESIDUE_EXPONENTS)
+        assert orders.residues.valuation == exact.valuation
+        assert orders.residues.reach == exact.reach
+        assert [c % modulus for c in exact.coefficients()] == orders.residues.coefficients()
+        assert residue_orders(j, congruence._RESIDUE_EXPONENTS) \
+            == exact_orders(j, congruence._RESIDUE_EXPONENTS)
+        assert orders._exact is None
+
+    def test_exact_zero_coefficients_report_infinite(self):
+        # 1/(q^-1 (1 + q^2)) = q - q^3 + q^5 - ...: every even exponent is 0
+        u = QSeries(-1, [1, 0, 1] + [0] * 37)
+        orders = congruence._InverseOrders(u)
+        assert [orders.ord(n, 2) for n in range(1, 8)] == [0, INFINITE, 0, INFINITE,
+                                                          0, INFINITE, 0]
+        assert orders.ord(2, 5) == INFINITE
+
+    def test_reading_beyond_reach_raises(self):
+        j = generator_series(Generator("j"), 10)
+        reach = j.invert().reach
+        for exponents in (congruence._RESIDUE_EXPONENTS, TINY_K):
+            orders = congruence._InverseOrders(j, exponents)
+            assert orders.residues.reach == reach
+            orders.ord(reach - 1, 2)
+            with pytest.raises(ReachError):
+                orders.ord(reach, 2)
+
+    def test_non_unit_leading_coefficient_is_a_defect(self):
+        with pytest.raises(DefectError, match="not a unit"):
+            congruence._InverseOrders(QSeries(0, [6, 1, 1]))
+        with pytest.raises(DefectError, match="not a unit"):
+            congruence._InverseOrders(QSeries(0, [7, 1]), ((7, 2),))
+
+    def test_tiny_k_rows_equal_the_exact_path(self):
+        n = 200
+        rows = reciprocal_compare(n, _exponents=TINY_K)
+        assert congruence._inverse_j_orders(n + 2, TINY_K)._exact is not None
+        inv_j = generator_series(Generator("j"), n + 2).invert()
+        for row in rows:
+            o = ord_p(inv_j.coeff(row["n"]), row["p"])
+            assert row["ord_inv_j"] == ("inf" if o == INFINITE else o)
+        assert rows == reciprocal_compare(n)
+
+
+class TestTableInputs:
+    """Each section 3.3 table builds only what it reads, once."""
+
+    N = 100
+
+    def _inversions(self, monkeypatch, *tables):
+        """Build the tables from cold caches; (Delta, j) inversion counts.
+        invert() and **-1 both run QSeries._power(-1), which is counted."""
+        calls = []
+        power = QSeries._power
+
+        def spy(self, p, q=1):
+            calls.append((self, p))
+            return power(self, p, q)
+
+        generator_series.cache_clear()
+        congruence._inverse_j_orders.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(QSeries, "_power", spy)
+            for table in tables:
+                table(self.N)
+        inverted = [s for s, p in calls if p == -1]
+        delta, j = (generator_series(Generator(k), self.N + 2) for k in ("Delta", "j"))
+        return sum(s == delta for s in inverted), sum(s == j for s in inverted)
+
+    def test_one_table_build_inverts_delta_once_and_j_never(self, monkeypatch):
+        tables = [lambda n, p=p: delta_pn_compare(p, n) for p in (2, 3, 5)]
+        tables += [reciprocal_compare, lehner_check]
+        assert self._inversions(monkeypatch, *tables) == (1, 0)
+
+    def test_j_tables_build_no_reciprocal_table(self, monkeypatch):
+        tables = (lambda n: delta_pn_compare(2, n), lehner_check)
+        assert self._inversions(monkeypatch, *tables) == (1, 0)
+        assert congruence._inverse_j_orders.cache_info().currsize == 0
 
 
 class TestRecordInvariants:
