@@ -11,6 +11,7 @@ one does, 2 on bad input or usage, 3 on an internal defect (a one-line
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -39,27 +40,28 @@ def _jobs(flag: int | None) -> int:
     return int(text)
 
 
+def _report(args, verdicts, lines, rows) -> int:
+    """Print ``rows`` as JSON lines under --json, else the text ``lines``
+    (either may be a lazy iterable); the exit code is 1 when some verdict
+    fails, else 0."""
+    if args.json:
+        lines = map(json.dumps, rows)
+    for line in lines:
+        print(line)
+    return 1 if any(v.fails for v in verdicts) else 0
+
+
 def _cmd_expand(args) -> int:
     series = eval_expr(args.expr, args.prec)
-    coeffs = series.coefficients(args.prec)
-    if args.json:
-        print(json.dumps({
-            "expr": args.expr,
-            "valuation": series.valuation,
-            "coefficients": [str(c) for c in coeffs],
-        }))
-    else:
-        print(f"val {series.valuation}: [{', '.join(str(c) for c in coeffs)}]")
-    return 0
+    coeffs = [str(c) for c in series.coefficients(args.prec)]
+    return _report(args, [], [f"val {series.valuation}: [{', '.join(coeffs)}]"],
+                   [{"expr": args.expr, "valuation": series.valuation,
+                     "coefficients": coeffs}])
 
 
 def _cmd_c0(args) -> int:
     c0 = constant_term(args.expr)
-    if args.json:
-        print(json.dumps({"expr": args.expr, "c0": str(c0)}))
-    else:
-        print(c0)
-    return 0
+    return _report(args, [], [c0], [{"expr": args.expr, "c0": str(c0)}])
 
 
 def _cmd_survey(args) -> int:
@@ -69,39 +71,35 @@ def _cmd_survey(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}:{exc.lineno}: {exc.msg}") from None
     report = run_survey(config, jobs=_jobs(args.jobs))
-    if args.json:
-        for rec in report.records:
-            print(json.dumps(rec.to_dict()))
-        print(json.dumps({"summary": report.summary, "config": config.get("name"),
-                          "timestamp": report.timestamp}))
-    else:
-        print(render_table(report))
-    return 1 if report.failed else 0
+    # both renderings are lazy, so only the printed one is built (a full
+    # survey has about 91k records)
+    rows = itertools.chain((rec.to_dict() for rec in report.records), [{
+        "summary": report.summary, "config": config.get("name"),
+        "timestamp": report.timestamp}])
+    return _report(args, [r.verdict for r in report.records],
+                   map(render_table, [report]), rows)
 
 
 def _cmd_gap(args) -> int:
     out = siegel.run_gap_suite(level=args.level, hmax=args.hmax,
                                combos=args.combos, seed=args.seed)
-    failed = [r for r in out["records"] if r.verdict.fails]
-    if args.json:
-        for rec in out["records"]:
-            print(json.dumps(rec.to_dict()))
-        print(json.dumps({"level": out["level"], "hmax": out["hmax"],
-                          "seed": out["seed"],
-                          "total": len(out["records"]),
-                          "failed": len(failed)}))
-    else:
-        for rec in out["records"]:
-            extra = ""
-            if rec.conjectured_bound is not None:
-                mark = "<=" if rec.within_conjectured else ">"
-                extra = (f"  [experimental: first {mark} conjectured bound "
-                         f"{rec.conjectured_bound}]")
-            print(f"{rec.form_id}: first={rec.first_nonzero_index} "
-                  f"bound={rec.bound} {rec.verdict}{extra}")
-        print(f"seed={out['seed']} total={len(out['records'])} "
-              f"failed={len(failed)}")
-    return 1 if failed else 0
+    records = out["records"]
+    verdicts = [r.verdict for r in records]
+    failed = sum(v.fails for v in verdicts)
+    lines = []
+    for rec in records:
+        extra = ""
+        if rec.conjectured_bound is not None:
+            mark = "<=" if rec.within_conjectured else ">"
+            extra = (f"  [experimental: first {mark} conjectured bound "
+                     f"{rec.conjectured_bound}]")
+        lines.append(f"{rec.form_id}: first={rec.first_nonzero_index} "
+                     f"bound={rec.bound} {rec.verdict}{extra}")
+    lines.append(f"seed={out['seed']} total={len(records)} failed={failed}")
+    rows = [rec.to_dict() for rec in records]
+    rows.append({"level": out["level"], "hmax": out["hmax"], "seed": out["seed"],
+                 "total": len(records), "failed": failed})
+    return _report(args, verdicts, lines, rows)
 
 
 def _cmd_theta(args) -> int:
@@ -112,13 +110,8 @@ def _cmd_theta(args) -> int:
             "raise it with --max-rank"
         )
     counts = theta(gram, args.terms)
-    if args.json:
-        print(json.dumps({"gram": str(args.gram), "rank": gram.rank,
-                          "counts": counts}))
-    else:
-        for n, c in enumerate(counts):
-            print(f"{n}\t{c}")
-    return 0
+    return _report(args, [], [f"{n}\t{c}" for n, c in enumerate(counts)],
+                   [{"gram": str(args.gram), "rank": gram.rank, "counts": counts}])
 
 
 def _cmd_minima(args) -> int:
@@ -129,9 +122,8 @@ def _cmd_minima(args) -> int:
         rec = {"rank": gram.rank, "min": min_represented(gram), "bound": None,
                "verdict": Verdict.NOT_APPLICABLE}
     bound = "n/a" if rec["bound"] is None else rec["bound"]
-    print(json.dumps(rec) if args.json
-          else f"min={rec['min']} bound={bound} {rec['verdict']}")
-    return 1 if rec["verdict"].fails else 0
+    return _report(args, [rec["verdict"]],
+                   [f"min={rec['min']} bound={bound} {rec['verdict']}"], [rec])
 
 
 def _suite_identities(full: bool, jobs: int):
@@ -173,7 +165,8 @@ def _suite_rules(full: bool, jobs: int):
     report = run_survey(config, jobs=jobs)
     lines = [render_summary(report)]
     for rec in report.failed[:20]:
-        lines.append(f"{rec.verdict}: {rec.expr} {rec.to_dict()['rules']}")
+        lines.append(f"{rec.verdict}: {rec.expr} " + "; ".join(
+            f"{c.rule_id} {c.predicted} {c.observed} {c.verdict}" for c in rec.checks))
     records = [{"summary": report.summary, "config": config["name"]}]
     return [r.verdict for r in report.records], lines, records
 
@@ -218,15 +211,8 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     verdicts, lines, records = _SUITES[args.suite](args.full, _jobs(args.jobs))
     verdict = Verdict.FAIL if any(v.fails for v in verdicts) else Verdict.PASS
-    if args.json:
-        for rec in records:
-            print(json.dumps(rec))
-        print(json.dumps({"suite": args.suite, "verdict": verdict}))
-    else:
-        for line in lines:
-            print(line)
-        print(f"suite {args.suite}: {verdict}")
-    return 1 if verdict.fails else 0
+    return _report(args, [verdict], [*lines, f"suite {args.suite}: {verdict}"],
+                   [*records, {"suite": args.suite, "verdict": verdict}])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -20,9 +20,13 @@ Pure negative powers E(N,inf,k)^-a deviate from these on four systematic
 windows (rules dev-3-1 .. dev-3-4 below); everywhere else they follow the
 conductor rule.  Weights of any sign use least non-negative residues.
 
-Congruence tests on rationals are evaluated through ord_p directly, and the
-mod-3 sign through c_0 * 3^(-ord_3) reduced mod 3 (well-defined whenever the
-denominator is prime to 3).
+Every clause above, every deviation rule, and Theorems 4.1/4.2 in
+``qgap.siegel`` is one call of ``order_check``: ord_p(c_0) = want or
+>= want, optionally with the mod-3 side.  It evaluates ord_p on the
+rational directly, and the mod-3 sign through c_0 * 3^(-ord_3) reduced
+mod 3 (well-defined whenever the denominator is prime to 3).  A vanishing
+c_0 satisfies a divisibility clause and is ZERO_CONSTANT_TERM on an exact
+one.
 
 The section 3.3 tables report p-adic orders only.  j, Delta and 1/Delta
 (at most about 250 digits a coefficient) are exact expansions; the orders
@@ -64,6 +68,7 @@ __all__ = [
     "deviation_window",
     "full_rules_config",
     "lehner_check",
+    "order_check",
     "reciprocal_compare",
     "render_summary",
     "render_table",
@@ -177,55 +182,49 @@ def _sign3(c0) -> int | None:
     return 1 if r == 1 else -1
 
 
-def _check_2adic(prefix: str, w: int, s: int, c0) -> RuleCheck:
-    beta = digit_sum(s, 2)
-    o2 = ord_p(c0, 2)
-    observed = f"ord2={_ord_str(o2)}"
+def order_check(rule_id: str, p: int, c0, want: int, *, at_least: bool = False,
+                sign: int | None = None) -> RuleCheck:
+    """The one constant-term clause: ord_p(c0) = want, or ord_p(c0) >= want
+    when ``at_least``; with ``sign`` (+1/-1, p = 3 only) also
+    c0 = sign * 3^want (mod 3^(want+1)).  A divisibility clause holds for
+    c0 = 0 (its order is infinite); an exact clause reports
+    ZERO_CONSTANT_TERM there."""
+    if sign is not None and p != 3:
+        raise ValueError(f"a sign condition needs p = 3, got p = {p}")
+    o = ord_p(c0, p)
+    observed = f"ord{p}={_ord_str(o)}"
+    if p == 3:
+        got_sign = _sign3(c0)
+        observed += f",sign={got_sign}"
+    predicted = f"ord{p}{'>=' if at_least else '='}{want}"
+    if sign is not None:
+        predicted += f",sign={'+' if sign > 0 else '-'}"
+    if at_least:
+        verdict = Verdict.PASS if o >= want else Verdict.FAIL
+    elif c0 == 0:
+        verdict = Verdict.ZERO_CONSTANT_TERM
+    else:
+        ok = o == want and (sign is None or got_sign == sign)
+        verdict = Verdict.PASS if ok else Verdict.FAIL
+    return RuleCheck(rule_id, predicted, observed, verdict)
+
+
+def _check_2adic(prefix: str, w: int, beta: int, c0) -> RuleCheck:
     if w % 2 != 0:
-        return RuleCheck(prefix + "?", "even weight required", observed,
-                         Verdict.NOT_APPLICABLE)
+        return RuleCheck(prefix + "?", "even weight required",
+                         f"ord2={_ord_str(ord_p(c0, 2))}", Verdict.NOT_APPLICABLE)
     if w % 4 == 0:
-        want = 3 * beta
-        verdict = (Verdict.ZERO_CONSTANT_TERM if c0 == 0
-                   else Verdict.PASS if o2 == want else Verdict.FAIL)
-        return RuleCheck(prefix + "a", f"ord2={want}", observed, verdict)
-    # divisibility only: a vanishing constant term satisfies it (ord = inf)
-    want = 4 * beta
-    return RuleCheck(prefix + "b", f"ord2>={want}", observed,
-                     Verdict.PASS if o2 >= want else Verdict.FAIL)
+        return order_check(prefix + "a", 2, c0, 3 * beta)
+    return order_check(prefix + "b", 2, c0, 4 * beta, at_least=True)
 
 
-def _check_3adic(prefix: str, w: int, s: int, L: int, c0) -> RuleCheck:
-    gamma = digit_sum(s, 3)
-    o3 = ord_p(c0, 3)
-    sign = _sign3(c0)
-    observed = f"ord3={_ord_str(o3)},sign={sign}"
-    if c0 == 0:
-        # clauses (c)/(d) predict an exact finite order, so zero fails them;
-        # the divisibility clauses (e)/(f) are satisfied by zero
-        wm3 = w % 3
-        if wm3 == 0 or (wm3 == 1 and L == 1):
-            clause = "c" if wm3 == 0 else "d"
-            return RuleCheck(prefix + clause, "finite 3-order", observed,
-                             Verdict.ZERO_CONSTANT_TERM)
+def _check_3adic(prefix: str, w: int, s: int, gamma: int, L: int, c0) -> RuleCheck:
     if w % 3 == 0:
-        want = 1 if s % 2 == 0 else -1
-        ok = o3 == gamma and sign == want
-        return RuleCheck(
-            prefix + "c", f"ord3={gamma},sign={'+' if want > 0 else '-'}",
-            observed, Verdict.PASS if ok else Verdict.FAIL,
-        )
-    if w % 3 == 1:
-        if L == 1:
-            ok = o3 == gamma and sign == 1
-            return RuleCheck(prefix + "d", f"ord3={gamma},sign=+", observed,
-                             Verdict.PASS if ok else Verdict.FAIL)
-        ok = o3 >= gamma + 1
-        return RuleCheck(prefix + "e", f"ord3>={gamma + 1}", observed,
-                         Verdict.PASS if ok else Verdict.FAIL)
-    ok = o3 >= gamma + 1
-    return RuleCheck(prefix + "f", f"ord3>={gamma + 1}", observed,
-                     Verdict.PASS if ok else Verdict.FAIL)
+        return order_check(prefix + "c", 3, c0, gamma, sign=1 if s % 2 == 0 else -1)
+    if w % 3 == 1 and L == 1:
+        return order_check(prefix + "d", 3, c0, gamma, sign=1)
+    clause = "e" if w % 3 == 1 else "f"
+    return order_check(prefix + clause, 3, c0, gamma + 1, at_least=True)
 
 
 # -- deviation rules for pure E(N,inf,k)^-a powers ---------------------------
@@ -259,37 +258,18 @@ def deviation_rules(N: int, k: int, a: int, c0) -> RuleCheck:
     (N,k,a) sits in no deviation window (the plain conductor rule applies
     there instead)."""
     window = deviation_window(N, k, a)
-    o2, o3 = ord_p(c0, 2), ord_p(c0, 3)
-    sign = _sign3(c0)
     if window is None:
         return RuleCheck("dev-none", "no deviation window",
-                         f"ord2={_ord_str(o2)},ord3={_ord_str(o3)}",
+                         f"ord2={_ord_str(ord_p(c0, 2))},ord3={_ord_str(ord_p(c0, 3))}",
                          Verdict.NOT_APPLICABLE)
-    if c0 == 0:
-        return RuleCheck(window, "finite order", "c0=0", Verdict.ZERO_CONSTANT_TERM)
     if window == "dev-3-1":
-        want = 3 * digit_sum(a, 2) + ord_p(a + 1, 2) + k - 5
-        return RuleCheck(window, f"ord2={want}", f"ord2={_ord_str(o2)}",
-                         Verdict.PASS if o2 == want else Verdict.FAIL)
+        return order_check(window, 2, c0, 3 * digit_sum(a, 2) + ord_p(a + 1, 2) + k - 5)
     if window == "dev-3-2":
-        g = digit_sum(a, 3)
-        want_sign = 1 if (a + 1) % 2 == 0 else -1
-        ok = o3 == g and sign == want_sign
-        return RuleCheck(window, f"ord3={g},sign={'+' if want_sign > 0 else '-'}",
-                         f"ord3={_ord_str(o3)},sign={sign}",
-                         Verdict.PASS if ok else Verdict.FAIL)
+        return order_check(window, 3, c0, digit_sum(a, 3), sign=1 if a % 2 == 1 else -1)
     if window == "dev-3-3":
         # only the order is systematic; the +- side is recorded, not asserted
-        want = digit_sum(a, 3) + ord_p(a + 1, 3)
-        return RuleCheck(window, f"ord3={want}",
-                         f"ord3={_ord_str(o3)},sign={sign}",
-                         Verdict.PASS if o3 == want else Verdict.FAIL)
-    # dev-3-4
-    g = digit_sum(a, 3)
-    ok = o3 == g and sign == -1
-    return RuleCheck(window, f"ord3={g},sign=-",
-                     f"ord3={_ord_str(o3)},sign={sign}",
-                     Verdict.PASS if ok else Verdict.FAIL)
+        return order_check(window, 3, c0, digit_sum(a, 3) + ord_p(a + 1, 3))
+    return order_check(window, 3, c0, digit_sum(a, 3), sign=-1)  # dev-3-4
 
 
 # -- record assembly ---------------------------------------------------------
@@ -311,28 +291,24 @@ def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
     the rule matching its conductor, or the deviation rule on its window."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
-    s = expr.pole_order
-    w = expr.weight
-    conductor = expr.conductor
+    s, w, conductor = expr.pole_order, expr.weight, expr.conductor
     if c0 is None:
         c0 = constant_term(expr)
-    if s <= 0:
-        checks = (RuleCheck("-", "pole at infinity required",
-                            f"pole_order={s}", Verdict.NOT_APPLICABLE),)
-        return SurveyRecord(str(expr), conductor, w, s, c0, 0, 0, 0,
-                            ord_p(c0, 2), ord_p(c0, 3), _sign3(c0), checks)
-    beta, gamma, L = digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3)
+    beta, gamma, L = ((digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3))
+                      if s > 0 else (0, 0, 0))
     pure = _pure_e_power(expr)
-    checks: list[RuleCheck]
-    if pure is not None and deviation_window(*pure) is not None:
-        checks = [deviation_rules(pure[0], pure[1], pure[2], c0)]
+    if s <= 0:
+        checks = [RuleCheck("-", "pole at infinity required", f"pole_order={s}",
+                            Verdict.NOT_APPLICABLE)]
+    elif pure is not None and deviation_window(*pure) is not None:
+        checks = [deviation_rules(*pure, c0)]
     elif conductor == 1:
         # the 2-adic and 3-adic clause families are independent
-        checks = [_check_2adic("1", w, s, c0), _check_3adic("1", w, s, L, c0)]
+        checks = [_check_2adic("1", w, beta, c0), _check_3adic("1", w, s, gamma, L, c0)]
     elif conductor == 2:
-        checks = [_check_2adic("2", w, s, c0)]
+        checks = [_check_2adic("2", w, beta, c0)]
     elif conductor == 3:
-        checks = [_check_3adic("3", w, s, L, c0)]
+        checks = [_check_3adic("3", w, s, gamma, L, c0)]
     else:
         checks = [RuleCheck("-", f"no rule for conductor {conductor}", "-",
                             Verdict.NOT_APPLICABLE)]

@@ -12,11 +12,13 @@ the matrix: its pivots decide positive-definiteness and give the
 determinant, its triangular factor gives A^-1 for the level, and
 enumeration walks coordinates from the last to the first with exact integer
 interval bounds at every layer (no floating point anywhere, so no boundary
-misses).
+misses).  The one float is ``theta``'s estimate of the points it would
+visit, a guard that never enters a count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -179,10 +181,28 @@ def _interval(c: Fraction, bound: Fraction) -> range:
     return range(lo, hi + 1)
 
 
+#: Most lattice points ``theta`` may visit.  Enumeration runs at about 24k
+#: points a second (2-core x86, CPython 3.11); the largest test and
+#: benchmark input, E8 to n = 6, is estimated at 84k points.
+THETA_POINT_BUDGET = 2_000_000
+
+
 def theta(gram: GramMatrix, n_max: int) -> list[int]:
-    """Representation counts: entry n is #{x : Q_A(x) = 2n}, 0 <= n <= n_max."""
+    """Representation counts: entry n is #{x : Q_A(x) = 2n}, 0 <= n <= n_max.
+    ValueError, before enumerating, when the estimated number of points
+    visited exceeds ``THETA_POINT_BUDGET``."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if n_max > 0:
+        # the volume of Q(x) <= 2 n_max, (2 pi n_max)^(v/2) / (Gamma(v/2 + 1)
+        # sqrt(det A)), taken in logarithms so that no input overflows it
+        v = gram.rank
+        log_points = (v / 2 * math.log(2 * math.pi) + v / 2 * math.log(n_max)
+                      - math.lgamma(v / 2 + 1) - math.log(gram.det) / 2)
+        if log_points > math.log(THETA_POINT_BUDGET):
+            estimate = math.exp(log_points) if log_points < 709 else math.inf
+            raise ValueError(f"theta to n = {n_max} would visit about {estimate:.3g} "
+                             f"lattice points, over the budget of {THETA_POINT_BUDGET:,}")
     n = gram.rank
     d, u = gram.pivots, gram.multipliers
     counts = [0] * (n_max + 1)

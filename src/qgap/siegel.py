@@ -20,8 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from qgap.arith import digit_sum, ord_p
+from qgap.arith import digit_sum
 from qgap.catalog import Generator, dim_m
+from qgap.congruence import RuleCheck, order_check
 from qgap.forms import basis_m1, basis_m2, constant_term, t_series
 from qgap.series import QSeries, ReachError
 from qgap.verdict import Verdict
@@ -231,53 +232,24 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
           when the level-1 dimension is a power of two, and
           c_0[T_{2,h}] = 8 mod 16 (h = 2^x-6) or 16 mod 32 (h = 2^x-4).
     """
-    records = []
-    for s in s_powers:
-        c0 = constant_term(f"Einf4^-{s}")
-        o = ord_p(c0, 2)
-        records.append({
-            "theorem": "4.1", "instance": f"s={s}",
-            "predicted": "ord2=3", "observed": f"ord2={o}",
-            "verdict": Verdict.PASS if o == 3 else Verdict.FAIL,
-        })
+    checks = [(f"s={s}", order_check("4.1", 2, constant_term(f"Einf4^-{s}"), 3))
+              for s in s_powers]
     for D in (1, 3, 5):
         s = D
         while s <= s42_max:
             c0 = constant_term(f"Delta^-{s}")
-            want = 3 * digit_sum(s, 2)
-            o = ord_p(c0, 2)
-            records.append({
-                "theorem": "4.2", "instance": f"s={s}",
-                "predicted": f"ord2={want}", "observed": f"ord2={o}",
-                "verdict": Verdict.PASS if o == want else Verdict.FAIL,
-            })
+            checks.append((f"s={s}", order_check("4.2", 2, c0, 3 * digit_sum(s, 2))))
             s *= 2
-    for h in range(4, h43_max + 1, 2):
-        r = dim_m(1, h)
-        if r not in r43:
-            continue
-        if h % 12 == 8:
-            want, mod = 16, 32
-        elif h % 12 == 2:
-            want, mod = 8, 32
-        else:
-            continue
-        c0 = constant_term(f"T({h})")
-        records.append({
-            "theorem": "4.3", "instance": f"T({h})",
-            "predicted": f"{want} mod {mod}", "observed": f"{int(c0) % mod} mod {mod}",
-            "verdict": Verdict.PASS if int(c0) % mod == want else Verdict.FAIL,
-        })
-    for x in range(3, x43_max + 1):
-        for offset, want, mod in ((6, 8, 16), (4, 16, 32)):
-            h = 2**x - offset
-            if h < 2:
-                continue
-            c0 = constant_term(f"T2({h})")
-            records.append({
-                "theorem": "4.3", "instance": f"T2({h})",
-                "predicted": f"{want} mod {mod}",
-                "observed": f"{int(c0) % mod} mod {mod}",
-                "verdict": Verdict.PASS if int(c0) % mod == want else Verdict.FAIL,
-            })
-    return records
+    residues = [(f"T({h})", 16 if h % 12 == 8 else 8, 32)
+                for h in range(4, h43_max + 1, 2)
+                if dim_m(1, h) in r43 and h % 12 in (2, 8)]
+    residues += [(f"T2({2**x - offset})", want, mod)
+                 for x in range(3, x43_max + 1)
+                 for offset, want, mod in ((6, 8, 16), (4, 16, 32))
+                 if 2**x - offset >= 2]
+    for name, want, mod in residues:
+        got = int(constant_term(name)) % mod
+        checks.append((name, RuleCheck("4.3", f"{want} mod {mod}", f"{got} mod {mod}",
+                                       Verdict.PASS if got == want else Verdict.FAIL)))
+    return [{"theorem": c.rule_id, "instance": instance, "predicted": c.predicted,
+             "observed": c.observed, "verdict": c.verdict} for instance, c in checks]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import time
 
 import pytest
 
@@ -276,6 +278,17 @@ class TestThetaMinima:
         assert code == 2
         assert "max-rank" in err
 
+    def test_theta_over_budget_exit_2_fast(self, tmp_path, capsys):
+        from qgap.quadratic import E8
+
+        gram = tmp_path / "e8.gram"
+        gram.write_text("8\n" + "".join(" ".join(map(str, r)) + "\n" for r in E8))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "theta", str(gram), "--terms", "30")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "5.26e+07" in err
+
     def test_gram_error_line_number(self, tmp_path, capsys):
         gram = tmp_path / "bad.gram"
         gram.write_text("2\n2 0\n0 x\n")
@@ -295,6 +308,15 @@ class TestVerify:
         lines = [json.loads(x) for x in out.strip().splitlines()]
         assert code == 0
         assert lines[-1] == {"suite": "theorems4", "verdict": "PASS"}
+
+    def test_rules_failure_lines_are_plain_text(self, capsys, monkeypatch):
+        import qgap.congruence
+
+        monkeypatch.setattr(qgap.congruence, "constant_term", lambda expr: 3)
+        code, out, _ = run(capsys, "verify", "--suite", "rules")
+        assert code == 1
+        assert "<Verdict." not in out
+        assert out.splitlines()[1] == "FAIL: Delta2^-1 2a ord2=3 ord2=0 FAIL"
 
     def test_satz(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "satz")
@@ -344,3 +366,44 @@ def test_golden_output(argv, tmp_path, capsys):
     code, out, _ = run(capsys, *(a.format(d4=gram) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# one family per survey clause (1a-1f, 2a/2b, 3c-3f), per deviation window
+# (dev-3-1 .. dev-3-4), and per NOT_APPLICABLE record (no pole, conductor 6)
+GOLDEN_SURVEY_CONFIG = {"name": "golden", "families": [
+    {"template": t, "ranges": r} for t, r in (
+        ("Delta^-{a}", {"a": [1, 4]}),
+        ("G(6)*Delta^-{a}", {"a": [1, 3]}),
+        ("G(4)*Delta^-{a}", {"a": [1, 3]}),
+        ("G(8)*Delta^-{a}", {"a": [1, 3]}),
+        ("Delta2^-{a}", {"a": [1, 3]}),
+        ("E(2,inf,6)^-{a}", {"a": [1, 3]}),
+        ("phi(3)^-{a}", {"a": [1, 3]}),
+        ("G(4)*Phi(3)^-{a}", {"a": [1, 3]}),
+        ("G(2)*Phi(3)^-{a}", {"a": [1, 3]}),
+        ("E(2,inf,8)^-{a}", {"a": [1, 3]}),
+        ("E(3,inf,6)^-{a}", {"a": [1, 3]}),
+        ("E(3,inf,8)^-{a}", {"a": [1, 4]}),
+        ("G({k})", {"k": [4, 6, 2]}),
+        ("phi(2)^-1*phi(3)^-{a}", {"a": [1, 2]}),
+    )
+]}
+
+# sha256 of `qgap survey` stdout on GOLDEN_SURVEY_CONFIG, the --json
+# summary line's timestamp dropped
+GOLDEN_SURVEY = {
+    ():
+        "902ce5a1c9f1d8110da777f58e931947351da795b429230fc526cf8fc90c5561",
+    ("--json",):
+        "45b2590cd4852361e2fa92318838e215a431e038447de465039f57dab71574ba",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_SURVEY), ids=" ".join)
+def test_golden_survey_output(flags, tmp_path, capsys):
+    cfg = tmp_path / "golden.json"
+    cfg.write_text(json.dumps(GOLDEN_SURVEY_CONFIG))
+    code, out, _ = run(capsys, "survey", str(cfg), *flags)
+    assert code == 0
+    out = re.sub(r', "timestamp": "[^"]*"\}$', "}", out, flags=re.M)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SURVEY[flags]

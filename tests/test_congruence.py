@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -14,6 +15,7 @@ from qgap.congruence import (
     deviation_rules,
     deviation_window,
     lehner_check,
+    order_check,
     reciprocal_compare,
     run_survey,
     render_summary,
@@ -115,6 +117,49 @@ class TestConductor3:
         rec = classify_expr("E(3,inf,6)^-1")
         assert only(rec.checks).rule_id == "dev-3-2"
         assert rec.verdict == "PASS"
+
+
+# (expression, rule, predicted, verdict) when c0 = 0: exact clauses report
+# ZERO_CONSTANT_TERM, divisibility clauses pass (the order is infinite)
+ZERO_C0_CLAUSES = [
+    ("Delta^-1", "1a", "ord2=3", "ZERO_CONSTANT_TERM"),
+    ("G(6)*Delta^-1", "1b", "ord2>=4", "PASS"),
+    ("Delta^-1", "1c", "ord3=1,sign=-", "ZERO_CONSTANT_TERM"),
+    ("G(4)*Delta^-1", "1d", "ord3=1,sign=+", "ZERO_CONSTANT_TERM"),
+    ("G(4)*Delta^-2", "1e", "ord3>=3", "PASS"),
+    ("G(8)*Delta^-1", "1f", "ord3>=2", "PASS"),
+    ("Delta2^-1", "2a", "ord2=3", "ZERO_CONSTANT_TERM"),
+    ("E(2,inf,6)^-1", "2b", "ord2>=4", "PASS"),
+    ("phi(3)^-1", "3c", "ord3=2,sign=+", "ZERO_CONSTANT_TERM"),
+    ("G(4)*Phi(3)^-1", "3d", "ord3=1,sign=+", "ZERO_CONSTANT_TERM"),
+    ("G(4)*Phi(3)^-2", "3e", "ord3>=3", "PASS"),
+    ("G(2)*Phi(3)^-1", "3f", "ord3>=2", "PASS"),
+    ("E(2,inf,8)^-1", "dev-3-1", "ord2=7", "ZERO_CONSTANT_TERM"),
+    ("E(3,inf,6)^-1", "dev-3-2", "ord3=1,sign=+", "ZERO_CONSTANT_TERM"),
+    ("E(3,inf,6)^-2", "dev-3-3", "ord3=3", "ZERO_CONSTANT_TERM"),
+    ("E(3,inf,8)^-1", "dev-3-4", "ord3=1,sign=-", "ZERO_CONSTANT_TERM"),
+]
+
+
+class TestOrderCheck:
+    @pytest.mark.parametrize("expr, rule, predicted, verdict", ZERO_C0_CLAUSES,
+                             ids=[c[1] for c in ZERO_C0_CLAUSES])
+    def test_zero_constant_term_on_every_clause(self, expr, rule, predicted, verdict):
+        checks = {c.rule_id: c for c in classify_expr(expr, c0=0).checks}
+        chk = checks[rule]
+        observed = "ord2=inf" if predicted.startswith("ord2") else "ord3=inf,sign=None"
+        assert (chk.predicted, chk.observed, chk.verdict) == (predicted, observed, verdict)
+
+    def test_rational_order_and_sign(self):
+        # -3/2 = 3 * (-1/2) and -1/2 = 1 mod 3: ord_3 = 1 on the + side
+        chk = order_check("x", 3, Fraction(-3, 2), 1, sign=1)
+        assert (chk.observed, chk.verdict) == ("ord3=1,sign=1", "PASS")
+        assert order_check("x", 3, Fraction(-3, 2), 1, sign=-1).verdict == "FAIL"
+        assert order_check("x", 2, Fraction(-3, 2), -1).verdict == "PASS"
+
+    def test_sign_needs_p_3(self):
+        with pytest.raises(ValueError, match="p = 3"):
+            order_check("x", 2, 8, 3, sign=1)
 
 
 class TestDeviations:

@@ -212,6 +212,11 @@ class TestTheta:
     def test_e8_roots(self):
         assert theta(validate(E8), 1) == [1, 240]
 
+    def test_over_budget_raises_before_enumerating(self):
+        # volume estimate (60 pi)^4 / (4! sqrt(1)) = 5.26e7 points
+        with pytest.raises(ValueError, match="budget"):
+            theta(validate(E8), 30)
+
 
 class TestMinima:
     def test_d4(self):

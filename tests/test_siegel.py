@@ -157,3 +157,17 @@ class TestTheorem4:
         assert "T2(10)" in instances  # 2^4 - 6
         assert "T2(12)" in instances  # 2^4 - 4
         assert "T2(2)" in instances  # 2^3 - 6
+
+    def test_zero_constant_term(self, monkeypatch):
+        import qgap.siegel
+
+        monkeypatch.setattr(qgap.siegel, "constant_term", lambda expr: 0)
+        recs = theorem4_checks(s_powers=(1,), s42_max=1, h43_max=20, x43_max=3)
+        assert [(r["theorem"], r["predicted"], r["observed"], r["verdict"])
+                for r in recs] == [
+            ("4.1", "ord2=3", "ord2=inf", "ZERO_CONSTANT_TERM"),
+            ("4.2", "ord2=3", "ord2=inf", "ZERO_CONSTANT_TERM"),
+            ("4.3", "16 mod 32", "0 mod 32", "FAIL"),
+            ("4.3", "8 mod 16", "0 mod 16", "FAIL"),
+            ("4.3", "16 mod 32", "0 mod 32", "FAIL"),
+        ]
