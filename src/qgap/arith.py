@@ -62,15 +62,17 @@ def ord_p(x, p: int):
     """
     if not _is_prime(p):
         raise ValueError(f"ord_p requires a prime p, got {p}")
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is int:
+        num, den = abs(x), 1
+    else:
+        x = Fraction(x)
+        num, den = abs(x.numerator), x.denominator
+    if num == 0:
         return INFINITE
-    num = abs(x.numerator)
     a = 0
     while num % p == 0:
         num //= p
         a += 1
-    den = x.denominator
     while den % p == 0:
         den //= p
         a -= 1

@@ -28,6 +28,11 @@ mod 3 (well-defined whenever the denominator is prime to 3).  A vanishing
 c_0 satisfies a divisibility clause and is ZERO_CONSTANT_TERM on an exact
 one.
 
+A survey runs the forms of each template as one batch: it parses each
+distinct generator set once and substitutes the exponents, and every form
+reads its factor powers from one ``forms.FactorPowers`` table.  Worker
+processes (``jobs`` > 1) take whole batches.
+
 The section 3.3 tables report p-adic orders only.  j, Delta and 1/Delta
 (at most about 250 digits a coefficient) are exact expansions; the orders
 of 1/j, whose coefficients reach thousands of digits, come from 1/j
@@ -53,7 +58,7 @@ from string import Formatter
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import FormExpr, Generator
 from qgap.exprs import parse_expr
-from qgap.forms import constant_term, generator_series
+from qgap.forms import FactorPowers, constant_term, generator_series
 from qgap.series import DefectError, QSeries, ReachError
 from qgap.verdict import Verdict
 
@@ -210,9 +215,7 @@ def order_check(rule_id: str, p: int, c0, want: int, *, at_least: bool = False,
 
 
 def _check_2adic(prefix: str, w: int, beta: int, c0) -> RuleCheck:
-    if w % 2 != 0:
-        return RuleCheck(prefix + "?", "even weight required",
-                         f"ord2={_ord_str(ord_p(c0, 2))}", Verdict.NOT_APPLICABLE)
+    # w is even: every catalog kind has even weight
     if w % 4 == 0:
         return order_check(prefix + "a", 2, c0, 3 * beta)
     return order_check(prefix + "b", 2, c0, 4 * beta, at_least=True)
@@ -356,10 +359,10 @@ def _expand_range(spec) -> list[int]:
     raise ValueError(f"range must be [lo, hi] or [lo, hi, step] of integers, got {spec!r}")
 
 
-def _family_tasks(fam) -> list[tuple[str, tuple, str]]:
-    """(template, parameter tuple, expression text) for each instance of one
-    survey family; ValueError when the family is malformed, checked before
-    any instance is built."""
+def _family_tasks(fam) -> list[tuple[str, tuple, dict, str]]:
+    """(template, parameter tuple, field values, expression text) for each
+    instance of one survey family; ValueError when the family is malformed,
+    checked before any instance is built."""
     if not isinstance(fam, dict) or not isinstance(fam.get("template"), str):
         raise ValueError("a family is an object with a string 'template'")
     template, ranges, filters = fam["template"], fam.get("ranges", {}), fam.get("filters", [])
@@ -376,14 +379,15 @@ def _family_tasks(fam) -> list[tuple[str, tuple, str]]:
     for combo in itertools.product(*values):
         env = dict(zip(names, combo))
         if all((env[var] % mod in res) != neg for var, mod, res, neg in preds):
-            tasks.append((template, combo, template.format(**env)))
+            tasks.append((template, combo, env, template.format(**env)))
     return tasks
 
 
-def _instantiate(config: dict) -> list[tuple[str, tuple, str]]:
-    """(template, parameter tuple, expression text) for every instance,
-    sorted lexicographically by template then parameters.  A malformed
-    config raises ValueError naming the index of the family at fault."""
+def _instantiate(config: dict) -> list[tuple[str, list[tuple[dict, str]]]]:
+    """(template, [(field values, expression text), ...]) for every
+    template, with the instances of all its families sorted
+    lexicographically by template then parameters.  A malformed config
+    raises ValueError naming the index of the family at fault."""
     families = config.get("families", []) if isinstance(config, dict) else None
     if not isinstance(families, list):
         raise ValueError("a survey config is an object with a 'families' list")
@@ -394,35 +398,101 @@ def _instantiate(config: dict) -> list[tuple[str, tuple, str]]:
         except ValueError as exc:
             raise ValueError(f"survey family {i}: {exc}") from None
     tasks.sort(key=lambda t: (t[0], t[1]))
-    return tasks
+    return [(template, [(env, text) for _, _, env, text in group])
+            for template, group in itertools.groupby(tasks, key=lambda t: t[0])]
 
 
-def _survey_task(expr_text: str) -> SurveyRecord:
-    """Classify one form; a defect or arithmetic failure on it becomes an
-    ERROR record carrying the exception text instead of ending the survey."""
+#: A template field that fills a whole exponent: right after '^' or '^-',
+#: and followed by '*', whitespace or the end of the template.
+_EXPONENT_SLOT = re.compile(r"\^(-?)\{(\w+)\}(?=[\s*]|$)")
+
+
+def _exponent_slots(template: str) -> dict[str, int]:
+    """field -> sign (+1 or -1) of each exponent slot whose field occurs
+    nowhere else in ``template``."""
+    fields = [name for _, name, _, _ in Formatter().parse(template) if name is not None]
+    return {name: -1 if minus else 1
+            for minus, name in _EXPONENT_SLOT.findall(template) if fields.count(name) == 1}
+
+
+def _skeleton(template: str, env: dict, slots: dict[str, int], marker: int):
+    """The factors of ``template`` as (generator, exponent, slot or None),
+    parsed with the i-th exponent slot set to marker + i; None when that
+    text does not parse."""
+    marks = {name: marker + i for i, name in enumerate(slots)}
     try:
-        return classify_expr(expr_text)
+        expr = parse_expr(template.format(**{**env, **marks}))
+    except ValueError:
+        return None
+    slot_of = {m: name for name, m in marks.items()}
+    return tuple((gen, e, slot_of.get(abs(e))) for gen, e in expr.factors)
+
+
+def _template_exprs(template: str, instances) -> list[FormExpr]:
+    """The parsed form of each (field values, text) instance of
+    ``template``, parsing each distinct generator set once.
+
+    The exponent slots (``_EXPONENT_SLOT``) are left out of the parse: the
+    text with the other fields filled in is parsed with a marker in each
+    slot, larger than any integer the rest of the text holds, and each
+    instance puts its own exponent where its marker stands.  An instance no
+    marker can stand for (a zero exponent, or a value below 1 after '^-')
+    or whose generator set does not parse is parsed from its own text, so
+    it gets the parser's own result or error."""
+    slots = _exponent_slots(template)
+    skeletons = {}
+    exprs = []
+    for env, text in instances:
+        skeleton = None
+        if all(env[name] > 0 or (sign > 0 and env[name] != 0) for name, sign in slots.items()):
+            bare = template.format(**{**env, **dict.fromkeys(slots, "")})
+            if bare not in skeletons:
+                skeletons[bare] = _skeleton(template, env, slots, 10 ** len(bare))
+            skeleton = skeletons[bare]
+        if skeleton is None:
+            exprs.append(parse_expr(text))
+        else:
+            exprs.append(FormExpr(tuple(
+                (gen, e if slot is None else slots[slot] * env[slot])
+                for gen, e, slot in skeleton), text=text))
+    return exprs
+
+
+def _survey_family(exprs: list[FormExpr]) -> list[SurveyRecord]:
+    """The records of one template's forms, all reading their factor
+    powers from one ``FactorPowers`` table, dropped when the family ends."""
+    powers = FactorPowers(exprs)
+    return [_survey_record(expr, powers) for expr in exprs]
+
+
+def _survey_record(expr: FormExpr, powers: FactorPowers) -> SurveyRecord:
+    """Classify one form; a defect or arithmetic failure on it, including
+    one while building a factor power it needs, becomes an ERROR record
+    carrying the exception text instead of ending the survey."""
+    try:
+        return classify_expr(expr, constant_term(expr, powers))
     except (DefectError, ReachError, ArithmeticError) as exc:
-        expr = parse_expr(expr_text)
         check = RuleCheck("error", "-", f"{type(exc).__name__}: {exc}", Verdict.ERROR)
-        return SurveyRecord(expr_text, expr.conductor, expr.weight, expr.pole_order,
+        return SurveyRecord(str(expr), expr.conductor, expr.weight, expr.pole_order,
                             None, 0, 0, 0, None, None, None, (check,))
 
 
 def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
     """Instantiate every family in the config, classify each form, and
-    collect the records in deterministic (template, parameters) order."""
-    tasks = _instantiate(config)
-    texts = [t[2] for t in tasks]
-    if jobs > 1 and len(texts) > 1:
+    collect the records in deterministic (template, parameters) order.
+    The forms of one template are one batch, parsed in this process (a
+    bad template is a ValueError here, never in a worker), and ``jobs`` > 1
+    hands whole batches to worker processes."""
+    templates = _instantiate(config)
+    families = (_template_exprs(template, instances) for template, instances in templates)
+    if jobs > 1 and len(templates) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(texts) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_survey_task, texts, chunksize=chunk))
+            chunks = list(pool.map(_survey_family, families))
     else:
-        records = [_survey_task(t) for t in texts]
-    return SurveyReport(records=records)
+        chunks = map(_survey_family, families)
+    return SurveyReport(records=[rec for chunk in chunks for rec in chunk])
 
 
 def render_table(report: SurveyReport) -> str:

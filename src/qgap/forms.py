@@ -7,6 +7,15 @@ series with window L has window L), so a builder returns exactly the
 coefficients it is asked for, and each caller asks for exactly those it
 reads: the constant term of a monomial with pole order s takes s + 1.
 
+Every window is a prefix: the first w coefficients of a window-W series
+(W > w) are the window-w series, since coefficient n of a generator, and of
+any product, power or root of generators, depends only on the coefficients
+up to n of its inputs.  ``constant_term`` relies on this.  It reads each
+factor power, and the product of all factors but the last, from a
+``FactorPowers`` table that builds each of them once, at the largest window
+any monomial of a batch needs (a survey family is one batch), and takes c_0
+as one dot product (``QSeries.product_coeff``) of the two.
+
 Expansions are memoized per (generator, window), factor powers in an LRU
 cache of FACTOR_CACHE_SIZE entries; QSeries values are immutable, so the
 memos are safe for concurrent readers.
@@ -23,6 +32,7 @@ from qgap.exprs import parse_expr
 from qgap.series import DefectError, QSeries, product_expand
 
 __all__ = [
+    "FactorPowers",
     "basis_m1",
     "basis_m2",
     "constant_term",
@@ -164,12 +174,68 @@ def eval_expr(expr: FormExpr | str, prec: int) -> QSeries:
     return acc
 
 
-def constant_term(expr: FormExpr | str):
-    """Exact constant term of a monomial expression: evaluated with
-    max(1, s + 1) coefficients, s its pole order at infinity."""
+class FactorPowers:
+    """The series a batch of monomials reads for its constant terms: each
+    factor power, and the product of the leading factors of each monomial,
+    built once at the largest window any monomial of the batch reads it at.
+    A monomial with pole order s reads s + 1 coefficients, a prefix of that
+    build.  Factor powers come from ``factor_power``; nothing is built
+    before a monomial asks for it, so a failing build fails only the
+    monomials that need it."""
+
+    def __init__(self, exprs):
+        self._windows: dict[tuple, int] = {}
+        self._built: dict[tuple, QSeries] = {}
+        for expr in exprs:
+            window = expr.pole_order + 1
+            factors = expr.factors
+            keys = [(f,) for f in factors] + [factors[:k] for k in range(2, len(factors))]
+            for key in keys:
+                if self._windows.get(key, 0) < window:
+                    self._windows[key] = window
+
+    def series(self, factors: tuple, window: int) -> QSeries:
+        """The product of ``factors`` ((generator, exponent) pairs) with at
+        least ``window`` justified coefficients."""
+        built = self._built.get(factors)
+        if built is None or built.window < window:
+            w = max(window, self._windows.get(factors, 0))
+            if len(factors) == 1:
+                (gen, e), = factors
+                built = factor_power(gen, e, w)
+            else:
+                built = (_prefix(self.series(factors[:-1], w), w)
+                         * _prefix(self.series(factors[-1:], w), w))
+            self._built[factors] = built
+        if built.window < window:
+            raise DefectError(
+                f"reach propagation failure: window {built.window} < {window}")
+        return built
+
+
+def _prefix(series: QSeries, window: int) -> QSeries:
+    """The first ``window`` coefficients of a series with at least as many."""
+    if series.window == window:
+        return series
+    return QSeries(series.valuation, series.coefficients(window))
+
+
+def constant_term(expr: FormExpr | str, powers: FactorPowers | None = None):
+    """Exact constant term of a monomial expression with pole order s at
+    infinity: the product of all factors but the last, to s + 1
+    coefficients, dotted with the last factor.  ``powers`` is the table of
+    a batch that holds ``expr``; by default the expression is its own
+    batch."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
-    return eval_expr(expr, max(1, expr.pole_order + 1)).coeff(0)
+    if powers is None:
+        powers = FactorPowers([expr])
+    window = expr.pole_order + 1
+    *head, last = expr.factors
+    tail = powers.series((last,), window)
+    if not head:
+        return tail.coeff(0)
+    return powers.series(tuple(head), window).product_coeff(tail, 0)
 
 
 def basis_m2(h: int, prec: int) -> list[QSeries]:

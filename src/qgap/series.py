@@ -14,7 +14,8 @@ Multiplication is schoolbook convolution.  Series at the scale this package
 targets are a few thousand terms at most, and bignum coefficient growth
 dominates the cost anyway.  Integer powers, the inverse and m-th roots share
 one O(n^2) recurrence for u^(p/q) (J. C. P. Miller's), so none of them goes
-through repeated multiplication.
+through repeated multiplication.  A single coefficient of a product, such as
+a constant term, is one dot product (``product_coeff``).
 """
 
 from __future__ import annotations
@@ -255,6 +256,23 @@ class QSeries:
 
     __rmul__ = __mul__
 
+    def product_coeff(self, other: "QSeries", n: int):
+        """Coefficient of q^n in ``self * other`` as one dot product over
+        the terms whose exponents add up to n: O(n) work where the full
+        product costs O(n^2).  Justified exactly where the product's
+        coefficient is; ReachError at or beyond the product's reach."""
+        reach = min(self._reach + other._val, other._reach + self._val)
+        if n >= reach:
+            raise ReachError(
+                f"coefficient of q^{n} is beyond the justified reach {reach}"
+            )
+        a, b = self._coeffs, other._coeffs
+        k = n - self._val - other._val
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        if lo > hi:
+            return 0
+        return _norm_coeff(sum(map(mul, a[lo:hi + 1], reversed(b[k - hi:k - lo + 1]))))
+
     def invert(self) -> "QSeries":
         """Multiplicative inverse, justified on the same-size window.
 
@@ -376,15 +394,11 @@ def product_expand(exponents, prec: int) -> QSeries:
             de = d * e[d]
             for k in range(d, prec, d):
                 g[k] -= de
-    p = [1] + [0] * (prec - 1)
+    p = [1]
     for n in range(1, prec):
-        s = 0
-        for k in range(1, n + 1):
-            if g[k] and p[n - k]:
-                s += g[k] * p[n - k]
-        q, r = divmod(s, n)
+        q, r = divmod(sum(map(mul, g[1:n + 1], reversed(p))), n)
         if r:
             raise ArithmeticError("non-integral product coefficient; exponent data invalid")
-        p[n] = q
+        p.append(q)
     return QSeries(0, p)
 

@@ -98,7 +98,7 @@ def satz1_check(level: int, h: int, f: QSeries) -> dict:
         )
     # t reaches q^0 only; the product's reach min(f.valuation + 1,
     # f.reach - pole) is still >= 1, so c_0 is justified
-    c0 = (t_series(level, h, pole + 1) * f).coeff(0)
+    c0 = t_series(level, h, pole + 1).product_coeff(f, 0)
     return {
         "level": level,
         "weight": h,

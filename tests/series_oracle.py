@@ -1,6 +1,7 @@
 """Exact oracles for ``QSeries.invert``, ``root`` and ``**``, independent of
 the one recurrence those share: the classical inverse and root coefficient
-loops, and powers by repeated multiplication."""
+loops, and powers by repeated multiplication.  Also the term-by-term loop
+``product_expand`` once ran, as the oracle of its dot-product form."""
 
 from fractions import Fraction
 
@@ -42,3 +43,24 @@ def power(a: QSeries, e: int) -> QSeries:
     for _ in range(abs(e) - 1):
         result = result * base
     return result
+
+
+def product_expand(exponents: dict, prec: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n)^{e_n} to ``prec`` coefficients, term by term:
+    n*p(n) = sum_{k=1..n} g(k) p(n-k) with g(k) = -sum_{d|k} d*e_d."""
+    g = [0] * prec
+    for d, e in exponents.items():
+        if 1 <= d < prec and e:
+            for k in range(d, prec, d):
+                g[k] -= d * e
+    p = [1] + [0] * (prec - 1)
+    for n in range(1, prec):
+        s = 0
+        for k in range(1, n + 1):
+            if g[k] and p[n - k]:
+                s += g[k] * p[n - k]
+        q, r = divmod(s, n)
+        if r:
+            raise ArithmeticError("non-integral product coefficient")
+        p[n] = q
+    return QSeries(0, p)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgap.arith import (
@@ -31,7 +31,32 @@ def bernoulli_oracle(m: int) -> Fraction:
     return out[m]
 
 
+def ord_p_via_fraction(x, p):
+    """ord_p as it read before its integer fast path: every x through
+    Fraction."""
+    x = Fraction(x)
+    if x == 0:
+        return INFINITE
+    a, num, den = 0, abs(x.numerator), x.denominator
+    while num % p == 0:
+        num //= p
+        a += 1
+    while den % p == 0:
+        den //= p
+        a -= 1
+    return a
+
+
 class TestOrdP:
+    @settings(max_examples=300, derandomize=True)
+    @given(st.one_of(st.integers(), st.integers(-10**6, 10**6).map(lambda n: n * 2**40),
+                     st.just(0), st.fractions(max_denominator=10**6)),
+           st.sampled_from([2, 3, 5, 7, 11]))
+    def test_matches_fraction_path(self, x, p):
+        got = ord_p(x, p)
+        assert got == ord_p_via_fraction(x, p)
+        assert type(got) is type(ord_p_via_fraction(x, p))
+
     def test_spec_examples(self):
         assert ord_p(48, 2) == 4
         assert ord_p(0, 3) == INFINITE

@@ -100,10 +100,10 @@ class TestSurvey:
         from qgap.forms import constant_term
         from qgap.series import DefectError
 
-        def flaky(expr):
+        def flaky(expr, powers=None):
             if str(expr) == "Delta^-3":
                 raise DefectError("injected\nfault")
-            return constant_term(expr)
+            return constant_term(expr, powers)
 
         monkeypatch.setattr(qgap.congruence, "constant_term", flaky)
         cfg = tmp_path / "cfg.json"
@@ -126,6 +126,16 @@ class TestSurvey:
         code, _, err = run(capsys, "survey", str(cfg))
         assert code == 2
         assert "error:" in err
+
+    def test_bad_template_with_workers_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 3]}},
+            {"template": "Delta^-{a}*G(3)", "ranges": {"a": [1, 2]}},
+        ]}))
+        code, out, err = run(capsys, "survey", str(cfg), "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: position 9: expected a valid generator")
 
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -312,7 +322,7 @@ class TestVerify:
     def test_rules_failure_lines_are_plain_text(self, capsys, monkeypatch):
         import qgap.congruence
 
-        monkeypatch.setattr(qgap.congruence, "constant_term", lambda expr: 3)
+        monkeypatch.setattr(qgap.congruence, "constant_term", lambda expr, powers=None: 3)
         code, out, _ = run(capsys, "verify", "--suite", "rules")
         assert code == 1
         assert "<Verdict." not in out

@@ -1,6 +1,8 @@
+import itertools
 import json
 from fractions import Fraction
 from math import prod
+from string import Formatter
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from qgap import congruence
 from qgap.arith import INFINITE, ord_p
-from qgap.catalog import Generator
+from qgap.catalog import KINDS, Generator
+from qgap.exprs import parse_expr
 from qgap.congruence import (
     classify_expr,
     delta_pn_compare,
@@ -279,6 +282,93 @@ class TestSurveyRunner:
         assert text.splitlines()[-1] == render_summary(report) == "total 2: PASS=2"
 
 
+def parse_or_error(text):
+    try:
+        return parse_expr(text)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTemplateParsing:
+    """A survey parses each generator set of a template once and puts each
+    instance's exponents in; every instance must read as its own text
+    does, errors included."""
+
+    TEMPLATES = [
+        "G(4)^{a}*Einf4^-{b}", "G({k})*Einf4^-{b}", "Delta^{a}", "Delta^-{a}",
+        "Delta^{a}{b}", "G({k})^{a}", "G(4)^{a} Delta^-{b}", "Delta ^{a}",
+        "Delta^ -{a}", "Delta^+{a}", "G(4)^{a}*G(6)^{a}", "Delta^-{a}*G(3)",
+        "Delta^{a}*", "E(3,inf,{k})^-{a}", "j^{a}*Delta^-{b}*G(4)^{k}",
+        "Delta^{a}5", "Delta^{a:d}", "G(4)^1{a}", "G(10)^-{a}*phi(3)^-{b}",
+    ]
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_instances_read_as_their_own_text(self, template):
+        fields = sorted({f for _, f, _, _ in Formatter().parse(template) if f})
+        values = {"a": range(-2, 4), "b": range(-1, 3), "k": range(-2, 9, 2)}
+        instances = []
+        for combo in itertools.product(*(values[f] for f in fields)):
+            env = dict(zip(fields, combo))
+            instances.append((env, template.format(**env)))
+        want = [parse_or_error(text) for _, text in instances]
+        for instance, expected in zip(instances, want):
+            try:
+                got = congruence._template_exprs(template, [instance])[0]
+            except ValueError as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            assert got == expected
+        valid = [inst for inst, w in zip(instances, want) if not isinstance(w, str)]
+        assert congruence._template_exprs(template, valid) == [
+            w for w in want if not isinstance(w, str)]
+
+    def test_one_parse_per_generator_set(self, monkeypatch):
+        calls = []
+        real = congruence.parse_expr
+        monkeypatch.setattr(congruence, "parse_expr",
+                            lambda text: calls.append(text) or real(text))
+        cfg = {"families": [{"template": "G({k})*Einf4^-{b}",
+                             "ranges": {"k": [4, 8, 2], "b": [1, 10]}}]}
+        assert len(run_survey(cfg).records) == 30
+        assert len(calls) == 3
+
+
+class TestSurveyPlan:
+    def test_template_shared_by_families_is_one_batch(self):
+        cfg = {"families": [
+            {"template": "E(2,inf,{k})^-{a}", "ranges": {"k": [8, 16, 4], "a": [1, 4]}},
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 3]}},
+            {"template": "E(2,inf,{k})^-{a}", "ranges": {"k": [6, 14, 4], "a": [1, 3]}},
+        ]}
+        families = congruence._instantiate(cfg)
+        assert [t for t, _ in families] == ["Delta^-{a}", "E(2,inf,{k})^-{a}"]
+        texts = [text for _, insts in families for _, text in insts]
+        assert texts == [t for _, _, _, t in sorted(
+            (task for fam in cfg["families"] for task in congruence._family_tasks(fam)),
+            key=lambda t: (t[0], t[1]))]
+        records = run_survey(cfg).records
+        assert [r.expr for r in records] == texts
+        assert [r.c0 for r in records] == [classify_expr(t).c0 for t in texts]
+
+    def test_failed_power_build_is_one_error_record_per_form(self, monkeypatch):
+        import qgap.forms
+
+        real = qgap.forms.factor_power
+
+        def broken(gen, e, window):
+            if gen == Generator("Delta") and e == -2:
+                raise DefectError("injected")
+            return real(gen, e, window)
+
+        monkeypatch.setattr(qgap.forms, "factor_power", broken)
+        cfg = {"families": [{"template": "G(6)^{a}*Delta^-{b}",
+                             "ranges": {"a": [1, 2], "b": [1, 3]}}]}
+        records = run_survey(cfg).records
+        assert [(r.expr, r.verdict) for r in records] == [
+            (f"G(6)^{a}*Delta^-{b}", "ERROR" if b == 2 else "PASS")
+            for a in (1, 2) for b in (1, 2, 3)]
+        assert records[1].checks[0].observed == "DefectError: injected"
+
+
 class TestSection33:
     def test_delta_2n_small(self):
         rows = {r["n"]: r for r in delta_pn_compare(2, 8)}
@@ -474,6 +564,13 @@ class TestRecordInvariants:
 
         assert ord_p(0, 2) == INFINITE
 
+    def test_every_kind_has_even_weight(self):
+        # so every monomial weight is even and the 2-adic clause is (a) or (b)
+        for name, kind in KINDS.items():
+            for params in itertools.product(range(-30, 61), repeat=len(kind.slots)):
+                if kind.check(*params) is None:
+                    assert kind.weight(*params) % 2 == 0, (name, params)
+
     def test_no_pole_is_not_applicable(self):
         rec = classify_expr("Delta")
         assert rec.verdict == "NOT_APPLICABLE"
@@ -487,3 +584,20 @@ def test_parallel_survey_matches_serial():
     assert [r.to_dict() for r in serial.records] == [
         r.to_dict() for r in parallel.records
     ]
+
+
+@pytest.mark.slow
+def test_parallel_survey_splits_by_template():
+    cfg = {"families": [
+        {"template": "Delta^-{a}", "ranges": {"a": [1, 6]}},
+        {"template": "G(4)^{a}*Einf4^-{b}", "ranges": {"a": [1, 3], "b": [1, 4]}},
+        {"template": "Delta^-{a}", "ranges": {"a": [9, 11]}},
+        {"template": "Delta^-{a}*G(3)", "ranges": {"a": [1, 2]}},
+    ]}
+    with pytest.raises(ValueError, match="G"):
+        run_survey(cfg, jobs=2)
+    del cfg["families"][-1]
+    serial = run_survey(cfg, jobs=1)
+    assert len(serial.records) == 21
+    assert [r.to_dict() for r in serial.records] == [
+        r.to_dict() for r in run_survey(cfg, jobs=2).records]

@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap.catalog import FormExpr, Generator, dim_m
+from qgap.catalog import KINDS, FormExpr, Generator, dim_m
 from qgap.forms import (
+    FactorPowers,
     basis_m1,
     basis_m2,
     constant_term,
@@ -40,6 +42,15 @@ def monomial_st(draw):
     exps = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(gens),
                          max_size=len(gens)))
     return FormExpr(tuple(zip(gens, exps)))
+
+
+#: kind name -> every generator of that kind whose parameters lie in 0..24
+ADMITTED = {
+    name: [Generator(name, params)
+           for params in itertools.product(range(25), repeat=len(kind.slots))
+           if kind.check(*params) is None]
+    for name, kind in KINDS.items()
+}
 
 
 def padded_window(expr, prec):
@@ -285,6 +296,88 @@ class TestEvalExpr:
         assert eval_expr(e, 3).coeff(0) == 1224
 
 
+def window_prefix(big, w):
+    """The first w coefficients of a series, as a series."""
+    return QSeries(big.valuation, big.coefficients(w))
+
+
+class TestWindowsArePrefixes:
+    """The window-w series is the first w coefficients of the window-W
+    series, W > w, on the same valuation: ``FactorPowers`` reads every
+    smaller window from one build at the largest."""
+
+    @pytest.mark.parametrize("name", KINDS)
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_kind(self, name, data):
+        g = data.draw(st.sampled_from(ADMITTED[name]))
+        w = data.draw(st.integers(1, 20))
+        big = generator_series(g, data.draw(st.integers(w + 1, 32)))
+        assert generator_series(g, w) == window_prefix(big, w)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(monomial_st(), st.integers(1, 10), st.integers(1, 10))
+    def test_catalog_monomials(self, expr, w, extra):
+        small, big = eval_expr(expr, w), eval_expr(expr, w + extra)
+        assert small == window_prefix(big, w)
+
+
+class TestFactorPowers:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(monomial_st(), min_size=1, max_size=6))
+    def test_batch_constant_terms_match_evaluation(self, batch):
+        powers = FactorPowers(batch)
+        for expr in batch:
+            got = constant_term(expr, powers)
+            want = eval_expr(expr, expr.pole_order + 1).coeff(0)
+            assert got == want and type(got) is type(want)
+
+    def test_family_shares_one_build_per_power(self, monkeypatch):
+        import qgap.forms
+
+        calls = []
+        real = qgap.forms.factor_power
+
+        def counted(gen, e, window):
+            calls.append((str(gen), e, window))
+            return real(gen, e, window)
+
+        monkeypatch.setattr(qgap.forms, "factor_power", counted)
+        batch = [FormExpr(((Generator("G", (4,)), a), (Generator("G", (6,)), 1),
+                           (Generator("Einf4"), -b)))
+                 for a in range(1, 4) for b in range(1, 6)]
+        powers = FactorPowers(batch)
+        planned = [constant_term(expr, powers) for expr in batch]
+        shared = list(calls)
+        assert planned == [constant_term(expr) for expr in batch]
+        assert sorted(shared) == sorted(
+            [("G(4)", a, 6) for a in range(1, 4)] + [("G(6)", 1, 6)]
+            + [("Einf4", -b, b + 1) for b in range(1, 6)])
+
+    def test_unplanned_window_is_built_on_demand(self):
+        powers = FactorPowers([FormExpr(((Generator("Delta"), -1),))])
+        assert constant_term("Delta^-1", powers) == 24
+        assert constant_term("j^2*Delta^-3", powers) == constant_term("j^2*Delta^-3")
+
+    def test_failed_build_fails_only_its_forms(self, monkeypatch):
+        import qgap.forms
+
+        real = qgap.forms.factor_power
+
+        def broken(gen, e, window):
+            if e == -2:
+                raise DefectError("injected")
+            return real(gen, e, window)
+
+        monkeypatch.setattr(qgap.forms, "factor_power", broken)
+        batch = [FormExpr(((Generator("j"), 1), (Generator("Delta"), -b)))
+                 for b in (1, 2, 3)]
+        powers = FactorPowers(batch)
+        with pytest.raises(DefectError, match="injected"):
+            constant_term(batch[1], powers)
+        assert constant_term(batch[2], powers) == eval_expr(batch[2], 5).coeff(0)
+
+
 class TestConstantTerm:
     def test_matches_evaluation_at_pole_order_plus_one(self):
         for text, s in [("Delta^-1", 1), ("Delta^-3", 3), ("j^2*Delta^-2", 4)]:
@@ -310,6 +403,15 @@ class TestDefects:
                             lambda gen, e, window: QSeries(0, [1]))
         with pytest.raises(DefectError, match="reach propagation"):
             eval_expr("Delta^-1", 5)
+
+    def test_constant_term_reach_shortfall_raises_defect(self, monkeypatch):
+        import qgap.forms
+
+        monkeypatch.setattr(qgap.forms, "factor_power",
+                            lambda gen, e, window: QSeries(0, [1]))
+        for text in ("Delta^-1", "j*Delta^-1", "G(4)*j*Delta^-1"):
+            with pytest.raises(DefectError, match="reach propagation"):
+                constant_term(text)
 
     def test_unhandled_kind_raises_defect(self):
         g = Generator("Delta")

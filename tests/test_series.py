@@ -342,6 +342,26 @@ def test_product_expand_inverse_pair(exps):
     assert one.agrees_with(QSeries.one(prec))
 
 
+@settings(max_examples=100, derandomize=True)
+@given(st.dictionaries(st.integers(min_value=1, max_value=40),
+                       st.integers(min_value=-30, max_value=30), max_size=8),
+       st.integers(min_value=1, max_value=40))
+def test_product_expand_matches_term_by_term_loop(exps, prec):
+    assert product_expand(exps, prec) == series_oracle.product_expand(exps, prec)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(series_st(max_window=10), series_st(max_window=10), st.integers(-8, 12))
+def test_product_coeff_matches_full_product(a, b, n):
+    product = a * b
+    if n >= product.reach:
+        with pytest.raises(ReachError):
+            a.product_coeff(b, n)
+    else:
+        got = a.product_coeff(b, n)
+        assert got == product.coeff(n) and type(got) is type(product.coeff(n))
+
+
 @settings(max_examples=60, derandomize=True)
 @given(series_st(invertible=True), st.integers(min_value=2, max_value=4))
 def test_root_round_trip(a, m):
