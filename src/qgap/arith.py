@@ -25,6 +25,7 @@ __all__ = [
     "alpha_coeff",
     "bernoulli",
     "digit_sum",
+    "divisor_sum_sieve",
     "divisors",
     "largest_digit",
     "moebius",
@@ -119,6 +120,23 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def divisor_sum_sieve(count: int, term, cofactor_modulus: int = 0) -> list[int]:
+    """[s(1), ..., s(count)] with s(n) the sum of term(d) over the divisors d
+    of n, leaving out the d whose cofactor n/d is a multiple of
+    ``cofactor_modulus`` when one is given: one sieve for all n, each term
+    evaluated once.  The per-n ``sigma`` functions are its oracle."""
+    sums = [0] * (count + 1)
+    for d in range(1, count + 1):
+        t = term(d)
+        if t:
+            for m in range(d, count + 1, d):
+                sums[m] += t
+            if cofactor_modulus:
+                for m in range(d * cofactor_modulus, count + 1, d * cofactor_modulus):
+                    sums[m] -= t
+    return sums[1:]
 
 
 def sigma(n: int, alpha: int) -> int:

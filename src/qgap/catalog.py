@@ -172,19 +172,19 @@ class FormExpr:
         if any(e == 0 for _, e in self.factors):
             raise ValueError("zero exponents are not allowed")
 
-    @property
+    @cached_property
     def weight(self) -> int:
         return sum(g.weight * e for g, e in self.factors)
 
-    @property
+    @cached_property
     def valuation(self) -> int:
         return sum(g.valuation * e for g, e in self.factors)
 
-    @property
+    @cached_property
     def pole_order(self) -> int:
         return max(0, -self.valuation)
 
-    @property
+    @cached_property
     def conductor(self) -> int:
         return lcm(*(g.conductor for g, _ in self.factors))
 

@@ -20,7 +20,7 @@ from qgap import congruence, siegel
 from qgap.congruence import desk_rules_config, full_rules_config, render_summary, render_table, run_survey
 from qgap.exprs import ParseError
 from qgap.forms import constant_term, eval_expr, identity_checks
-from qgap.quadratic import load_gram, min_represented, theta, verify_theorem51
+from qgap.quadratic import load_gram, min_represented, theorem51_applies, theta, verify_theorem51
 from qgap.series import ReachError
 from qgap.verdict import Verdict
 
@@ -116,9 +116,9 @@ def _cmd_theta(args) -> int:
 
 def _cmd_minima(args) -> int:
     gram = load_gram(args.gram)
-    try:
+    if theorem51_applies(gram):
         rec = verify_theorem51(gram)
-    except ValueError:
+    else:
         rec = {"rank": gram.rank, "min": min_represented(gram), "bound": None,
                "verdict": Verdict.NOT_APPLICABLE}
     bound = "n/a" if rec["bound"] is None else rec["bound"]

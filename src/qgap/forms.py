@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from qgap.arith import alpha_coeff, sigma, sigma_alt, sigma_odd, sigma_star
+from qgap.arith import alpha_coeff, divisor_sum_sieve
 from qgap.catalog import FormExpr, Generator, dim_m
 from qgap.exprs import parse_expr
 from qgap.series import DefectError, QSeries, product_expand
@@ -57,7 +57,8 @@ def eisenstein_g(h: int, prec: int) -> QSeries:
     if h == 0:
         return QSeries.one(prec)
     a = alpha_coeff(h)
-    return QSeries(0, [1] + [a * sigma(n, h - 1) for n in range(1, prec)])
+    sums = divisor_sum_sieve(prec - 1, lambda d: d ** (h - 1))
+    return QSeries(0, [1] + [a * s for s in sums])
 
 
 def m2(prec: int) -> QSeries:
@@ -87,7 +88,7 @@ def generator_series(gen: Generator, window: int) -> QSeries:
 
     if gen.e_inf is not None:
         N, k = gen.e_inf
-        return QSeries(1, [sigma_star(n, N, k - 1) for n in range(1, window + 1)])
+        return QSeries(1, divisor_sum_sieve(window, lambda d: d ** (k - 1), N))
     if kind == "G":
         return eisenstein_g(p[0], window)
     if kind == "Delta":
@@ -98,9 +99,11 @@ def generator_series(gen: Generator, window: int) -> QSeries:
         g4 = generator_series(Generator("G", (4,)), window)
         return g4**3 * generator_series(Generator("T", (14,)), window)
     if kind == "Egamma2":
-        return QSeries(0, [1] + [24 * sigma_odd(n) for n in range(1, window)])
+        sums = divisor_sum_sieve(window - 1, lambda d: d if d % 2 else 0)
+        return QSeries(0, [1] + [24 * s for s in sums])
     if kind == "E04":
-        return QSeries(0, [1] + [16 * sigma_alt(n, 3) for n in range(1, window)])
+        sums = divisor_sum_sieve(window - 1, lambda d: -d**3 if d % 2 else d**3)
+        return QSeries(0, [1] + [16 * s for s in sums])
     if kind == "Delta2":
         return (
             generator_series(Generator("E04"), window)
@@ -246,16 +249,15 @@ def basis_m2(h: int, prec: int) -> list[QSeries]:
     if h <= 0 or h % 2 != 0:
         raise ValueError(f"basis_m2 needs even h > 0, got {h}")
     r = dim_m(2, h)
-    ej2 = generator_series(Generator("j2"), prec)
     einf = generator_series(Generator("Einf4"), prec)
     tail = einf ** (r - 1)
     if h % 4 != 0:
         tail = generator_series(Generator("Egamma2"), prec) * tail
-    basis = []
-    jpow = QSeries.one(prec)
-    for _ in range(r):
-        basis.append(jpow * tail)
-        jpow = jpow * ej2
+    basis = [tail]
+    if r > 1:
+        ej2 = generator_series(Generator("j2"), prec)
+        while len(basis) < r:
+            basis.append(basis[-1] * ej2)
     return basis
 
 

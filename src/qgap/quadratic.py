@@ -1,19 +1,33 @@
 """Even positive-definite quadratic forms: Gram validation, level, exact
-theta series by lattice-point enumeration, minima, and the minimum bound
-check.
+theta series, minima, and the minimum bound check.
 
 Q_A(x) = x^T A x for an integer symmetric matrix A with even diagonal, so
 Q_A takes even values on integer vectors.  The theta series counts exact
 representation numbers: entry n is #{x in Z^v : Q_A(x) = 2n}.
 
 One exact rational LDL^T decomposition of A, computed once at validation,
-Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, serves every question about
-the matrix: its pivots decide positive-definiteness and give the
-determinant, its triangular factor gives A^-1 for the level, and
-enumeration walks coordinates from the last to the first with exact integer
-interval bounds at every layer (no floating point anywhere, so no boundary
-misses).  The one float is ``theta``'s estimate of the points it would
-visit, a guard that never enters a count.
+Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, decides positive-definiteness
+and gives the determinant, and its triangular factor gives A^-1 for the
+level.
+
+``theta`` takes one of two routes:
+
+* In the domain of the minimum bound (rank v = 0 mod 4, level <= 2) the
+  theta series lies in M_{v/2}(Gamma_0(2)).  Only its first
+  r = dim M_{v/2}(Gamma_0(2)) coefficients are counted; they are solved
+  against the monic triangular ``forms.basis_m2``, which then produces the
+  rest of the series.  A coefficient that comes out non-integral is a
+  defect, never rounded.
+* Every other matrix is first reduced by exact integer LLL (Lenstra,
+  Lenstra and Lovasz 1982; Cohen, GTM 138, Algorithm 2.6.7) to U^T A U with
+  U unimodular, whose integral Gram-Schmidt data give
+  Q = sum_i (d_i x_i + sum_{j>i} l_ji x_j)^2 / (d_{i-1} d_i) with the
+  leading minors d_i.  All lattice points are then enumerated Fincke-Pohst
+  style, from the last coordinate to the first, with the bound scaled to
+  an integer at every layer and x, -x counted together.
+
+Both routes count through one enumerator; the only float is its estimate of
+the points it would visit, a guard that never enters a count.
 """
 
 from __future__ import annotations
@@ -21,8 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm, prod
+from typing import NamedTuple
 
+from qgap.catalog import dim_m
+from qgap.forms import basis_m2
 from qgap.series import DefectError
 from qgap.verdict import Verdict
 
@@ -35,6 +53,7 @@ __all__ = [
     "load_gram",
     "min_represented",
     "parse_gram",
+    "theorem51_applies",
     "theta",
     "verify_theorem51",
 ]
@@ -83,12 +102,92 @@ def _ldl(rows: tuple[tuple[int, ...], ...]):
     return d, u
 
 
+class Reduction(NamedTuple):
+    """An LLL-reduced basis of a form: ``entries`` = U^T A U for the
+    unimodular ``basis`` U, with the integral Gram-Schmidt data of the new
+    basis: ``minors`` d_0 = 1, d_1, ..., d_v (its leading minors) and
+    ``lam[k][j]`` = d_{j+1} mu_kj for j < k, so that
+    Q(x) = sum_i (d_{i+1} x_i + sum_{k>i} lam[k][i] x_k)^2 / (d_i d_{i+1})
+    with 0-based coordinates."""
+
+    entries: tuple[tuple[int, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
+    minors: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
+
+
+def _lll(rows) -> Reduction:
+    """Exact integer LLL with delta = 3/4 on a positive-definite Gram matrix
+    (Cohen, Algorithm 2.6.7), every division exact.  The basis starts
+    sorted by norm, and the first vector's norm never grows, so the reduced
+    diagonal's minimum is at most the input's."""
+    n = len(rows)
+    order = sorted(range(n), key=lambda i: rows[i][i])
+    # 1-based as in Cohen: b[k] is basis vector k in input coordinates
+    b = [None] + [[int(i == o) for i in range(n)] for o in order]
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        big = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - mu * t) // d[k - 1]
+            lam[i][k - 1] = (big * t + mu * lam[i][k]) // d[k]
+        d[k - 1] = big
+
+    d[1] = rows[order[0]][order[0]]
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:
+            # incremental Gram-Schmidt: b[k] is still the input vector order[k-1]
+            kmax = k
+            row = rows[order[k - 1]]
+            for j in range(1, k + 1):
+                u = sum(a * x for a, x in zip(row, b[j]))
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+        red(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
+    cols = b[1:]
+    images = [[sum(a * x for a, x in zip(row, c)) for row in rows] for c in cols]
+    return Reduction(
+        entries=tuple(tuple(sum(x * y for x, y in zip(c, img)) for img in images)
+                      for c in cols),
+        basis=tuple(zip(*cols)),
+        minors=tuple(d),
+        lam=tuple(tuple(r[1:]) for r in lam[1:]),
+    )
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Validated Gram matrix: integer, symmetric, even diagonal, positive
     definite.  Validation keeps the LDL^T factors (``pivots`` d and
-    ``multipliers`` u, see ``_ldl``) for the determinant, level and theta
-    series."""
+    ``multipliers`` u, see ``_ldl``) for the determinant and level; the
+    level and the LLL ``reduction`` are computed on first use."""
 
     entries: tuple[tuple[int, ...], ...]
     pivots: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
@@ -129,6 +228,25 @@ class GramMatrix:
     def det(self) -> int:
         return int(prod(self.pivots))
 
+    @cached_property
+    def reduction(self) -> Reduction:
+        return _lll(self.entries)
+
+    @cached_property
+    def _level(self) -> int:
+        # see ``level``: with A = U^T D U from the LDL^T decomposition,
+        # A^-1 = V D^-1 V^T for the unit upper triangular V = U^-1
+        d, u = self.pivots, self.multipliers
+        n = self.rank
+        v = [[int(i == j) for j in range(n)] for i in range(n)]
+        for j in range(n):
+            for i in range(j - 1, -1, -1):
+                v[i][j] = -sum(u[i][k] * v[k][j] for k in range(i + 1, j + 1))
+        inv = [[sum(v[i][k] * v[j][k] / d[k] for k in range(max(i, j), n))
+                for j in range(n)] for i in range(n)]
+        return lcm(*(x.denominator for row in inv for x in row),
+                   *((inv[i][i] / 2).denominator for i in range(n)))
+
     def value(self, x) -> int:
         """Q_A(x) = x^T A x."""
         n = self.rank
@@ -154,81 +272,121 @@ def direct_sum(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 def level(gram: GramMatrix) -> int:
     """Smallest positive N with N*A^-1 integral and even on the diagonal:
     the lcm of the denominators of the entries of A^-1 and of half its
-    diagonal entries.  With A = U^T D U from the LDL^T decomposition,
-    A^-1 = V D^-1 V^T for the unit upper triangular V = U^-1."""
-    d, u = gram.pivots, gram.multipliers
-    n = gram.rank
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            v[i][j] = -sum(u[i][k] * v[k][j] for k in range(i + 1, j + 1))
-    inv = [[sum(v[i][k] * v[j][k] / d[k] for k in range(max(i, j), n))
-            for j in range(n)] for i in range(n)]
-    return lcm(*(x.denominator for row in inv for x in row),
-               *((inv[i][i] / 2).denominator for i in range(n)))
+    diagonal entries, computed once per matrix."""
+    return gram._level
 
 
-def _interval(c: Fraction, bound: Fraction) -> range:
-    """Integers t with (t + c)^2 <= bound, exactly."""
-    if bound < 0:
-        return range(0)
-    p, q = c.numerator, c.denominator
-    u, w = bound.numerator, bound.denominator
-    # (t*q + p)^2 <= u*q^2/w  <=>  |t*q + p| <= isqrt(floor(u*q^2/w))
-    y = isqrt(u * q * q // w)
-    lo = -((y + p) // q)
-    hi = (y - p) // q
-    return range(lo, hi + 1)
+def theorem51_applies(gram: GramMatrix) -> bool:
+    """Whether the form lies in the domain of the minimum bound, rank
+    v = 0 mod 4 and level <= 2, where its theta series is a modular form
+    of weight v/2 for Gamma_0(2)."""
+    return gram.rank % 4 == 0 and level(gram) <= 2
 
 
-#: Most lattice points ``theta`` may visit.  Enumeration runs at about 24k
-#: points a second (2-core x86, CPython 3.11); the largest test and
-#: benchmark input, E8 to n = 6, is estimated at 84k points.
+#: Most lattice points the enumerator may visit, estimated from the ellipsoid
+#: volume.  It counts about 4M (E8) to 9M (E6) points a second on a 2-core
+#: x86 with CPython 3.11.  The modular-forms route enumerates only its
+#: r = v/8 + 1 head coefficients, so in practice the budget binds on forms
+#: outside the minimum bound's domain (E6 to n = 100 estimates 2.39e7).
 THETA_POINT_BUDGET = 2_000_000
 
 
-def theta(gram: GramMatrix, n_max: int) -> list[int]:
-    """Representation counts: entry n is #{x : Q_A(x) = 2n}, 0 <= n <= n_max.
+def _enumerate(gram: GramMatrix, n_max: int) -> list[int]:
+    """Representation counts for 0 <= n <= n_max over the LLL-reduced basis.
     ValueError, before enumerating, when the estimated number of points
     visited exceeds ``THETA_POINT_BUDGET``."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    v = gram.rank
     if n_max > 0:
         # the volume of Q(x) <= 2 n_max, (2 pi n_max)^(v/2) / (Gamma(v/2 + 1)
         # sqrt(det A)), taken in logarithms so that no input overflows it
-        v = gram.rank
         log_points = (v / 2 * math.log(2 * math.pi) + v / 2 * math.log(n_max)
                       - math.lgamma(v / 2 + 1) - math.log(gram.det) / 2)
         if log_points > math.log(THETA_POINT_BUDGET):
             estimate = math.exp(log_points) if log_points < 709 else math.inf
             raise ValueError(f"theta to n = {n_max} would visit about {estimate:.3g} "
                              f"lattice points, over the budget of {THETA_POINT_BUDGET:,}")
-    n = gram.rank
-    d, u = gram.pivots, gram.multipliers
+    red = gram.reduction
+    dm, lam = red.minors, red.lam
+    # scale * Q(x) = sum_i weight[i] * y_i^2 with y_i = d_{i+1} x_i + c_i
+    scale = lcm(*(dm[i] * dm[i + 1] for i in range(v)))
+    weight = [scale // (dm[i] * dm[i + 1]) for i in range(v)]
+    step = 2 * scale
+    top = step * n_max
     counts = [0] * (n_max + 1)
-    budget = Fraction(2 * n_max)
-    x = [0] * n
+    counts[0] = 1
+    x = [0] * v
 
-    def walk(i: int, remaining: Fraction):
-        if i < 0:
-            used = budget - remaining
-            counts[int(used) // 2] += 1
+    def walk(i: int, rem: int):
+        # x[i+1:] is fixed and not all zero; every vector found is counted
+        # with its negative
+        c = sum(lam[k][i] * x[k] for k in range(i + 1, v))
+        di, wi = dm[i + 1], weight[i]
+        y_max = isqrt(rem // wi)
+        lo, hi = -((y_max + c) // di), (y_max - c) // di
+        if i == 0:
+            used = top - rem
+            for y in range(di * lo + c, di * hi + c + 1, di):
+                counts[(used + wi * y * y) // step] += 2
             return
-        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
-        for t in _interval(c, remaining / d[i]):
+        for t in range(lo, hi + 1):
             x[i] = t
-            walk(i - 1, remaining - d[i] * (t + c) ** 2)
+            y = di * t + c
+            walk(i - 1, rem - wi * y * y)
         x[i] = 0
 
-    walk(n - 1, budget)
+    # of x and -x, take the one whose last nonzero coordinate x_i is positive
+    for i in range(v - 1, -1, -1):
+        di, wi = dm[i + 1], weight[i]
+        for t in range(1, isqrt(top // wi) // di + 1):
+            x[i] = t
+            rem = top - wi * (di * t) ** 2
+            if i == 0:
+                counts[(top - rem) // step] += 2
+            else:
+                walk(i - 1, rem)
+        x[i] = 0
     return counts
 
 
+def _theta_from_basis(gram: GramMatrix, n_max: int) -> list[int]:
+    """Theta series of a form with ``theorem51_applies``: r enumerated
+    coefficients solved against the monic triangular basis of
+    M_{v/2}(Gamma_0(2)), which produces the rest."""
+    h = gram.rank // 2
+    r = dim_m(2, h)
+    head = _enumerate(gram, min(n_max, r - 1))
+    if n_max < r:
+        return head
+    # basis[k] = q^k + O(q^(k+1)); back-substitution from valuation 0 up
+    basis = basis_m2(h, n_max + 1)[::-1]
+    coords = []
+    for k in range(r):
+        coords.append(head[k] - sum(c * b.coeff(k) for c, b in zip(coords, basis)))
+    series = [sum(c * b.coeff(n) for c, b in zip(coords, basis))
+              for n in range(n_max + 1)]
+    for value in coords + series:
+        if Fraction(value).denominator != 1:
+            raise DefectError(f"theta series in M_{h}(Gamma_0(2)) has the "
+                              f"non-integral coefficient {value}")
+    return [int(c) for c in series]
+
+
+def theta(gram: GramMatrix, n_max: int) -> list[int]:
+    """Representation counts: entry n is #{x : Q_A(x) = 2n}, 0 <= n <= n_max.
+    ValueError, before enumerating, when the points to enumerate exceed
+    ``THETA_POINT_BUDGET``."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if theorem51_applies(gram):
+        return _theta_from_basis(gram, n_max)
+    return _enumerate(gram, n_max)
+
+
 def min_represented(gram: GramMatrix) -> int:
-    """Smallest positive even value represented: found by expanding the
-    theta series out to half the smallest diagonal entry (Q(e_i) = a_ii
-    guarantees termination there)."""
-    cap = min(gram.entries[i][i] for i in range(gram.rank)) // 2
+    """Smallest positive even value represented: the first nonzero positive
+    coefficient of the theta series, expanded out to half the smallest
+    diagonal entry of the reduced matrix (a value the form represents)."""
+    cap = min(row[i] for i, row in enumerate(gram.reduction.entries)) // 2
     counts = theta(gram, cap)
     for m, c in enumerate(counts):
         if m > 0 and c > 0:

@@ -9,6 +9,7 @@ from qgap.arith import (
     alpha_coeff,
     bernoulli,
     digit_sum,
+    divisor_sum_sieve,
     largest_digit,
     moebius,
     ord_p,
@@ -144,6 +145,21 @@ class TestDivisorSums:
                    lambda: sigma_alt(0, 2), lambda: sigma_star(0, 2, 1)):
             with pytest.raises(ValueError):
                 fn()
+
+
+class TestDivisorSumSieve:
+    @settings(max_examples=40, derandomize=True)
+    @given(st.integers(0, 400), st.integers(0, 7), st.sampled_from([2, 3, 4, 5, 7]))
+    def test_matches_per_n_sums(self, count, k, N):
+        ns = range(1, count + 1)
+        assert divisor_sum_sieve(count, lambda d: d**k) == [sigma(n, k) for n in ns]
+        assert divisor_sum_sieve(count, lambda d: d**k, N) == [sigma_star(n, N, k) for n in ns]
+        assert divisor_sum_sieve(count, lambda d: d if d % 2 else 0) == [sigma_odd(n) for n in ns]
+        assert (divisor_sum_sieve(count, lambda d: -d**k if d % 2 else d**k)
+                == [sigma_alt(n, k) for n in ns])
+
+    def test_empty(self):
+        assert divisor_sum_sieve(0, lambda d: d) == []
 
 
 class TestBernoulli:

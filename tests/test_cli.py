@@ -6,8 +6,15 @@ import time
 import pytest
 
 from qgap.cli import main
+from qgap.quadratic import E8
+from test_quadratic import E6, skewed
 
 D4_GRAM = "4\n2 -1 0 0\n-1 2 -1 -1\n0 -1 2 0\n0 -1 0 2\n"
+
+
+def write_gram(path, rows):
+    path.write_text(f"{len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return path
 
 
 def run(capsys, *argv):
@@ -289,15 +296,36 @@ class TestThetaMinima:
         assert "max-rank" in err
 
     def test_theta_over_budget_exit_2_fast(self, tmp_path, capsys):
-        from qgap.quadratic import E8
-
-        gram = tmp_path / "e8.gram"
-        gram.write_text("8\n" + "".join(" ".join(map(str, r)) + "\n" for r in E8))
+        # E6 (level 3) takes the enumeration route, whose budget binds
+        gram = write_gram(tmp_path / "e6.gram", E6)
         start = time.perf_counter()
-        code, out, err = run(capsys, "theta", str(gram), "--terms", "30")
+        code, out, err = run(capsys, "theta", str(gram), "--terms", "100")
         assert time.perf_counter() - start < 1
         assert code == 2
-        assert out == "" and err.startswith("error: ") and "5.26e+07" in err
+        assert out == "" and err.startswith("error: ") and "2.39e+07" in err
+
+    def test_theta_e8_to_200_terms(self, tmp_path, capsys):
+        from qgap.arith import sigma
+
+        gram = write_gram(tmp_path / "e8.gram", E8)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "theta", str(gram), "--terms", "200")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        want = [1] + [240 * sigma(n, 3) for n in range(1, 201)]
+        assert out.splitlines() == [f"{n}\t{c}" for n, c in enumerate(want)]
+
+    @pytest.mark.parametrize("rows, below, above, line", [
+        (E8, 3, 2, "min=2 bound=4 PASS"),
+        (E6, 9, 7, "min=2 bound=n/a NOT_APPLICABLE"),
+    ], ids=["E8", "E6"])
+    def test_minima_skewed_basis(self, tmp_path, capsys, rows, below, above, line):
+        gram = write_gram(tmp_path / "skewed.gram", skewed(rows, below, above))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "minima", str(gram))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.strip() == line
 
     def test_gram_error_line_number(self, tmp_path, capsys):
         gram = tmp_path / "bad.gram"

@@ -1,10 +1,15 @@
+import functools
 import itertools
+import time
 import operator
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+import theta_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgap.catalog import Generator
 from qgap.forms import generator_series
@@ -16,6 +21,7 @@ from qgap.quadratic import (
     level,
     min_represented,
     parse_gram,
+    theorem51_applies,
     theta,
     validate,
     verify_theorem51,
@@ -62,6 +68,29 @@ def oracle_level(rows) -> int:
     _, inv = gauss_jordan(rows)
     return lcm(*(x.denominator for row in inv for x in row),
                *((inv[i][i] / 2).denominator for i in range(len(rows))))
+
+
+#: Gram matrices of the A2 and E6 root lattices (determinant 3, level 3).
+A2 = ((2, -1), (-1, 2))
+E6 = (
+    (2, 0, -1, 0, 0, 0),
+    (0, 2, 0, -1, 0, 0),
+    (-1, 0, 2, -1, 0, 0),
+    (0, -1, -1, 2, -1, 0),
+    (0, 0, 0, -1, 2, -1),
+    (0, 0, 0, 0, -1, 2),
+)
+
+
+def skewed(rows, below: int, above: int) -> list[list[int]]:
+    """U^T A U for U = L R, with L unit lower triangular holding ``below``
+    under the diagonal and R unit upper triangular holding ``above`` over
+    it."""
+    n = len(rows)
+    u = [[sum((below if i > k else i == k) * (above if k < j else k == j)
+              for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(u[k][i] * rows[k][l] * u[l][j] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
 
 
 def unimodular_change(rows, seed: int) -> list[list[int]]:
@@ -212,10 +241,20 @@ class TestTheta:
     def test_e8_roots(self):
         assert theta(validate(E8), 1) == [1, 240]
 
-    def test_over_budget_raises_before_enumerating(self):
-        # volume estimate (60 pi)^4 / (4! sqrt(1)) = 5.26e7 points
-        with pytest.raises(ValueError, match="budget"):
-            theta(validate(E8), 30)
+    def test_over_budget_raises_before_enumerating(self, monkeypatch):
+        # E6 lies outside the minimum bound's domain, so every point is
+        # enumerated: (200 pi)^3 / (3! sqrt(3)) = 2.39e7 points
+        g = validate(E6)
+        monkeypatch.setattr(GramMatrix, "reduction", property(
+            lambda self: pytest.fail("reduced before the budget check")))
+        with pytest.raises(ValueError, match="2.39e"):
+            theta(g, 100)
+
+    def test_e6(self):
+        # the E6 root lattice has 72 roots; level 3 takes the LLL route
+        g = validate(E6)
+        assert not theorem51_applies(g)
+        assert theta(g, 6) == [1, 72, 270, 720, 936, 2160, 2214]
 
 
 class TestMinima:
@@ -235,6 +274,15 @@ class TestMinima:
         monkeypatch.setattr(qgap.quadratic, "theta", lambda gram, n: [1] + [0] * n)
         with pytest.raises(DefectError):
             min_represented(validate(D4))
+
+
+    @pytest.mark.parametrize("rows, below, above", [(E8, 3, 2), (E6, 9, 7)])
+    def test_skewed_basis(self, rows, below, above):
+        g = validate(skewed(rows, below, above))
+        assert max(map(max, g.entries)) > 3000
+        start = time.perf_counter()
+        assert min_represented(g) == 2
+        assert time.perf_counter() - start < 1
 
 
 class TestTheorem51:
@@ -296,3 +344,117 @@ class TestGramFiles:
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
             parse_gram("# nothing\n")
+
+
+D4D4 = direct_sum(validate(D4), validate(D4)).entries
+E8D4 = direct_sum(validate(E8), validate(D4)).entries
+
+#: base form -> (Gram matrix, terms the oracle counts, terms it counts on
+#: the LLL-reduced matrix).  The last two are level 3, outside the minimum
+#: bound's domain.
+BASES = {
+    "D4": (D4, 8, 8),
+    "E8": (E8, 3, 1),
+    "D4+D4": (D4D4, 3, 2),
+    "E8+D4": (E8D4, 2, 1),
+    "A2": (A2, 12, 12),
+    "E6": (E6, 3, 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_theta(name: str) -> list[int]:
+    rows, n, _ = BASES[name]
+    return theta_oracle.theta(validate(rows), n)
+
+
+def elementary(rows, moves):
+    """(E^T A E, E) for the product E of the elementary column moves
+    (i, j, c): column j += c * column i, with i and j taken mod the rank."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in moves:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        for m in (a, e):
+            for r in m:
+                r[j] += c * r[i]
+        a[j] = [x + c * y for x, y in zip(a[j], a[i])]
+    return a, e
+
+
+MOVES = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                           st.one_of(st.integers(-2, 2), st.integers(-500, 500))),
+                 max_size=12)
+
+
+class TestThetaRoutes:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(BASES)), MOVES)
+    def test_both_routes_match_oracle(self, name, moves):
+        from qgap.quadratic import _enumerate
+
+        rows, n, _ = BASES[name]
+        g = validate(elementary(rows, moves)[0])
+        want = oracle_theta(name)
+        assert theorem51_applies(g) is (name not in ("A2", "E6"))
+        assert theta(g, n) == want
+        assert _enumerate(g, n) == want
+        assert min_represented(g) == 2
+
+    def test_modular_route_against_oracle_beyond_its_head(self):
+        # D4+D4 to 5 terms: 2 counted, 4 produced by the basis of M_4
+        g = validate(D4D4)
+        assert theta(g, 5) == theta_oracle.theta(g, 5)
+
+    def test_non_integral_solve_is_defect(self, monkeypatch):
+        import qgap.quadratic
+
+        monkeypatch.setattr(qgap.quadratic, "_enumerate",
+                            lambda gram, n: [1, Fraction(481, 2)][:n + 1])
+        with pytest.raises(DefectError, match="non-integral"):
+            theta(validate(E8), 4)
+
+
+class TestReduction:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(BASES)), MOVES)
+    def test_keeps_the_form(self, name, moves):
+        from qgap.quadratic import _lll
+
+        rows, _, n = BASES[name]
+        a, _ = elementary(rows, moves)
+        red = _lll(a)
+        v = len(a)
+        u = red.basis
+        assert abs(gauss_jordan(u)[0]) == 1
+        assert [[sum(u[k][i] * a[k][m] * u[m][j] for k in range(v) for m in range(v))
+                 for j in range(v)] for i in range(v)] == list(map(list, red.entries))
+        g, r = validate(a), validate(red.entries)
+        assert (r.det, level(r)) == (g.det, level(g))
+        assert theta_oracle.theta(r, n) == oracle_theta(name)[:n + 1]
+        assert min(r.entries[i][i] for i in range(v)) <= min(a[i][i] for i in range(v))
+        # size-reduced and Lovasz with delta = 3/4, in integers: the
+        # enumerator's loop sees no other numbers
+        d, lam = red.minors, red.lam
+        assert all(type(x) is int for x in d + sum(lam, ()))
+        assert list(d[1:]) == list(itertools.accumulate(r.pivots, operator.mul))
+        for k in range(v):
+            for j in range(k):
+                assert 2 * abs(lam[k][j]) <= d[j + 1]
+            if k:
+                assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+
+    def test_reduces_a_skewed_e8_to_roots(self):
+        red = validate(skewed(E8, 3, 2)).reduction
+        assert {red.entries[i][i] for i in range(8)} == {2}
+
+    def test_starts_from_the_shortest_basis_vector(self):
+        # from the input order, LLL ends with every diagonal entry above 42
+        rows = ((84, -34, -4), (-34, 66, 28), (-4, 28, 42))
+        red = validate(rows).reduction
+        assert min(red.entries[i][i] for i in range(3)) <= 42
+        assert min_represented(validate(rows)) == 2 * next(
+            n for n, c in enumerate(theta_oracle.theta(validate(rows), 21)) if n and c)
