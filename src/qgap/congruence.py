@@ -50,7 +50,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from operator import mul
 from string import Formatter
@@ -592,11 +591,6 @@ class _InverseOrders:
         return ord_p(self._exact.coeff(n), p)
 
 
-@lru_cache(maxsize=4)
-def _inverse_j_orders(window: int, exponents) -> _InverseOrders:
-    return _InverseOrders(generator_series(Generator("j"), window), exponents)
-
-
 def delta_pn_compare(p: int, n_max: int) -> list[dict]:
     """Rows for delta_{p,n} = ord_p(c_n[j]) - ord_p(c_n[1/Delta]), n = -1 and
     1..n_max.  Predictions: p=2 even n: 3*ord_2(n)+1; p=3: 2*ord_3(n) when
@@ -637,15 +631,16 @@ def delta_pn_compare(p: int, n_max: int) -> list[dict]:
     return rows
 
 
-def reciprocal_compare(n_max: int, *, _exponents=_RESIDUE_EXPONENTS) -> list[dict]:
+def reciprocal_compare(n_max: int) -> list[dict]:
     """Rows checking ord_p(c_n[1/j]) = ord_p(c_n[Delta]) for p = 2, 3 over
     1 <= n <= n_max, and for p = 5 when n is not 3 or 4 mod 5 (asserted only
     on n <= 1225, recorded beyond).  The 1/j orders come from residues
-    (``_InverseOrders``); ``_exponents`` sets their K_p."""
+    mod prod p^K_p over ``_RESIDUE_EXPONENTS`` (``_InverseOrders``)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     d = generator_series(Generator("Delta"), n_max + 2)
-    inv_j = _inverse_j_orders(n_max + 2, _exponents)
+    inv_j = _InverseOrders(generator_series(Generator("j"), n_max + 2),
+                           _RESIDUE_EXPONENTS)
     rows = []
     for n in range(1, n_max + 1):
         for p in (2, 3, 5):

@@ -160,21 +160,16 @@ def eval_expr(expr: FormExpr | str, prec: int) -> QSeries:
     """Evaluate a monomial expression with exactly ``prec`` justified
     coefficients from its valuation.
 
-    Each factor power is taken at window ``prec``; window-preserving
-    arithmetic then makes the product's window exactly ``prec``, so a reach
-    failure here is a defect, not an input problem.
+    The left-to-right product of ``FactorPowers.series``, each factor power
+    taken at window ``prec``; window-preserving arithmetic then makes the
+    product's window exactly ``prec``, so a reach failure here is a defect,
+    not an input problem.
     """
     if isinstance(expr, str):
         expr = parse_expr(expr)
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    acc = None
-    for gen, e in expr.factors:
-        piece = factor_power(gen, e, prec)
-        acc = piece if acc is None else acc * piece
-    if acc.window < prec:
-        raise DefectError(f"reach propagation failure: window {acc.window} < {prec}")
-    return acc
+    return FactorPowers(()).series(expr.factors, prec)
 
 
 class FactorPowers:

@@ -5,10 +5,10 @@ Q_A(x) = x^T A x for an integer symmetric matrix A with even diagonal, so
 Q_A takes even values on integer vectors.  The theta series counts exact
 representation numbers: entry n is #{x in Z^v : Q_A(x) = 2n}.
 
-One exact rational LDL^T decomposition of A, computed once at validation,
-Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, decides positive-definiteness
-and gives the determinant, and its triangular factor gives A^-1 for the
-level.
+One fraction-free Gauss-Jordan elimination of [A | I] (Bareiss 1968),
+run once at validation in integers, decides positive-definiteness (its
+pivots are the leading minors), gives the determinant (the last pivot) and
+the adjugate det(A) A^-1, from which the level is read.
 
 ``theta`` takes one of two routes:
 
@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from qgap.catalog import dim_m
@@ -79,27 +79,28 @@ E8 = (
 )
 
 
-def _ldl(rows: tuple[tuple[int, ...], ...]):
-    """Pivots d and multipliers u with Q(x) = sum_i d_i (x_i + sum_{j>i}
-    u_ij x_j)^2.  The product d_1...d_k is the k-th leading minor, so the
-    pivots decide positive-definiteness; elimination stops after the first
-    pivot <= 0, where going on would need row swaps."""
+def _eliminate(rows) -> tuple[list[int], list[list[int]]]:
+    """Leading minors d_1, ..., d_v and the adjugate det(A) A^-1 of A, by
+    fraction-free Gauss-Jordan on [A | I] without row exchanges (Bareiss
+    1968), every division exact: pivot k is the k-th leading minor, and
+    after the last pivot the left half is det(A) I and the right half
+    adj(A).  ValueError at the first leading minor <= 0 (Sylvester's
+    criterion), where going on would need row exchanges."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    d = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = m[i][i]
-        d.append(di)
-        if di <= 0:
-            break
-        for j in range(i + 1, n):
-            u[i][j] = m[i][j] / di
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                m[j][k] -= m[i][j] * m[i][k] / di
-                m[k][j] = m[j][k]
-    return d, u
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    minors = []
+    prev = 1
+    for k in range(n):
+        p, pivot_row = m[k][k], m[k]
+        if p <= 0:
+            raise ValueError(f"not positive definite: leading minor {k + 1} is {p}")
+        minors.append(p)
+        for i in range(n):
+            if i != k:
+                c = m[i][k]
+                m[i] = [(p * x - c * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = p
+    return minors, [row[n:] for row in m]
 
 
 class Reduction(NamedTuple):
@@ -185,14 +186,13 @@ def _lll(rows) -> Reduction:
 @dataclass(frozen=True)
 class GramMatrix:
     """Validated Gram matrix: integer, symmetric, even diagonal, positive
-    definite.  Validation keeps the LDL^T factors (``pivots`` d and
-    ``multipliers`` u, see ``_ldl``) for the determinant and level; the
-    level and the LLL ``reduction`` are computed on first use."""
+    definite.  The one elimination of validation (``_eliminate``) leaves the
+    determinant ``det`` and the level; the LLL ``reduction`` is computed on
+    first use."""
 
     entries: tuple[tuple[int, ...], ...]
-    pivots: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    multipliers: tuple[tuple[Fraction, ...], ...] = field(
-        init=False, repr=False, compare=False)
+    det: int = field(init=False, repr=False, compare=False)
+    _level: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.entries)
@@ -212,40 +212,21 @@ class GramMatrix:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"not symmetric at ({i},{j})")
-        d, u = _ldl(rows)
-        if d[-1] <= 0:
-            raise ValueError(
-                f"not positive definite: leading minor {len(d)} is {int(prod(d))}"
-            )
-        object.__setattr__(self, "pivots", tuple(d))
-        object.__setattr__(self, "multipliers", tuple(map(tuple, u)))
+        minors, adj = _eliminate(rows)
+        det = minors[-1]
+        # see ``level``: the denominators of adj / det and of its halved diagonal
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "_level", lcm(
+            *(det // gcd(x, det) for row in adj for x in row),
+            *(2 * det // gcd(adj[i][i], 2 * det) for i in range(n))))
 
     @property
     def rank(self) -> int:
         return len(self.entries)
 
-    @property
-    def det(self) -> int:
-        return int(prod(self.pivots))
-
     @cached_property
     def reduction(self) -> Reduction:
         return _lll(self.entries)
-
-    @cached_property
-    def _level(self) -> int:
-        # see ``level``: with A = U^T D U from the LDL^T decomposition,
-        # A^-1 = V D^-1 V^T for the unit upper triangular V = U^-1
-        d, u = self.pivots, self.multipliers
-        n = self.rank
-        v = [[int(i == j) for j in range(n)] for i in range(n)]
-        for j in range(n):
-            for i in range(j - 1, -1, -1):
-                v[i][j] = -sum(u[i][k] * v[k][j] for k in range(i + 1, j + 1))
-        inv = [[sum(v[i][k] * v[j][k] / d[k] for k in range(max(i, j), n))
-                for j in range(n)] for i in range(n)]
-        return lcm(*(x.denominator for row in inv for x in row),
-                   *((inv[i][i] / 2).denominator for i in range(n)))
 
     def value(self, x) -> int:
         """Q_A(x) = x^T A x."""
@@ -272,7 +253,7 @@ def direct_sum(a: GramMatrix, b: GramMatrix) -> GramMatrix:
 def level(gram: GramMatrix) -> int:
     """Smallest positive N with N*A^-1 integral and even on the diagonal:
     the lcm of the denominators of the entries of A^-1 and of half its
-    diagonal entries, computed once per matrix."""
+    diagonal entries, set at validation."""
     return gram._level
 
 

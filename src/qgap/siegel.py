@@ -158,11 +158,9 @@ def _random_combination(rng: random.Random, basis: list[QSeries]) -> QSeries:
         coeffs = [rng.randint(-9, 9) for _ in basis]
         if coeffs[zero_val_index] != 0:
             break
-    acc = None
-    for c, b in zip(coeffs, basis):
-        piece = b * c
-        acc = piece if acc is None else acc + piece
-    return acc
+    reach = min(b.reach for b in basis)
+    return QSeries(0, [sum(c * b.coeff(n) for c, b in zip(coeffs, basis))
+                       for n in range(reach)])
 
 
 def run_gap_suite(level: int = 2, hmax: int = 40, combos: int = 20,

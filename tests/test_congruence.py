@@ -484,10 +484,21 @@ class TestInverseOrders:
         with pytest.raises(DefectError, match="not a unit"):
             congruence._InverseOrders(QSeries(0, [7, 1]), ((7, 2),))
 
-    def test_tiny_k_rows_equal_the_exact_path(self):
+    def test_tiny_k_rows_equal_the_exact_path(self, monkeypatch):
         n = 200
-        rows = reciprocal_compare(n, _exponents=TINY_K)
-        assert congruence._inverse_j_orders(n + 2, TINY_K)._exact is not None
+        built = []
+        real = congruence._InverseOrders
+
+        def spy(u, exponents):
+            built.append(real(u, exponents))
+            return built[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(congruence, "_RESIDUE_EXPONENTS", TINY_K)
+            m.setattr(congruence, "_InverseOrders", spy)
+            rows = reciprocal_compare(n)
+        assert [o._bounds for o in built] == [dict(TINY_K)]
+        assert built[0]._exact is not None
         inv_j = generator_series(Generator("j"), n + 2).invert()
         for row in rows:
             o = ord_p(inv_j.coeff(row["n"]), row["p"])
@@ -511,7 +522,6 @@ class TestTableInputs:
             return power(self, p, q)
 
         generator_series.cache_clear()
-        congruence._inverse_j_orders.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(QSeries, "_power", spy)
             for table in tables:
@@ -527,8 +537,9 @@ class TestTableInputs:
 
     def test_j_tables_build_no_reciprocal_table(self, monkeypatch):
         tables = (lambda n: delta_pn_compare(2, n), lehner_check)
+        monkeypatch.setattr(congruence, "_InverseOrders",
+                            lambda *args: pytest.fail("built a 1/j table"))
         assert self._inversions(monkeypatch, *tables) == (1, 0)
-        assert congruence._inverse_j_orders.cache_info().currsize == 0
 
 
 class TestRecordInvariants:

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import time
-import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -70,6 +69,18 @@ def oracle_level(rows) -> int:
                *((inv[i][i] / 2).denominator for i in range(len(rows))))
 
 
+def leading_minors(rows) -> list[Fraction]:
+    """Independent oracle: every leading minor by ``gauss_jordan``, 0 where
+    the block is singular (no pivot to swap in)."""
+    minors = []
+    for k in range(1, len(rows) + 1):
+        try:
+            minors.append(gauss_jordan([row[:k] for row in rows[:k]])[0])
+        except StopIteration:
+            minors.append(Fraction(0))
+    return minors
+
+
 #: Gram matrices of the A2 and E6 root lattices (determinant 3, level 3).
 A2 = ((2, -1), (-1, 2))
 E6 = (
@@ -110,6 +121,37 @@ def unimodular_change(rows, seed: int) -> list[list[int]]:
              for j in range(n)] for i in range(n)]
 
 
+@st.composite
+def symmetric_even(draw):
+    """Symmetric integer matrices of rank 1..8 with even diagonal: mostly
+    indefinite, some positive definite when the diagonal dominates."""
+    v = draw(st.integers(1, 8))
+    rows = [[0] * v for _ in range(v)]
+    for i in range(v):
+        rows[i][i] = 2 * draw(st.integers(-3, 12))
+        for j in range(i + 1, v):
+            rows[i][j] = rows[j][i] = draw(st.integers(-6, 6))
+    return rows
+
+
+@st.composite
+def e8_sublattice_grams(draw):
+    """B^T E8 B for an integer 8 x v matrix B, v = 1..8: even and positive
+    semi-definite, singular exactly when the columns of B are dependent."""
+    v = draw(st.integers(1, 8))
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=v, max_size=v),
+                      min_size=8, max_size=8))
+    if v > 1 and draw(st.booleans()):
+        # a column that is a multiple of another makes the matrix singular
+        i = draw(st.integers(0, v - 1))
+        j = (i + draw(st.integers(1, v - 1))) % v
+        c = draw(st.sampled_from((-1, 2)))
+        for row in b:
+            row[j] = c * row[i]
+    return [[sum(b[k][i] * E8[k][m] * b[m][j] for k in range(8) for m in range(8))
+             for j in range(v)] for i in range(v)]
+
+
 class TestValidation:
     def test_d4_valid(self):
         g = validate(D4)
@@ -142,18 +184,19 @@ class TestValidation:
         assert validate(E8).det == 1
 
     def test_d4_leading_minors(self):
-        # the partial products of the LDL^T pivots are the leading minors
-        from qgap.quadratic import _ldl
+        # the pivots of the fraction-free elimination are the leading minors
+        from qgap.quadratic import _eliminate
 
-        pivots, _ = _ldl(validate(D4).entries)
-        assert list(itertools.accumulate(pivots, operator.mul)) == [2, 3, 4, 4]
+        minors, adj = _eliminate(validate(D4).entries)
+        assert minors == leading_minors(D4) == [2, 3, 4, 4]
+        assert adj == [[4 * x for x in row] for row in gauss_jordan(D4)[1]]
 
     def test_factors_once_per_matrix(self, monkeypatch):
         import qgap.quadratic
 
         calls = []
-        real = qgap.quadratic._ldl
-        monkeypatch.setattr(qgap.quadratic, "_ldl",
+        real = qgap.quadratic._eliminate
+        monkeypatch.setattr(qgap.quadratic, "_eliminate",
                             lambda rows: calls.append(rows) or real(rows))
         g = validate(D4)
         assert (g.det, level(g), min_represented(g)) == (4, 2, 2)
@@ -164,7 +207,21 @@ class TestValidation:
     def test_factors_stay_out_of_equality_and_repr(self):
         assert validate(D4) == validate(list(map(list, D4)))
         assert hash(validate(D4)) == hash(GramMatrix(D4))
-        assert "pivots" not in repr(validate(D4))
+        assert repr(validate(D4)) == f"GramMatrix(entries={D4!r})"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(symmetric_even(), e8_sublattice_grams()))
+    def test_against_the_leading_minors_oracle(self, rows):
+        minors = leading_minors(rows)
+        first = next((k for k, d in enumerate(minors, 1) if d <= 0), None)
+        if first is not None:
+            with pytest.raises(ValueError) as err:
+                validate(rows)
+            assert str(err.value) == (f"not positive definite: leading minor "
+                                      f"{first} is {minors[first - 1]}")
+            return
+        g = validate(rows)
+        assert (g.det, level(g)) == (gauss_jordan(rows)[0], oracle_level(rows))
 
 
 class TestLevel:
@@ -440,7 +497,7 @@ class TestReduction:
         # enumerator's loop sees no other numbers
         d, lam = red.minors, red.lam
         assert all(type(x) is int for x in d + sum(lam, ()))
-        assert list(d[1:]) == list(itertools.accumulate(r.pivots, operator.mul))
+        assert list(d[1:]) == leading_minors(r.entries)
         for k in range(v):
             for j in range(k):
                 assert 2 * abs(lam[k][j]) <= d[j + 1]

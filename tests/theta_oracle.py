@@ -2,14 +2,37 @@
 as the test oracle for both production routes (``qgap.quadratic.theta``).
 
 It enumerates every lattice point of the input basis, unreduced and
-without symmetry, from the validated LDL^T factors Q(x) = sum_i d_i (x_i +
-sum_{j>i} u_ij x_j)^2, with exact Fraction interval bounds at every layer.
+without symmetry, from its own exact rational LDL^T decomposition of the
+Gram matrix, Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, with exact
+Fraction interval bounds at every layer.  It reads only ``gram.entries``
+and ``gram.rank``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+
+def ldl(rows) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Pivots d and multipliers u of a positive-definite matrix with
+    Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    d = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        di = m[i][i]
+        if di <= 0:
+            raise ValueError(f"pivot {i + 1} is {di}")
+        d.append(di)
+        for j in range(i + 1, n):
+            u[i][j] = m[i][j] / di
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                m[j][k] -= m[i][j] * m[i][k] / di
+                m[k][j] = m[j][k]
+    return d, u
 
 
 def _interval(c: Fraction, bound: Fraction) -> range:
@@ -29,7 +52,7 @@ def theta(gram, n_max: int) -> list[int]:
     """Entry n is #{x : Q_A(x) = 2n}, 0 <= n <= n_max, for a
     ``qgap.quadratic.GramMatrix``."""
     n = gram.rank
-    d, u = gram.pivots, gram.multipliers
+    d, u = ldl(gram.entries)
     counts = [0] * (n_max + 1)
     budget = Fraction(2 * n_max)
     x = [0] * n
