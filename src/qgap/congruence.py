@@ -29,8 +29,8 @@ c_0 satisfies a divisibility clause and is ZERO_CONSTANT_TERM on an exact
 one.
 
 A survey runs the forms of each template as one batch: it parses each
-distinct generator set once and substitutes the exponents, and every form
-reads its factor powers from one ``forms.FactorPowers`` table.  Worker
+template once and binds each instance's field values to a form, and every
+form reads its factor powers from one ``forms.FactorPowers`` table.  Worker
 processes (``jobs`` > 1) take whole batches.
 
 The section 3.3 tables report p-adic orders only.  j, Delta and 1/Delta
@@ -52,11 +52,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from operator import mul
-from string import Formatter
 
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import FormExpr, Generator
-from qgap.exprs import parse_expr
+from qgap.exprs import Template, parse_expr, parse_template
 from qgap.forms import FactorPowers, constant_term, generator_series
 from qgap.series import DefectError, QSeries, ReachError
 from qgap.verdict import Verdict
@@ -323,7 +322,7 @@ def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
 _FILTER_RE = re.compile(
     r"^\s*(?P<var>[A-Za-z_]\w*)\s*(?:"
     r"(?P<parity>odd|even)"
-    r"|%\s*(?P<mod>\d+)\s*(?P<op>==|!=|in)\s*(?P<rhs>[\d,\s{}]+)"
+    r"|%\s*(?P<mod>\d+)\s*(?:(?P<op>==|!=)\s*(?P<rhs>\d+)|in\s*(?P<set>[\d,\s{}]+))"
     r")\s*$"
 )
 
@@ -331,7 +330,8 @@ _FILTER_RE = re.compile(
 def _parse_filter(filt, names) -> tuple[str, int, frozenset, bool]:
     """(variable, modulus, residues, negate): the filter holds for env when
     (env[variable] % modulus in residues) != negate.  ValueError on bad
-    syntax, a zero modulus, or a variable not among ``names``."""
+    syntax, a zero modulus, no residue, a residue not below the modulus,
+    or a variable not among ``names``."""
     m = _FILTER_RE.match(filt) if isinstance(filt, str) else None
     if not m:
         raise ValueError(f"unsupported filter syntax: {filt!r}")
@@ -343,9 +343,10 @@ def _parse_filter(filt, names) -> tuple[str, int, frozenset, bool]:
     mod = int(m.group("mod"))
     if mod == 0:
         raise ValueError(f"filter {filt!r} has modulus 0")
-    rhs = [int(x) for x in re.findall(r"\d+", m.group("rhs"))]
-    op = m.group("op")
-    return var, mod, frozenset(rhs if op == "in" else rhs[:1]), op == "!="
+    residues = frozenset(int(x) for x in re.findall(r"\d+", m.group("set") or m.group("rhs")))
+    if not residues or max(residues) >= mod:
+        raise ValueError(f"filter {filt!r} needs residues in 0..{mod - 1}, got {sorted(residues)}")
+    return var, mod, residues, m.group("op") == "!="
 
 
 def _expand_range(spec) -> list[int]:
@@ -358,103 +359,44 @@ def _expand_range(spec) -> list[int]:
     raise ValueError(f"range must be [lo, hi] or [lo, hi, step] of integers, got {spec!r}")
 
 
-def _family_tasks(fam) -> list[tuple[str, tuple, dict, str]]:
-    """(template, parameter tuple, field values, expression text) for each
-    instance of one survey family; ValueError when the family is malformed,
-    checked before any instance is built."""
+def _family_tasks(fam) -> tuple[Template, list[dict]]:
+    """The parsed template of one survey family and the field values of
+    each instance, each listing its fields in sorted order; ValueError when
+    the family is malformed, checked before any instance is built."""
     if not isinstance(fam, dict) or not isinstance(fam.get("template"), str):
         raise ValueError("a family is an object with a string 'template'")
-    template, ranges, filters = fam["template"], fam.get("ranges", {}), fam.get("filters", [])
+    ranges, filters = fam.get("ranges", {}), fam.get("filters", [])
     if not isinstance(ranges, dict) or not isinstance(filters, list):
         raise ValueError("'ranges' must be an object and 'filters' a list")
-    fields = {name for _, name, _, _ in Formatter().parse(template) if name is not None}
-    missing = sorted(fields - set(ranges))
-    if missing:
-        raise ValueError(f"template {template!r} names {missing}, absent from 'ranges'")
+    template = parse_template(fam["template"])
+    if set(ranges) != set(template.fields):
+        raise ValueError(f"template {template.text!r} names {sorted(template.fields)}, "
+                         f"'ranges' names {sorted(ranges)}")
     names = sorted(ranges)
     preds = [_parse_filter(f, names) for f in filters]
     values = [_expand_range(ranges[n]) for n in names]
-    tasks = []
-    for combo in itertools.product(*values):
-        env = dict(zip(names, combo))
-        if all((env[var] % mod in res) != neg for var, mod, res, neg in preds):
-            tasks.append((template, combo, env, template.format(**env)))
-    return tasks
+    envs = (dict(zip(names, combo)) for combo in itertools.product(*values))
+    return template, [env for env in envs
+                      if all((env[var] % mod in res) != neg for var, mod, res, neg in preds)]
 
 
-def _instantiate(config: dict) -> list[tuple[str, list[tuple[dict, str]]]]:
-    """(template, [(field values, expression text), ...]) for every
-    template, with the instances of all its families sorted
-    lexicographically by template then parameters.  A malformed config
-    raises ValueError naming the index of the family at fault."""
+def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
+    """(template, [field values, ...]) for every template, in lexicographic
+    order of its text, with the instances of all its families sorted by
+    their parameters.  A malformed config raises ValueError naming the
+    index of the family at fault, before any form is evaluated."""
     families = config.get("families", []) if isinstance(config, dict) else None
     if not isinstance(families, list):
         raise ValueError("a survey config is an object with a 'families' list")
-    tasks = []
+    batches = {}
     for i, fam in enumerate(families):
         try:
-            tasks.extend(_family_tasks(fam))
+            template, envs = _family_tasks(fam)
         except ValueError as exc:
             raise ValueError(f"survey family {i}: {exc}") from None
-    tasks.sort(key=lambda t: (t[0], t[1]))
-    return [(template, [(env, text) for _, _, env, text in group])
-            for template, group in itertools.groupby(tasks, key=lambda t: t[0])]
-
-
-#: A template field that fills a whole exponent: right after '^' or '^-',
-#: and followed by '*', whitespace or the end of the template.
-_EXPONENT_SLOT = re.compile(r"\^(-?)\{(\w+)\}(?=[\s*]|$)")
-
-
-def _exponent_slots(template: str) -> dict[str, int]:
-    """field -> sign (+1 or -1) of each exponent slot whose field occurs
-    nowhere else in ``template``."""
-    fields = [name for _, name, _, _ in Formatter().parse(template) if name is not None]
-    return {name: -1 if minus else 1
-            for minus, name in _EXPONENT_SLOT.findall(template) if fields.count(name) == 1}
-
-
-def _skeleton(template: str, env: dict, slots: dict[str, int], marker: int):
-    """The factors of ``template`` as (generator, exponent, slot or None),
-    parsed with the i-th exponent slot set to marker + i; None when that
-    text does not parse."""
-    marks = {name: marker + i for i, name in enumerate(slots)}
-    try:
-        expr = parse_expr(template.format(**{**env, **marks}))
-    except ValueError:
-        return None
-    slot_of = {m: name for name, m in marks.items()}
-    return tuple((gen, e, slot_of.get(abs(e))) for gen, e in expr.factors)
-
-
-def _template_exprs(template: str, instances) -> list[FormExpr]:
-    """The parsed form of each (field values, text) instance of
-    ``template``, parsing each distinct generator set once.
-
-    The exponent slots (``_EXPONENT_SLOT``) are left out of the parse: the
-    text with the other fields filled in is parsed with a marker in each
-    slot, larger than any integer the rest of the text holds, and each
-    instance puts its own exponent where its marker stands.  An instance no
-    marker can stand for (a zero exponent, or a value below 1 after '^-')
-    or whose generator set does not parse is parsed from its own text, so
-    it gets the parser's own result or error."""
-    slots = _exponent_slots(template)
-    skeletons = {}
-    exprs = []
-    for env, text in instances:
-        skeleton = None
-        if all(env[name] > 0 or (sign > 0 and env[name] != 0) for name, sign in slots.items()):
-            bare = template.format(**{**env, **dict.fromkeys(slots, "")})
-            if bare not in skeletons:
-                skeletons[bare] = _skeleton(template, env, slots, 10 ** len(bare))
-            skeleton = skeletons[bare]
-        if skeleton is None:
-            exprs.append(parse_expr(text))
-        else:
-            exprs.append(FormExpr(tuple(
-                (gen, e if slot is None else slots[slot] * env[slot])
-                for gen, e, slot in skeleton), text=text))
-    return exprs
+        batches.setdefault(template.text, (template, []))[1].extend(envs)
+    return [(template, sorted(envs, key=lambda env: tuple(env.values())))
+            for _, (template, envs) in sorted(batches.items())]
 
 
 def _survey_family(exprs: list[FormExpr]) -> list[SurveyRecord]:
@@ -479,11 +421,12 @@ def _survey_record(expr: FormExpr, powers: FactorPowers) -> SurveyRecord:
 def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
     """Instantiate every family in the config, classify each form, and
     collect the records in deterministic (template, parameters) order.
-    The forms of one template are one batch, parsed in this process (a
-    bad template is a ValueError here, never in a worker), and ``jobs`` > 1
+    Every template is parsed before any form is evaluated; the forms of
+    one template are one batch, bound in this process when it is reached (a
+    bad instance is a ValueError here, never in a worker), and ``jobs`` > 1
     hands whole batches to worker processes."""
     templates = _instantiate(config)
-    families = (_template_exprs(template, instances) for template, instances in templates)
+    families = ([template(env) for env in envs] for template, envs in templates)
     if jobs > 1 and len(templates) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

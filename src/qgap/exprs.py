@@ -1,4 +1,4 @@
-"""Parser for the monomial expression grammar.
+"""Parser for the monomial expression grammar and its survey templates.
 
     expr := term (('*' | whitespace) term)*
     term := gen ('^' signed-integer)?
@@ -10,32 +10,26 @@ its syntax with an integer in each slot (``({N},inf,{k})`` reads
 as ``Delta``.
 Whitespace-insensitive; a missing exponent means 1; exponents must be
 nonzero.  Errors carry the offending position and what was expected.
+
+A template has a ``{field}`` wherever the grammar reads an integer, signed
+or not in an exponent (``G({k})*Delta^-{a}``); ``parse_expr`` reads with
+the same scanner, admitting no field.
 """
 
 from __future__ import annotations
 
 import re
-from string import Formatter
+from typing import NamedTuple
 
 from qgap.catalog import KINDS, FormExpr, Generator
 
-__all__ = ["ParseError", "parse_expr"]
+__all__ = ["ParseError", "Template", "parse_expr", "parse_template"]
 
 
-def _steps(name: str, syntax: str) -> tuple[tuple[str | None, str | None], ...]:
-    """The syntax after ``name`` as (literal, expected) steps; (None, None)
-    is an integer slot."""
-    steps = []
-    for literal, slot, _, _ in Formatter().parse(syntax):
-        for token in re.findall(r"\w+|\S", literal):
-            steps.append((token, f"'{token}'" + (f" after {name}" if not steps else "")))
-        if slot:
-            steps.append((None, None))
-    return tuple(steps)
-
-
+_FIELD = re.compile(r"\{([A-Za-z_]\w*)\}")
 _NAME = re.compile("|".join(map(re.escape, sorted(KINDS, key=len, reverse=True))))
-_STEPS = {name: _steps(name, kind.syntax) for name, kind in KINDS.items()}
+#: The syntax after each name as tokens: a field is an integer slot.
+_TOKENS = {name: re.findall(r"\{\w+\}|\w+|\S", kind.syntax) for name, kind in KINDS.items()}
 _EXPECTED_NAME = ("a generator name (one of "
                   + ", ".join(kind.shape for kind in KINDS.values()) + ")")
 
@@ -48,10 +42,20 @@ class ParseError(ValueError):
         self.expected = expected
 
 
+class _Field(NamedTuple):
+    """A field in an integer slot, after ``sign`` ('+', '-' or ''); the
+    slot is an exponent when ``signed``, else a generator parameter."""
+
+    name: str
+    sign: str
+    signed: bool
+
+
 class _Scanner:
-    def __init__(self, text: str):
+    def __init__(self, text: str, fields: bool = False):
         self.text = text
         self.pos = 0
+        self.fields = [] if fields else None  # None: fields are not admitted
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -68,25 +72,28 @@ class _Scanner:
             return True
         return False
 
-    def expect(self, literal: str, expected: str):
-        if not self.take(literal):
-            raise ParseError(self.text, self.pos, expected)
-
-    def integer(self, signed: bool = False) -> int:
+    def integer(self, signed: bool = False) -> int | _Field:
         self.skip_ws()
         start = self.pos
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
+        field = _FIELD.match(self.text, digits) if self.fields is not None else None
+        if field:
+            self.pos = field.end()
+            self.fields.append(field[1])
+            return _Field(field[1], self.text[start:digits], signed)
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == digits:
             raise ParseError(self.text, self.pos,
-                             "a signed integer" if signed else "an integer")
+                             ("a signed integer" if signed else "an integer")
+                             + (" or a {field}" if self.fields is not None else ""))
         return int(self.text[start:self.pos])
 
 
-def _parse_generator(sc: _Scanner) -> Generator:
+def _parse_generator(sc: _Scanner) -> Generator | tuple[str, tuple]:
+    """The next generator; (name, parameters) when a parameter is a field."""
     sc.skip_ws()
     start = sc.pos
     match = _NAME.match(sc.text, start)
@@ -95,20 +102,20 @@ def _parse_generator(sc: _Scanner) -> Generator:
     name = match[0]
     sc.pos = match.end()
     params = []
-    for literal, expected in _STEPS[name]:
-        if literal is None:
+    for i, token in enumerate(_TOKENS[name]):
+        if token[0] == "{":
             params.append(sc.integer())
-        else:
-            sc.expect(literal, expected)
+        elif not sc.take(token):
+            raise ParseError(sc.text, sc.pos, f"'{token}'" + (f" after {name}" if i == 0 else ""))
+    if any(isinstance(p, _Field) for p in params):
+        return name, tuple(params)
     try:
         return Generator(name, tuple(params))
     except ValueError as exc:
         raise ParseError(sc.text, start, f"a valid generator ({exc})") from None
 
 
-def parse_expr(text: str) -> FormExpr:
-    """Parse an expression like 'G(4)^2 * Delta^-1' into a FormExpr."""
-    sc = _Scanner(text)
+def _factors(sc: _Scanner) -> tuple:
     factors = []
     while True:
         gen = _parse_generator(sc)
@@ -117,11 +124,58 @@ def parse_expr(text: str) -> FormExpr:
             pos = sc.pos
             exponent = sc.integer(signed=True)
             if exponent == 0:
-                raise ParseError(text, pos, "a nonzero exponent")
+                raise ParseError(sc.text, pos, "a nonzero exponent")
         factors.append((gen, exponent))
         if sc.at_end():
-            break
+            return tuple(factors)
         sc.take("*")
         if sc.at_end():
-            raise ParseError(text, sc.pos, "a term after '*'")
-    return FormExpr(tuple(factors), text=text)
+            raise ParseError(sc.text, sc.pos, "a term after '*'")
+
+
+def parse_expr(text: str) -> FormExpr:
+    """Parse an expression like 'G(4)^2 * Delta^-1' into a FormExpr."""
+    return FormExpr(_factors(_Scanner(text)), text=text)
+
+
+class Template(NamedTuple):
+    """A parsed template: ``factors`` as in a FormExpr, with a ``_Field``
+    in each slot a field fills and (name, parameters) for a generator with
+    a field among its parameters; ``fields`` in order of first use."""
+
+    text: str
+    factors: tuple
+    fields: tuple[str, ...]
+
+    def __call__(self, env) -> FormExpr:
+        """The FormExpr that ``parse_expr(self.text.format(**env))`` reads,
+        with the same text.  Where a value cannot stand in its slot, the
+        text is re-read by ``parse_expr``, which raises its own error."""
+        text = self.text.format(**env)
+        try:
+            return FormExpr(tuple(
+                (gen if isinstance(gen, Generator)
+                 else Generator(gen[0], tuple(_fill(p, env) for p in gen[1])),
+                 _fill(e, env))
+                for gen, e in self.factors), text=text)
+        except ValueError:
+            return parse_expr(text)
+
+
+def _fill(slot: int | _Field, env) -> int:
+    """The integer in ``slot``; ValueError where the text reads none: a
+    sign before a negative value, or a negative parameter."""
+    if not isinstance(slot, _Field):
+        return slot
+    v = env[slot.name]
+    if v < 0 and (slot.sign or not slot.signed):
+        raise ValueError(f"{slot.sign}{v} is no integer in this slot")
+    return -v if slot.sign == "-" else v
+
+
+def parse_template(template: str) -> Template:
+    """Parse a survey template like 'G({k})*Einf4^-{b}' once; ParseError
+    at the template position where it leaves the grammar."""
+    sc = _Scanner(template, fields=True)
+    factors = _factors(sc)
+    return Template(template, factors, tuple(dict.fromkeys(sc.fields)))

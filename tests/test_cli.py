@@ -142,7 +142,7 @@ class TestSurvey:
         ]}))
         code, out, err = run(capsys, "survey", str(cfg), "--jobs", "2")
         assert (code, out) == (2, "")
-        assert err.startswith("error: position 9: expected a valid generator")
+        assert err.startswith("error: survey family 1: position 11: expected a valid generator")
 
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -161,6 +161,16 @@ class TestSurvey:
         assert code == 2
         assert err.startswith("error: survey family 1: ") and "'b'" in err
 
+    def test_range_key_missing_from_template_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}},
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 3], "b": [1, 2]}},
+        ]}))
+        code, out, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error: survey family 1: ") and "'b'" in err
+
     def test_empty_range_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"families": [
@@ -172,7 +182,11 @@ class TestSurvey:
         assert out == "" and err.startswith("error: survey family 1: ")
         assert "empty" in err
 
-    @pytest.mark.parametrize("filt, word", [("b odd", "'b'"), ("a % 0 == 1", "modulus 0")])
+    @pytest.mark.parametrize("filt, word", [
+        ("b odd", "'b'"), ("a % 0 == 1", "modulus 0"), ("a % 3 == 1, 2", "unsupported"),
+        ("a % 3 in ,", "got []"), ("a % 3 in {}", "got []"), ("a % 3 == 7", "got [7]"),
+        ("a % 3 in 0, 5", "got [0, 5]"),
+    ])
     def test_bad_filter_exit_2_even_when_nothing_survives(self, tmp_path, capsys, filt, word):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"families": [

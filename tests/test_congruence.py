@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap import congruence
+from qgap import congruence, exprs
 from qgap.arith import INFINITE, ord_p
 from qgap.catalog import KINDS, Generator
-from qgap.exprs import parse_expr
+from qgap.exprs import ParseError, parse_expr, parse_template
 from qgap.congruence import (
     classify_expr,
     delta_pn_compare,
@@ -290,9 +290,9 @@ def parse_or_error(text):
 
 
 class TestTemplateParsing:
-    """A survey parses each generator set of a template once and puts each
-    instance's exponents in; every instance must read as its own text
-    does, errors included."""
+    """A survey parses each template once and binds each instance's field
+    values; every instance must read as its own text does, errors
+    included, and a template outside the grammar is rejected when parsed."""
 
     TEMPLATES = [
         "G(4)^{a}*Einf4^-{b}", "G({k})*Einf4^-{b}", "Delta^{a}", "Delta^-{a}",
@@ -301,35 +301,46 @@ class TestTemplateParsing:
         "Delta^{a}*", "E(3,inf,{k})^-{a}", "j^{a}*Delta^-{b}*G(4)^{k}",
         "Delta^{a}5", "Delta^{a:d}", "G(4)^1{a}", "G(10)^-{a}*phi(3)^-{b}",
     ]
+    #: template -> the position where ``parse_template`` rejects it
+    REJECTED = {"Delta^{a}{b}": 9, "Delta^-{a}*G(3)": 11, "Delta^{a}*": 10,
+                "Delta^{a}5": 9, "Delta^{a:d}": 6, "G(4)^1{a}": 6}
 
     @pytest.mark.parametrize("template", TEMPLATES)
     def test_instances_read_as_their_own_text(self, template):
+        if template in self.REJECTED:
+            with pytest.raises(ParseError) as exc:
+                parse_template(template)
+            assert exc.value.pos == self.REJECTED[template]
+            return
         fields = sorted({f for _, f, _, _ in Formatter().parse(template) if f})
+        bind = parse_template(template)
+        assert sorted(bind.fields) == fields
         values = {"a": range(-2, 4), "b": range(-1, 3), "k": range(-2, 9, 2)}
-        instances = []
         for combo in itertools.product(*(values[f] for f in fields)):
             env = dict(zip(fields, combo))
-            instances.append((env, template.format(**env)))
-        want = [parse_or_error(text) for _, text in instances]
-        for instance, expected in zip(instances, want):
             try:
-                got = congruence._template_exprs(template, [instance])[0]
+                got = bind(env)
             except ValueError as exc:
                 got = f"{type(exc).__name__}: {exc}"
-            assert got == expected
-        valid = [inst for inst, w in zip(instances, want) if not isinstance(w, str)]
-        assert congruence._template_exprs(template, valid) == [
-            w for w in want if not isinstance(w, str)]
+            assert got == parse_or_error(template.format(**env))
 
     def test_one_parse_per_generator_set(self, monkeypatch):
-        calls = []
-        real = congruence.parse_expr
-        monkeypatch.setattr(congruence, "parse_expr",
-                            lambda text: calls.append(text) or real(text))
+        """One template parse per family; a valid instance is bound without
+        a parse, and only an instance that cannot bind is parsed."""
+        templates, calls = [], []
+        real_template, real_expr = congruence.parse_template, exprs.parse_expr
+        monkeypatch.setattr(congruence, "parse_template",
+                            lambda text: templates.append(text) or real_template(text))
+        for module in (congruence, exprs):
+            monkeypatch.setattr(module, "parse_expr",
+                                lambda text: calls.append(text) or real_expr(text))
         cfg = {"families": [{"template": "G({k})*Einf4^-{b}",
                              "ranges": {"k": [4, 8, 2], "b": [1, 10]}}]}
         assert len(run_survey(cfg).records) == 30
-        assert len(calls) == 3
+        assert (templates, calls) == (["G({k})*Einf4^-{b}"], [])
+        with pytest.raises(ParseError, match=r"G\(3\)"):
+            real_template("G({k})*Einf4^-{b}")({"k": 3, "b": 1})
+        assert calls == ["G(3)*Einf4^-1"]
 
 
 class TestSurveyPlan:
@@ -339,12 +350,13 @@ class TestSurveyPlan:
             {"template": "Delta^-{a}", "ranges": {"a": [1, 3]}},
             {"template": "E(2,inf,{k})^-{a}", "ranges": {"k": [6, 14, 4], "a": [1, 3]}},
         ]}
-        families = congruence._instantiate(cfg)
-        assert [t for t, _ in families] == ["Delta^-{a}", "E(2,inf,{k})^-{a}"]
-        texts = [text for _, insts in families for _, text in insts]
-        assert texts == [t for _, _, _, t in sorted(
-            (task for fam in cfg["families"] for task in congruence._family_tasks(fam)),
-            key=lambda t: (t[0], t[1]))]
+        batches = congruence._instantiate(cfg)
+        assert [t.text for t, _ in batches] == ["Delta^-{a}", "E(2,inf,{k})^-{a}"]
+        texts = [str(template(env)) for template, envs in batches for env in envs]
+        # (a, k) order: both E families interleave within one batch
+        assert texts == [f"Delta^-{a}" for a in range(1, 4)] + [
+            f"E(2,inf,{k})^-{a}" for a in range(1, 5) for k in range(6, 17, 2)
+            if k % 4 == 0 or a <= 3]
         records = run_survey(cfg).records
         assert [r.expr for r in records] == texts
         assert [r.c0 for r in records] == [classify_expr(t).c0 for t in texts]

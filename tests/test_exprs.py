@@ -1,9 +1,13 @@
+import itertools
 import re
+from string import Formatter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgap.catalog import KINDS, FormExpr, Generator
-from qgap.exprs import ParseError, parse_expr
+from qgap.exprs import ParseError, parse_expr, parse_template
 
 
 class TestParsing:
@@ -154,3 +158,63 @@ def test_unknown_name_message_lists_every_kind():
         parse_expr("Zeta")
     for spec in KINDS.values():
         assert spec.shape in str(exc.value)
+
+
+#: The parameter tuples below 30 that each kind accepts.
+VALID_PARAMS = {name: [p for p in itertools.product(range(30), repeat=len(kind.slots))
+                       if kind.check(*p) is None] for name, kind in KINDS.items()}
+FIELDS = ("a", "b", "k")
+
+
+@st.composite
+def templates(draw):
+    """A random in-grammar template and the fields it names: each integer
+    is a literal or a field (fields may repeat), an exponent may carry a
+    sign, and whitespace falls between tokens."""
+    used = set()
+
+    def ws():
+        return draw(st.sampled_from(["", " ", "  ", "\t"]))
+
+    def integer(literal):
+        if draw(st.booleans()):
+            return str(literal)
+        used.add(name := draw(st.sampled_from(FIELDS)))
+        return "{" + name + "}"
+
+    template = ""
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(list(KINDS)))
+        params = iter(draw(st.sampled_from(VALID_PARAMS[kind])))
+        text = (draw(st.sampled_from(["*", " * ", " ", "\t"])) if i else "") + ws() + kind
+        for literal, slot, _, _ in Formatter().parse(KINDS[kind].syntax):
+            text += "".join(ws() + token for token in re.findall(r"\w+|\S", literal))
+            if slot:
+                text += ws() + integer(next(params))
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from(["", "+", "-"]))
+            text += ws() + "^" + ws() + sign + integer(draw(st.integers(1, 40)))
+        template += text + ws()
+    return template, used
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(templates(), st.fixed_dictionaries({f: st.integers(-6, 40) for f in FIELDS}))
+def test_template_binds_as_its_formatted_text_parses(drawn, env):
+    template, used = drawn
+    bind = parse_template(template)
+    assert set(bind.fields) == used
+    try:
+        want = parse_expr(template.format(**env))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bind(env)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        got = bind(env)
+        assert got == want and str(got) == str(want)
+
+
+def test_parse_expr_admits_no_field():
+    with pytest.raises(ParseError, match="position 6: expected a signed integer, found '{'"):
+        parse_expr("Delta^{a}")
