@@ -33,14 +33,15 @@ template once and binds each instance's field values to a form, and every
 form reads its factor powers from one ``forms.FactorPowers`` table.  Worker
 processes (``jobs`` > 1) take whole batches.
 
-The section 3.3 tables report p-adic orders only.  j, Delta and 1/Delta
-(at most about 250 digits a coefficient) are exact expansions; the orders
-of 1/j, whose coefficients reach thousands of digits, come from 1/j
-computed mod M = 2^96 * 3^60 * 5^40.  A residue with ord_p < K_p gives the
-exact order.  A residue that is 0 mod p^K_p falls back to the exact
-``j.invert()`` for that row, so a true zero still reads ``inf`` and no
-order is guessed.  The residue table has the valuation and reach of the
-exact inverse: exactness and reach are unchanged.
+The section 3.3 tables report p-adic orders only, and read every order at
+p from residues mod p^K_p (``_RESIDUE_EXPONENTS``): j, Delta^-1 and 1/j are
+built mod p^K_p from the exact Delta and G4 by a packed product (Kronecker
+substitution) and a Newton inverse, and ord_p(tau(n)) comes from the exact
+Delta.  A nonzero residue gives the exact order.  A residue that is 0 mod
+p^K_p falls back to the exact series for that row (``generator_series`` of
+j or T(14), or ``j.invert()``), built on first need, so a true zero still
+reads ``inf`` and no order is guessed.  Each residue series has the
+valuation and reach of the exact one: exactness and reach are unchanged.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
-from operator import mul
+from functools import cached_property, lru_cache
 
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import FormExpr, Generator
@@ -319,10 +319,14 @@ def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
 
 # -- survey runner -------------------------------------------------------------
 
+#: The residues after ``in``: a comma list, bare or in one pair of braces.
+#: An empty list (``,`` or ``{}``) is read, then refused for having none.
+_RESIDUE_LIST = r"\d+(?:\s*,\s*\d+)*"
 _FILTER_RE = re.compile(
-    r"^\s*(?P<var>[A-Za-z_]\w*)\s*(?:"
-    r"(?P<parity>odd|even)"
-    r"|%\s*(?P<mod>\d+)\s*(?:(?P<op>==|!=)\s*(?P<rhs>\d+)|in\s*(?P<set>[\d,\s{}]+))"
+    r"^\s*(?P<var>[A-Za-z_]\w*)(?:"
+    r"\s+(?P<parity>odd|even)"
+    r"|\s*%\s*(?P<mod>\d+)\s*(?:(?P<op>==|!=)\s*(?P<rhs>\d+)"
+    rf"|in\s*(?P<set>{_RESIDUE_LIST}|\{{\s*(?:{_RESIDUE_LIST})?\s*\}}|,))"
     r")\s*$"
 )
 
@@ -476,79 +480,135 @@ def render_summary(report: SurveyReport) -> str:
 # -- section 3.3 style tables: j vs 1/Delta, 1/j vs Delta, Lehner -------------
 
 
-#: (p, K_p): the orders of 1/j are read mod M = 2^96 * 3^60 * 5^40.  The
-#: largest orders to n = 4096 are 36, 14 and 5, so the exact fallback in
-#: ``_InverseOrders`` stays cold on the paper's tables.
-_RESIDUE_EXPONENTS = ((2, 96), (3, 60), (5, 40))
-
-#: T(14) is Delta^-1: the cache entry the j expansion reads too.
-_DELTA_INVERSE = Generator("T", (14,))
+#: (p, K_p): every section 3.3 order at p is read from residues mod p^K_p.
+#: The largest orders to n = 4096 are 44, 17, 7, 5 (j), 17, 10, 7, 6
+#: (Delta^-1) and 36, 14, 5 (1/j), so the exact fallback stays cold.
+_RESIDUE_EXPONENTS = ((2, 64), (3, 40), (5, 28), (7, 23))
 
 
-def _inverse_mod(u: QSeries, modulus: int) -> QSeries:
-    """1/u with every coefficient reduced mod ``modulus``, on the valuation
-    and window of ``u.invert()``.  The inverse branch of Miller's recurrence
-    (``QSeries._power``) divides only by u_0:
+def _mul_mod(a: list, b: list, m: int, n: int) -> list:
+    """The first n coefficients of a*b mod m, for residue lists a, b with
+    entries in [0, m).  Kronecker substitution: each list is packed into
+    one int, a slot of 2*bits(m - 1) + bits(n) bits per coefficient (a
+    coefficient of the product is at most n*(m - 1)^2), and one int product
+    holds every coefficient.  Bytes, not ``str``, carry the packing, so
+    the int-to-str digit cap never applies."""
+    s = (2 * (m - 1).bit_length() + n.bit_length() + 7) // 8
 
-        b_k = -u_0^-1 * sum_{i=1..k} u_i * b_{k-i}  (mod modulus),
+    def pack(c):
+        return int.from_bytes(b"".join(x.to_bytes(s, "little") for x in c[:n]), "little")
 
-    so u needs int coefficients and a leading coefficient prime to the
-    modulus; anything else is a DefectError."""
-    c = u.coefficients()
-    if not c:
+    buf = (pack(a) * pack(b)).to_bytes(2 * s * n, "little")
+    return [int.from_bytes(buf[i:i + s], "little") % m for i in range(0, s * n, s)]
+
+
+def _inverse_mod(u: list, m: int) -> list:
+    """1/u mod m to len(u) coefficients, for a residue list u whose leading
+    coefficient is a unit mod m (else DefectError).  Newton doubling: with
+    b = 1/u below q^k, u*b - 1 vanishes below q^k, and b - b*(u*b - 1) is
+    1/u below q^2k."""
+    if not u:
         raise ZeroDivisionError("cannot invert a series that is zero up to reach")
-    if any(type(x) is not int for x in c):
-        raise DefectError("a residue inverse needs integer coefficients")
     try:
-        inv0 = pow(c[0], -1, modulus)
+        b = [pow(u[0], -1, m)]
     except ValueError:
-        raise DefectError(
-            f"leading coefficient {c[0]} is not a unit mod {modulus}") from None
-    r = [x % modulus for x in c]
-    b = [inv0]
-    for k in range(1, len(r)):
-        b.append(-inv0 * sum(map(mul, r[1:k + 1], reversed(b))) % modulus)
-    return QSeries(-u.valuation, b)
+        raise DefectError(f"leading coefficient {u[0]} is not a unit mod {m}") from None
+    while len(b) < len(u):
+        k, k2 = len(b), min(2 * len(b), len(u))
+        e = _mul_mod(u, b, m, k2)[k:]
+        b += [-x % m for x in _mul_mod(b, e, m, k2 - k)]
+    return b
 
 
-class _InverseOrders:
-    """ord_p of the coefficients of 1/u for each (p, K_p) in ``exponents``,
-    read from 1/u mod M = prod p^K_p.  A residue r with ord_p(r) < K_p
-    agrees with the exact coefficient mod p^K_p, so its order is exact.  A
-    residue that is 0 mod p^K_p (an order of K_p or more, or an exact zero)
-    is read from the exact ``u.invert()`` instead, built on first need.
-    Reading at or beyond the reach of ``u.invert()`` raises ReachError."""
+class _Orders:
+    """ord_p of the coefficients of one series, read from its residues mod
+    p^K on the valuation and window of the exact series.  A nonzero residue
+    r agrees with the exact coefficient mod p^K, so ord_p(r) < K is exact;
+    only these orders are kept, one byte each.  A residue that is 0 mod p^K
+    (an order of K or more, or an exact zero) is read from the exact series
+    instead, built by ``exact`` on first need.  Reading at or beyond reach
+    raises ReachError, as on the exact series."""
 
-    def __init__(self, u: QSeries, exponents=_RESIDUE_EXPONENTS):
-        self._u = u
-        self._bounds = dict(exponents)
+    def __init__(self, valuation: int, residues: list, p: int, k: int, exact):
+        self._val, self._reach = valuation, valuation + len(residues)
+        self._orders = bytes(ord_p(r, p) if r else k for r in residues)
+        self._p, self._k = p, k
+        self._build_exact = exact
         self._exact = None
-        self.residues = _inverse_mod(u, prod(p**k for p, k in exponents))
 
-    def ord(self, n: int, p: int):
-        o = ord_p(self.residues.coeff(n), p)
-        if o < self._bounds[p]:
+    def ord(self, n: int):
+        if n >= self._reach:
+            raise ReachError(f"coefficient of q^{n} is beyond the justified reach {self._reach}")
+        if n < self._val:
+            return INFINITE
+        o = self._orders[n - self._val]
+        if o < self._k:
             return o
         if self._exact is None:
-            self._exact = self._u.invert()
-        return ord_p(self._exact.coeff(n), p)
+            self._exact = self._build_exact()
+        return ord_p(self._exact.coeff(n), self._p)
+
+
+class _TableResidues:
+    """The orders at p of j, Delta^-1 and 1/j at one window, read from
+    residues mod m = p^K built from two exact inputs, Delta
+    (``product_expand``) and G4 (the divisor sieve):
+
+        Delta^-1 = inv(Delta/q) / q,  j = G4^3 * Delta^-1,
+        1/j = q * (Delta/q) * inv(G4^3),
+
+    where inv is ``_inverse_mod``.  Each series has the valuation and window
+    of its exact expansion, which is its fallback.  Only 1/j reads
+    inv(G4^3); it is built on first read."""
+
+    def __init__(self, p: int, k: int, window: int):
+        self.p, self.k, self.m, self.window = p, k, p**k, window
+        g = self._mod(Generator("G", (4,)))
+        self._g4_cubed = _mul_mod(_mul_mod(g, g, self.m, window), g, self.m, window)
+        d_inv = _inverse_mod(self._mod(Generator("Delta")), self.m)
+        # T(14) is Delta^-1
+        self.delta_inverse = self._orders(-1, d_inv,
+                                          lambda: generator_series(Generator("T", (14,)), window))
+        self.j = self._orders(-1, _mul_mod(self._g4_cubed, d_inv, self.m, window),
+                              lambda: generator_series(Generator("j"), window))
+
+    def _mod(self, gen: Generator) -> list:
+        return [c % self.m for c in generator_series(gen, self.window).coefficients()]
+
+    def _orders(self, valuation: int, residues: list, exact) -> _Orders:
+        return _Orders(valuation, residues, self.p, self.k, exact)
+
+    @cached_property
+    def inverse_j(self) -> _Orders:
+        res = _mul_mod(self._mod(Generator("Delta")), _inverse_mod(self._g4_cubed, self.m),
+                       self.m, self.window)
+        return self._orders(1, res, lambda: generator_series(Generator("j"), self.window).invert())
+
+
+_residues_at = lru_cache(maxsize=None)(_TableResidues)
+
+
+def _residues(p: int, n_max: int) -> _TableResidues:
+    """The residues mod p^K_p that a table to ``n_max`` reads (window
+    n_max + 2), shared by every table of one process."""
+    return _residues_at(p, dict(_RESIDUE_EXPONENTS)[p], n_max + 2)
 
 
 def delta_pn_compare(p: int, n_max: int) -> list[dict]:
     """Rows for delta_{p,n} = ord_p(c_n[j]) - ord_p(c_n[1/Delta]), n = -1 and
     1..n_max.  Predictions: p=2 even n: 3*ord_2(n)+1; p=3: 2*ord_3(n) when
     3|n, -1 when n=1 mod 3; p=5 (n>=5, 5|n): ord_5(n) with mismatches flagged
-    EXCEPTION rather than failed."""
+    EXCEPTION rather than failed.  Both orders come from residues mod p^K_p
+    (``_TableResidues``)."""
     if p not in (2, 3, 5):
         raise ValueError(f"delta_pn_compare supports p in {{2,3,5}}, got {p}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    j = generator_series(Generator("j"), n_max + 2)
-    inv_d = generator_series(_DELTA_INVERSE, n_max + 2)
+    res = _residues(p, n_max)
     rows = []
     for n in [-1, *range(1, n_max + 1)]:
-        oj = ord_p(j.coeff(n), p)
-        od = ord_p(inv_d.coeff(n), p)
+        oj = res.j.ord(n)
+        od = res.delta_inverse.ord(n)
         diff = oj - od if INFINITE not in (oj, od) else INFINITE
         predicted = None
         verdict = Verdict.RECORDED
@@ -577,17 +637,17 @@ def delta_pn_compare(p: int, n_max: int) -> list[dict]:
 def reciprocal_compare(n_max: int) -> list[dict]:
     """Rows checking ord_p(c_n[1/j]) = ord_p(c_n[Delta]) for p = 2, 3 over
     1 <= n <= n_max, and for p = 5 when n is not 3 or 4 mod 5 (asserted only
-    on n <= 1225, recorded beyond).  The 1/j orders come from residues
-    mod prod p^K_p over ``_RESIDUE_EXPONENTS`` (``_InverseOrders``)."""
+    on n <= 1225, recorded beyond).  The orders of 1/j come from its
+    residues mod p^K_p (``_TableResidues``), those of tau(n) from the exact
+    Delta."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     d = generator_series(Generator("Delta"), n_max + 2)
-    inv_j = _InverseOrders(generator_series(Generator("j"), n_max + 2),
-                           _RESIDUE_EXPONENTS)
+    inv_j = {p: _residues(p, n_max).inverse_j for p in (2, 3, 5)}
     rows = []
     for n in range(1, n_max + 1):
         for p in (2, 3, 5):
-            oj = inv_j.ord(n, p)
+            oj = inv_j[p].ord(n)
             od = ord_p(d.coeff(n), p)
             if p == 5:
                 applicable = n % 5 not in (3, 4)
@@ -617,10 +677,11 @@ _LEHNER_BOUND = {
 def lehner_check(n_max: int) -> list[dict]:
     """For every argument m <= n_max divisible by p in {2,3,5,7} with
     a = ord_p(m), check ord_p(c_m[j]) against the classical Lehner lower
-    bounds 3a+8 / 2a+3 / a+1 / a."""
+    bounds 3a+8 / 2a+3 / a+1 / a, reading ord_p(c_m[j]) from the residues
+    of j mod p^K_p."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    j = generator_series(Generator("j"), n_max + 2)
+    j = {p: _residues(p, n_max).j for p in _LEHNER_BOUND}
     rows = []
     for m in range(1, n_max + 1):
         for p in (2, 3, 5, 7):
@@ -628,7 +689,7 @@ def lehner_check(n_max: int) -> list[dict]:
             if a == 0:
                 continue
             need = _LEHNER_BOUND[p](a)
-            have = ord_p(j.coeff(m), p)
+            have = j[p].ord(m)
             rows.append({
                 "n": m, "p": p, "alpha": a, "required": need,
                 "ord": _ord_str(have),

@@ -38,8 +38,14 @@ class ParseError(ValueError):
     def __init__(self, text: str, pos: int, expected: str):
         found = repr(text[pos]) if pos < len(text) else "end of input"
         super().__init__(f"position {pos}: expected {expected}, found {found}")
+        self.text = text
         self.pos = pos
         self.expected = expected
+
+    def __reduce__(self):
+        # args holds only the message; rebuild from the constructor's own
+        # arguments so an error raised in a worker process survives pickling
+        return ParseError, (self.text, self.pos, self.expected)
 
 
 class _Field(NamedTuple):

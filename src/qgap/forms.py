@@ -95,7 +95,7 @@ def generator_series(gen: Generator, window: int) -> QSeries:
         return product_expand(lambda n: 24, window).shift(1)
     if kind == "j":
         # T(14) is Delta^-1: its entry is the one inversion of Delta per
-        # window, shared by j, phi and the section 3.3 tables
+        # window, shared by j and phi
         g4 = generator_series(Generator("G", (4,)), window)
         return g4**3 * generator_series(Generator("T", (14,)), window)
     if kind == "Egamma2":

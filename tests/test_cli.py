@@ -185,7 +185,9 @@ class TestSurvey:
     @pytest.mark.parametrize("filt, word", [
         ("b odd", "'b'"), ("a % 0 == 1", "modulus 0"), ("a % 3 == 1, 2", "unsupported"),
         ("a % 3 in ,", "got []"), ("a % 3 in {}", "got []"), ("a % 3 == 7", "got [7]"),
-        ("a % 3 in 0, 5", "got [0, 5]"),
+        ("a % 3 in 0, 5", "got [0, 5]"), ("aodd", "unsupported"),
+        ("a % 3 in 0,,2", "unsupported"), ("a % 3 in {0, 2", "unsupported"),
+        ("a % 3 in }0{", "unsupported"),
     ])
     def test_bad_filter_exit_2_even_when_nothing_survives(self, tmp_path, capsys, filt, word):
         cfg = tmp_path / "cfg.json"

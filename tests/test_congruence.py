@@ -1,13 +1,13 @@
 import itertools
 import json
 from fractions import Fraction
-from math import prod
 from string import Formatter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgap.forms
 from qgap import congruence, exprs
 from qgap.arith import INFINITE, ord_p
 from qgap.catalog import KINDS, Generator
@@ -424,7 +424,68 @@ class TestSection33:
         assert (1, 2) not in by_key
 
 
-TINY_K = ((2, 1), (3, 1), (5, 1))
+PRODUCTION_K = congruence._RESIDUE_EXPONENTS
+TINY_K = ((2, 1), (3, 1), (5, 1), (7, 1))
+
+
+def residues_of(series, count, m):
+    """The coefficients of q^0 .. q^(count-1) of an exact series mod m
+    (every denominator prime to m)."""
+    out = []
+    for i in range(count):
+        c = Fraction(series.coeff(i))
+        out.append(c.numerator * pow(c.denominator, -1, m) % m)
+    return out
+
+
+@st.composite
+def residue_case(draw, count):
+    """(m, [series, ...]): m = p^K for p in 2, 3, 5, 7 and K from 1 to the
+    production K_p, and ``count`` integer coefficient lists of length
+    1..300, each entry a random integer in [-m, m], 0 (interior zeros),
+    m - 1 (a full slot) or 1 - m, drawn from a seeded generator."""
+    p, top = draw(st.sampled_from(PRODUCTION_K))
+    m = p ** draw(st.integers(1, top))
+    rng = draw(st.randoms(use_true_random=False))
+    return m, [[rng.choice([0, m - 1, 1 - m, rng.randint(-m, m)])
+                for _ in range(draw(st.integers(1, 300)))] for _ in range(count)]
+
+
+class TestResidueKernel:
+    """The packed product and the Newton inverse against the exact
+    schoolbook product and Miller inverse, reduced mod p^K."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(residue_case(2), st.integers(1, 300))
+    def test_mul_mod_equals_the_schoolbook_product(self, case, n):
+        m, (a, b) = case
+        n = min(n, len(a), len(b))
+        ra, rb = [c % m for c in a], [c % m for c in b]
+        assert congruence._mul_mod(ra, rb, m, n) \
+            == residues_of(QSeries(0, a) * QSeries(0, b), n, m)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(residue_case(1), st.sampled_from([1, -1, 11]))
+    def test_inverse_mod_equals_the_miller_inverse(self, case, lead):
+        m, (u,) = case
+        u[0] = lead
+        want = residues_of(QSeries(0, u).invert(), len(u), m)
+        assert congruence._inverse_mod([c % m for c in u], m) == want
+
+    @pytest.mark.parametrize("p, k", PRODUCTION_K)
+    def test_full_slots_do_not_carry(self, p, k):
+        m, n = p**k, 300
+        full = QSeries(0, [m - 1] * n)
+        assert congruence._mul_mod([m - 1] * n, [m - 1] * n, m, n) \
+            == residues_of(full * full, n, m)
+
+
+def inverse_orders(u, p, k):
+    """The orders at p of 1/u, read from 1/u mod p^k, with the exact
+    ``u.invert()`` as the fallback."""
+    m = p**k
+    res = congruence._inverse_mod([c % m for c in u.coefficients()], m)
+    return congruence._Orders(-u.valuation, res, p, k, u.invert)
 
 
 def exact_orders(u, exponents):
@@ -435,123 +496,155 @@ def exact_orders(u, exponents):
 
 
 def residue_orders(u, exponents):
-    orders = congruence._InverseOrders(u, exponents)
-    inv_val = -u.valuation
-    return {(n, p): orders.ord(n, p)
-            for n in range(inv_val, inv_val + u.window) for p, _ in exponents}
+    out = {}
+    for p, k in exponents:
+        orders = inverse_orders(u, p, k)
+        out.update({(n, p): orders.ord(n)
+                    for n in range(-u.valuation, -u.valuation + u.window)})
+    return out
 
 
 @st.composite
 def unit_series(draw):
-    """Integer series with a leading coefficient prime to 2, 3 and 5."""
-    lead = draw(st.sampled_from([1, -1, 7, 49]))
+    """Integer series with a leading coefficient prime to 2, 3, 5 and 7."""
+    lead = draw(st.sampled_from([1, -1, 11, 121]))
     rest = draw(st.lists(st.integers(-60, 60), max_size=95))
     return QSeries(draw(st.integers(-3, 3)), [lead, *rest])
 
 
+def table_series(res):
+    """The order readers a ``_TableResidues`` serves, with the exact
+    series each one reads."""
+    j = generator_series(Generator("j"), res.window)
+    return [(res.j, j), (res.delta_inverse, generator_series(Generator("T", (14,)), res.window)),
+            (res.inverse_j, j.invert())]
+
+
 class TestInverseOrders:
-    """The residue path for the orders of 1/u against the exact invert()."""
+    """Orders read from residues against the exact series."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(unit_series(), st.tuples(*(st.integers(1, 6) for _ in range(3))))
+    @given(unit_series(), st.tuples(*(st.integers(1, 6) for _ in range(4))))
     def test_orders_equal_the_exact_inverse(self, u, small):
-        small_k = tuple(zip((2, 3, 5), small))
-        want = exact_orders(u, congruence._RESIDUE_EXPONENTS)
-        assert residue_orders(u, congruence._RESIDUE_EXPONENTS) == want
+        small_k = tuple(zip((2, 3, 5, 7), small))
+        want = exact_orders(u, PRODUCTION_K)
+        assert residue_orders(u, PRODUCTION_K) == want
         assert residue_orders(u, small_k) == want
 
     def test_j_orders_and_residues_at_512(self):
-        j = generator_series(Generator("j"), 512)
-        exact = j.invert()
-        orders = congruence._InverseOrders(j)
-        modulus = prod(p**k for p, k in congruence._RESIDUE_EXPONENTS)
-        assert orders.residues.valuation == exact.valuation
-        assert orders.residues.reach == exact.reach
-        assert [c % modulus for c in exact.coefficients()] == orders.residues.coefficients()
-        assert residue_orders(j, congruence._RESIDUE_EXPONENTS) \
-            == exact_orders(j, congruence._RESIDUE_EXPONENTS)
-        assert orders._exact is None
+        g4_cubed = generator_series(Generator("G", (4,)), 512) ** 3
+        for p, k in PRODUCTION_K:
+            res = congruence._TableResidues(p, k, 512)
+            assert res._g4_cubed == residues_of(g4_cubed, 512, p**k)
+            for orders, exact in table_series(res):
+                assert [orders.ord(n) for n in range(exact.valuation, exact.reach)] \
+                    == [ord_p(c, p) for c in exact.coefficients()]
+                assert orders._exact is None
 
     def test_exact_zero_coefficients_report_infinite(self):
         # 1/(q^-1 (1 + q^2)) = q - q^3 + q^5 - ...: every even exponent is 0
         u = QSeries(-1, [1, 0, 1] + [0] * 37)
-        orders = congruence._InverseOrders(u)
-        assert [orders.ord(n, 2) for n in range(1, 8)] == [0, INFINITE, 0, INFINITE,
-                                                          0, INFINITE, 0]
-        assert orders.ord(2, 5) == INFINITE
+        orders = inverse_orders(u, 2, 64)
+        assert [orders.ord(n) for n in range(-1, 8)] == [INFINITE, INFINITE, 0, INFINITE, 0,
+                                                         INFINITE, 0, INFINITE, 0]
+        assert orders._exact is not None
+        assert inverse_orders(u, 5, 28).ord(2) == INFINITE
 
     def test_reading_beyond_reach_raises(self):
-        j = generator_series(Generator("j"), 10)
-        reach = j.invert().reach
-        for exponents in (congruence._RESIDUE_EXPONENTS, TINY_K):
-            orders = congruence._InverseOrders(j, exponents)
-            assert orders.residues.reach == reach
-            orders.ord(reach - 1, 2)
-            with pytest.raises(ReachError):
-                orders.ord(reach, 2)
+        for p, k in PRODUCTION_K + TINY_K:
+            for orders, exact in table_series(congruence._TableResidues(p, k, 10)):
+                orders.ord(exact.reach - 1)
+                with pytest.raises(ReachError):
+                    orders.ord(exact.reach)
 
     def test_non_unit_leading_coefficient_is_a_defect(self):
         with pytest.raises(DefectError, match="not a unit"):
-            congruence._InverseOrders(QSeries(0, [6, 1, 1]))
+            congruence._inverse_mod([6, 1, 1], 2**64)
         with pytest.raises(DefectError, match="not a unit"):
-            congruence._InverseOrders(QSeries(0, [7, 1]), ((7, 2),))
+            congruence._inverse_mod([7, 1], 7**2)
 
     def test_tiny_k_rows_equal_the_exact_path(self, monkeypatch):
         n = 200
-        built = []
-        real = congruence._InverseOrders
-
-        def spy(u, exponents):
-            built.append(real(u, exponents))
-            return built[-1]
-
         with monkeypatch.context() as m:
             m.setattr(congruence, "_RESIDUE_EXPONENTS", TINY_K)
-            m.setattr(congruence, "_InverseOrders", spy)
-            rows = reciprocal_compare(n)
-        assert [o._bounds for o in built] == [dict(TINY_K)]
-        assert built[0]._exact is not None
-        inv_j = generator_series(Generator("j"), n + 2).invert()
-        for row in rows:
-            o = ord_p(inv_j.coeff(row["n"]), row["p"])
-            assert row["ord_inv_j"] == ("inf" if o == INFINITE else o)
-        assert rows == reciprocal_compare(n)
+            rows = {p: delta_pn_compare(p, n) for p in (2, 3, 5)}
+            rows["reciprocal"], rows["lehner"] = reciprocal_compare(n), lehner_check(n)
+            fallbacks = [(p, name) for p in (2, 3, 5, 7)
+                         for name in ("j", "delta_inverse", "inverse_j")
+                         if getattr(congruence._residues(p, n), name)._exact is not None]
+        assert fallbacks == [(p, name) for p in (2, 3, 5)
+                             for name in ("j", "delta_inverse", "inverse_j")] + [(7, "j")]
+
+        def order(series, m, p):
+            o = ord_p(series.coeff(m), p)
+            return "inf" if o == INFINITE else o
+
+        j = generator_series(Generator("j"), n + 2)
+        inv_d, inv_j = generator_series(Generator("T", (14,)), n + 2), j.invert()
+        for p in (2, 3, 5):
+            for row in rows[p]:
+                assert (row["ord_j"], row["ord_inv_delta"]) \
+                    == (order(j, row["n"], p), order(inv_d, row["n"], p))
+        for row in rows["reciprocal"]:
+            assert row["ord_inv_j"] == order(inv_j, row["n"], row["p"])
+        for row in rows["lehner"]:
+            assert row["ord"] == order(j, row["n"], row["p"])
+        assert rows == {**{p: delta_pn_compare(p, n) for p in (2, 3, 5)},
+                        "reciprocal": reciprocal_compare(n), "lehner": lehner_check(n)}
+
+    def test_fallback_is_cold_to_2048(self):
+        # a window's coefficients are a prefix of every larger window's, so
+        # no zero residue at window 2050 means none in any table to n <= 2048
+        for p, k in PRODUCTION_K:
+            res = congruence._residues(p, 2048)
+            readers = [res.j, res.delta_inverse] + ([res.inverse_j] if p < 7 else [])
+            assert all(max(orders._orders) < k for orders in readers)
 
 
 class TestTableInputs:
-    """Each section 3.3 table builds only what it reads, once."""
+    """A cold section 3.3 table build reads only the exact Delta and G4."""
 
     N = 100
 
-    def _inversions(self, monkeypatch, *tables):
-        """Build the tables from cold caches; (Delta, j) inversion counts.
-        invert() and **-1 both run QSeries._power(-1), which is counted."""
-        calls = []
-        power = QSeries._power
+    def _cold_build(self, monkeypatch, *tables):
+        """Build the tables from cold caches; the number of series
+        inversions (invert() and **-1 both run QSeries._power(-1)) and the
+        generators expanded."""
+        inversions, built = [], set()
+        power, expand = QSeries._power, generator_series
 
-        def spy(self, p, q=1):
-            calls.append((self, p))
+        def power_spy(self, p, q=1):
+            inversions.append(p == -1)
             return power(self, p, q)
 
+        def expand_spy(gen, window):
+            built.add(gen)
+            return expand(gen, window)
+
         generator_series.cache_clear()
+        congruence._residues_at.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(QSeries, "_power", spy)
+            m.setattr(QSeries, "_power", power_spy)
+            m.setattr(qgap.forms, "generator_series", expand_spy)
+            m.setattr(congruence, "generator_series", expand_spy)
             for table in tables:
                 table(self.N)
-        inverted = [s for s, p in calls if p == -1]
-        delta, j = (generator_series(Generator(k), self.N + 2) for k in ("Delta", "j"))
-        return sum(s == delta for s in inverted), sum(s == j for s in inverted)
+        return sum(inversions), built
 
-    def test_one_table_build_inverts_delta_once_and_j_never(self, monkeypatch):
+    def test_cold_table_build_inverts_nothing_and_builds_no_j(self, monkeypatch):
         tables = [lambda n, p=p: delta_pn_compare(p, n) for p in (2, 3, 5)]
         tables += [reciprocal_compare, lehner_check]
-        assert self._inversions(monkeypatch, *tables) == (1, 0)
+        inversions, built = self._cold_build(monkeypatch, *tables)
+        assert inversions == 0
+        assert built == {Generator("Delta"), Generator("G", (4,))}
 
     def test_j_tables_build_no_reciprocal_table(self, monkeypatch):
         tables = (lambda n: delta_pn_compare(2, n), lehner_check)
-        monkeypatch.setattr(congruence, "_InverseOrders",
-                            lambda *args: pytest.fail("built a 1/j table"))
-        assert self._inversions(monkeypatch, *tables) == (1, 0)
+        monkeypatch.setattr(congruence._TableResidues, "inverse_j",
+                            property(lambda self: pytest.fail("built 1/j residues")))
+        inversions, built = self._cold_build(monkeypatch, *tables)
+        assert inversions == 0
+        assert built == {Generator("Delta"), Generator("G", (4,))}
 
 
 class TestRecordInvariants:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from string import Formatter
 
@@ -64,6 +65,14 @@ class TestParsing:
                      "S(3,2)", "T(2)", "T2(3)"):
             with pytest.raises(ParseError):
                 parse_expr(text)
+
+    def test_error_survives_pickling(self):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("Delta^-1*G(3)")
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert type(back) is ParseError
+        assert (str(back), back.pos, back.expected) \
+            == (str(exc.value), exc.value.pos, exc.value.expected)
 
 
 class TestSymbolicData:
