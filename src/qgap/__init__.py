@@ -5,7 +5,7 @@ Laurent q-expansions over exact rationals, a generator catalog for levels
 surveys, Fourier gap-bound and vanishing checks, and lattice theta series.
 """
 
-from qgap.arith import INFINITE, alpha_coeff, bernoulli, digit_sum, largest_digit, moebius, ord_p, sigma, sigma_alt, sigma_odd, sigma_star
+from qgap.arith import INFINITE, alpha_coeff, bernoulli, digit_sum, largest_digit, ord_p
 from qgap.series import QSeries, ReachError, product_expand
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
-"""Exact scalar kernel: p-adic orders, digit sums, divisor sums, Bernoulli
-numbers, and the Moebius function.
+"""Exact scalar kernel: p-adic orders, digit sums, divisor sums, and
+Bernoulli numbers.  Every divisor sum behind a q-expansion comes from one
+sieve, ``divisor_sum_sieve``; ``sigma`` is the one per-n sum kept here.
 
 All values are exact; the only non-integers returned are `fractions.Fraction`
 instances.  The single deliberate exception is INFINITE (= ``math.inf``),
@@ -26,14 +27,9 @@ __all__ = [
     "bernoulli",
     "digit_sum",
     "divisor_sum_sieve",
-    "divisors",
     "largest_digit",
-    "moebius",
     "ord_p",
     "sigma",
-    "sigma_alt",
-    "sigma_odd",
-    "sigma_star",
 ]
 
 #: p-adic order of zero.  Compares greater than every finite order.
@@ -107,26 +103,12 @@ def largest_digit(n: int, b: int) -> int:
     return best
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1, by trial division up to sqrt(n)."""
-    if n <= 0:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def divisor_sum_sieve(count: int, term, cofactor_modulus: int = 0) -> list[int]:
     """[s(1), ..., s(count)] with s(n) the sum of term(d) over the divisors d
     of n, leaving out the d whose cofactor n/d is a multiple of
     ``cofactor_modulus`` when one is given: one sieve for all n, each term
-    evaluated once.  The per-n ``sigma`` functions are its oracle."""
+    evaluated once.  Its oracle, the per-n sums by trial division, is in
+    ``tests/arith_oracle.py``."""
     sums = [0] * (count + 1)
     for d in range(1, count + 1):
         t = term(d)
@@ -140,35 +122,19 @@ def divisor_sum_sieve(count: int, term, cofactor_modulus: int = 0) -> list[int]:
 
 
 def sigma(n: int, alpha: int) -> int:
-    """Divisor power sum: sum of d^alpha over positive divisors d of n."""
+    """Divisor power sum: sum of d^alpha over positive divisors d of n.
+    Nothing in qgap calls it; it stays public as a target that
+    ``bench/tracing.py`` traces."""
     if n <= 0:
         raise ValueError(f"sigma requires n >= 1, got {n}")
     if alpha < 0:
         raise ValueError(f"sigma requires alpha >= 0, got {alpha}")
-    return sum(d**alpha for d in divisors(n))
-
-
-def sigma_odd(n: int) -> int:
-    """Sum of the odd positive divisors of n."""
-    if n <= 0:
-        raise ValueError(f"sigma_odd requires n >= 1, got {n}")
-    return sum(d for d in divisors(n) if d % 2 == 1)
-
-
-def sigma_alt(n: int, k: int) -> int:
-    """Sign-alternating divisor sum: sum of (-1)^d d^k over d | n."""
-    if n <= 0:
-        raise ValueError(f"sigma_alt requires n >= 1, got {n}")
-    return sum((-(d**k) if d % 2 else d**k) for d in divisors(n))
-
-
-def sigma_star(n: int, N: int, k: int) -> int:
-    """Restricted divisor sum: sum of d^k over d | n with N not dividing n/d."""
-    if n <= 0:
-        raise ValueError(f"sigma_star requires n >= 1, got {n}")
-    if N < 2:
-        raise ValueError(f"sigma_star requires N >= 2, got {N}")
-    return sum(d**k for d in divisors(n) if (n // d) % N != 0)
+    total, d = 0, 1
+    while d * d <= n:
+        if n % d == 0:
+            total += d**alpha if d * d == n else d**alpha + (n // d) ** alpha
+        d += 1
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -203,21 +169,3 @@ def alpha_coeff(h: int):
     k = h // 2
     g = Fraction((-1) ** k * 4 * k) / bernoulli(k)
     return int(g) if g.denominator == 1 else g
-
-
-def moebius(n: int) -> int:
-    """Moebius function: (-1)^(number of prime factors), 0 if n not squarefree."""
-    if n <= 0:
-        raise ValueError(f"moebius requires n >= 1, got {n}")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result

@@ -11,6 +11,7 @@ one does, 2 on bad input or usage, 3 on an internal defect (a one-line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -40,6 +41,22 @@ def _jobs(flag: int | None) -> int:
     return int(text)
 
 
+@contextlib.contextmanager
+def _full_digits():
+    """Print exact values of any size: CPython's cap on int-to-text digits
+    (4,300 by default) is lifted while a command writes its result, after it
+    has read its inputs, which keep the cap; the cap is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _report(args, verdicts, lines, rows) -> int:
     """Print ``rows`` as JSON lines under --json, else the text ``lines``
     (either may be a lazy iterable); the exit code is 1 when some verdict
@@ -53,15 +70,17 @@ def _report(args, verdicts, lines, rows) -> int:
 
 def _cmd_expand(args) -> int:
     series = eval_expr(args.expr, args.prec)
-    coeffs = [str(c) for c in series.coefficients(args.prec)]
-    return _report(args, [], [f"val {series.valuation}: [{', '.join(coeffs)}]"],
-                   [{"expr": args.expr, "valuation": series.valuation,
-                     "coefficients": coeffs}])
+    with _full_digits():
+        coeffs = [str(c) for c in series.coefficients(args.prec)]
+        return _report(args, [], [f"val {series.valuation}: [{', '.join(coeffs)}]"],
+                       [{"expr": args.expr, "valuation": series.valuation,
+                         "coefficients": coeffs}])
 
 
 def _cmd_c0(args) -> int:
     c0 = constant_term(args.expr)
-    return _report(args, [], [c0], [{"expr": args.expr, "c0": str(c0)}])
+    with _full_digits():
+        return _report(args, [], [c0], [{"expr": args.expr, "c0": str(c0)}])
 
 
 def _cmd_survey(args) -> int:
@@ -76,8 +95,9 @@ def _cmd_survey(args) -> int:
     rows = itertools.chain((rec.to_dict() for rec in report.records), [{
         "summary": report.summary, "config": config.get("name"),
         "timestamp": report.timestamp}])
-    return _report(args, [r.verdict for r in report.records],
-                   map(render_table, [report]), rows)
+    with _full_digits():
+        return _report(args, [r.verdict for r in report.records],
+                       map(render_table, [report]), rows)
 
 
 def _cmd_gap(args) -> int:

