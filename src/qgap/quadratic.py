@@ -33,6 +33,7 @@ the points it would visit, a guard that never enters a count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -404,11 +405,17 @@ def parse_gram(text: str, source: str = "<gram>") -> GramMatrix:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        try:
-            values = [int(x) for x in parts]
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: not integers: {line!r}") from None
+        values = []
+        for pos, x in enumerate(line.split(), start=1):
+            try:
+                values.append(int(x))
+            except ValueError:
+                digits = x[1:] if x[0] in "+-" else x
+                if digits.isdecimal():  # an integer, too long for int() to read
+                    raise ValueError(
+                        f"{source}:{lineno}: entry {pos} has {len(digits)} digits, over "
+                        f"the limit of {sys.get_int_max_str_digits()}") from None
+                raise ValueError(f"{source}:{lineno}: not integers: {line!r}") from None
         if v is None:
             if len(values) != 1:
                 raise ValueError(f"{source}:{lineno}: expected the rank alone")

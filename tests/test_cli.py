@@ -100,12 +100,22 @@ class TestDigitCap:
         gram = write_gram(tmp_path / "big.gram", [[big, 0], [0, 2]])
         code, _, err = run(capsys, "theta", str(gram))
         assert code == 2
-        assert "not integers" in err
+        assert err == f"error: {gram}:2: entry 1 has 4301 digits, over the limit of 4300\n"
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, %s]}}]}' % big)
         code, _, err = run(capsys, "survey", str(cfg))
         assert code == 2
         assert "4300" in err
+
+    def test_oversized_gram_entry_reported_by_position(self, tmp_path, capsys):
+        big = "9" * 5000
+        gram = write_gram(tmp_path / "big.gram", [[2, 0, 0], [0, 2, 0], [0, f"-{big}", 2]])
+        code, out, err = run(capsys, "minima", str(gram))
+        assert code == 2 and out == ""
+        assert err == f"error: {gram}:4: entry 2 has 5000 digits, over the limit of 4300\n"
+        gram.write_text(f"2\n2 0\n0 2x{big}\n")
+        code, _, err = run(capsys, "minima", str(gram))
+        assert code == 2 and "not integers" in err
 
 
 class TestSurvey:
@@ -473,6 +483,21 @@ def test_golden_output(argv, tmp_path, capsys):
     code, out, _ = run(capsys, *(a.format(d4=gram) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# sha256 of `qgap gap --hmax 120 --json` stdout at each level: every record
+# of the on-demand suite equals the full-window suite's
+GOLDEN_GAP = {
+    "1": "27166b0930b9ad5d6eeda519639d92f5811dc4b0763b874d668379e8ee2cd76e",
+    "2": "245775ff822456c752732a04b9f41a750f3c0e62a2dc52c14aab121cf0f3976b",
+}
+
+
+@pytest.mark.parametrize("level", sorted(GOLDEN_GAP))
+def test_golden_gap_hmax120(level, capsys):
+    code, out, _ = run(capsys, "gap", "--level", level, "--hmax", "120", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GAP[level]
 
 
 # one family per survey clause (1a-1f, 2a/2b, 3c-3f), per deviation window

@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gap_oracle
+import qgap.siegel
 from qgap.catalog import Generator, dim_m
 from qgap.forms import basis_m2, eisenstein_g, generator_series, t_series
 from qgap.series import QSeries, ReachError
@@ -98,6 +102,24 @@ class TestGapCheck:
         assert res.first_nonzero_index == r
         assert res.verdict == "PASS"
 
+    def test_short_reach_with_nonzero_q1_decides(self):
+        h, r = 12, dim_m(2, 12)
+        f = QSeries(0, [1, 5])
+        assert f.reach <= r
+        (res,) = gap_check(h, [f])
+        assert (res.first_nonzero_index, res.verdict) == (1, "PASS")
+
+    def test_short_reach_zero_after_c0_undecided(self):
+        h, r = 12, dim_m(2, 12)
+        f = QSeries(0, [1] + [0] * (r - 1))
+        assert f.reach == r
+        with pytest.raises(ReachError):
+            gap_check(h, [f])
+
+
+def _records(records):
+    return [r.to_dict() for r in records]
+
 
 class TestSuites:
     def test_satz_suite_small(self):
@@ -123,6 +145,33 @@ class TestSuites:
         assert [r.to_dict() for r in a["records"]] == [
             r.to_dict() for r in b["records"]
         ]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(4, 40), st.integers(0, 6),
+           st.integers(0, 2**32))
+    def test_gap_suite_matches_full_window_oracle(self, level, hmax, combos, seed):
+        out = run_gap_suite(level=level, hmax=hmax, combos=combos, seed=seed)
+        assert _records(out["records"]) == _records(
+            gap_oracle.full_window_gap_suite(level, hmax, combos, seed))
+
+    def test_gap_suite_doubles_window(self, monkeypatch):
+        # a basis with every q^1 coefficient zeroed: no form is decided at
+        # the first window of 2, so the suite doubles it, up to bound + 1
+        windows = []
+
+        def no_q1(h, prec):
+            windows.append((h, prec))
+            return [QSeries(0, [0 if n == 1 else b.coeff(n) for n in range(b.reach)])
+                    for b in basis_m2(h, prec)]
+
+        monkeypatch.setattr(qgap.siegel, "basis_m2", no_q1)
+        out = run_gap_suite(level=2, hmax=12, combos=4, seed=5)
+        assert [w for h, w in windows if h == 2] == [2, 3]  # bound 2
+        assert [w for h, w in windows if h == 12] == [2, 4]  # bound 4
+        assert {r.first_nonzero_index for r in out["records"]} >= {2}
+        monkeypatch.setattr(gap_oracle, "basis_m2", no_q1)
+        assert _records(out["records"]) == _records(
+            gap_oracle.full_window_gap_suite(2, 12, 4, 5))
 
 
 class TestTheorem4:
