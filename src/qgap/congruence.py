@@ -35,13 +35,18 @@ processes (``jobs`` > 1) take whole batches.
 
 The section 3.3 tables report p-adic orders only, and read every order at
 p from residues mod p^K_p (``_RESIDUE_EXPONENTS``): j, Delta^-1 and 1/j are
-built mod p^K_p from the exact Delta and G4 by a packed product (Kronecker
-substitution) and a Newton inverse, and ord_p(tau(n)) comes from the exact
-Delta.  A nonzero residue gives the exact order.  A residue that is 0 mod
-p^K_p falls back to the exact series for that row (``generator_series`` of
-j or T(14), or ``j.invert()``), built on first need, so a true zero still
-reads ``inf`` and no order is guessed.  Each residue series has the
+built mod p^K_p from the exact Delta and G4 by the packed product
+``series.mul_mod`` and a Newton inverse, and ord_p(tau(n)) comes from the
+exact Delta.  A nonzero residue gives the exact order.  A residue that is 0
+mod p^K_p falls back to the exact series for that row (``generator_series``
+of j or T(14), or ``j.invert()``), built on first need, so a true zero
+still reads ``inf`` and no order is guessed.  Each residue series has the
 valuation and reach of the exact one: exactness and reach are unchanged.
+K_p is sized to the orders the tables read: at least 3 above the largest
+order at p of j, Delta^-1 or 1/j that any table reads to n = 4096 (44, 17,
+7 and 5 at p = 2, 3, 5, 7, measured at window 4098), so the fallback stays
+cold on the paper-scale run, and a smaller K_p makes every product
+cheaper.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import FormExpr, Generator
 from qgap.exprs import Template, parse_expr, parse_template
 from qgap.forms import FactorPowers, constant_term, generator_series
-from qgap.series import DefectError, QSeries, ReachError
+from qgap.series import DefectError, QSeries, ReachError, mul_mod
 from qgap.verdict import Verdict
 
 __all__ = [
@@ -483,25 +488,12 @@ def render_summary(report: SurveyReport) -> str:
 
 
 #: (p, K_p): every section 3.3 order at p is read from residues mod p^K_p.
-#: The largest orders to n = 4096 are 44, 17, 7, 5 (j), 17, 10, 7, 6
-#: (Delta^-1) and 36, 14, 5 (1/j), so the exact fallback stays cold.
-_RESIDUE_EXPONENTS = ((2, 64), (3, 40), (5, 28), (7, 23))
-
-
-def _mul_mod(a: list, b: list, m: int, n: int) -> list:
-    """The first n coefficients of a*b mod m, for residue lists a, b with
-    entries in [0, m).  Kronecker substitution: each list is packed into
-    one int, a slot of 2*bits(m - 1) + bits(n) bits per coefficient (a
-    coefficient of the product is at most n*(m - 1)^2), and one int product
-    holds every coefficient.  Bytes, not ``str``, carry the packing, so
-    the int-to-str digit cap never applies."""
-    s = (2 * (m - 1).bit_length() + n.bit_length() + 7) // 8
-
-    def pack(c):
-        return int.from_bytes(b"".join(x.to_bytes(s, "little") for x in c[:n]), "little")
-
-    buf = (pack(a) * pack(b)).to_bytes(2 * s * n, "little")
-    return [int.from_bytes(buf[i:i + s], "little") % m for i in range(0, s * n, s)]
+#: K_p is at least 3 above the largest order any table reads to n = 4096,
+#: measured at window 4098: 44, 17, 7, 5 (j at p = 2, 3, 5, 7), 17, 10, 7
+#: (Delta^-1; 6 at p = 7, which no table reads) and 36, 14, 5 (1/j), so
+#: the exact fallback stays cold on the paper-scale run.  A larger order
+#: still reads exactly, through the fallback; K_p sets only the speed.
+_RESIDUE_EXPONENTS = ((2, 48), (3, 20), (5, 10), (7, 8))
 
 
 def _inverse_mod(u: list, m: int) -> list:
@@ -517,8 +509,8 @@ def _inverse_mod(u: list, m: int) -> list:
         raise DefectError(f"leading coefficient {u[0]} is not a unit mod {m}") from None
     while len(b) < len(u):
         k, k2 = len(b), min(2 * len(b), len(u))
-        e = _mul_mod(u, b, m, k2)[k:]
-        b += [-x % m for x in _mul_mod(b, e, m, k2 - k)]
+        e = mul_mod(u, b, m, k2)[k:]
+        b += [-x % m for x in mul_mod(b, e, m, k2 - k)]
     return b
 
 
@@ -553,8 +545,8 @@ class _Orders:
 
 class _TableResidues:
     """The orders at p of j, Delta^-1 and 1/j at one window, read from
-    residues mod m = p^K built from two exact inputs, Delta
-    (``product_expand``) and G4 (the divisor sieve):
+    residues mod m = p^K built from two exact inputs, Delta (Jacobi's
+    series, ``series.delta_over_q``) and G4 (the divisor sieve):
 
         Delta^-1 = inv(Delta/q) / q,  j = G4^3 * Delta^-1,
         1/j = q * (Delta/q) * inv(G4^3),
@@ -566,12 +558,12 @@ class _TableResidues:
     def __init__(self, p: int, k: int, window: int):
         self.p, self.k, self.m, self.window = p, k, p**k, window
         g = self._mod(Generator("G", (4,)))
-        self._g4_cubed = _mul_mod(_mul_mod(g, g, self.m, window), g, self.m, window)
+        self._g4_cubed = mul_mod(mul_mod(g, g, self.m, window), g, self.m, window)
         d_inv = _inverse_mod(self._mod(Generator("Delta")), self.m)
         # T(14) is Delta^-1
         self.delta_inverse = self._orders(-1, d_inv,
                                           lambda: generator_series(Generator("T", (14,)), window))
-        self.j = self._orders(-1, _mul_mod(self._g4_cubed, d_inv, self.m, window),
+        self.j = self._orders(-1, mul_mod(self._g4_cubed, d_inv, self.m, window),
                               lambda: generator_series(Generator("j"), window))
 
     def _mod(self, gen: Generator) -> list:
@@ -582,8 +574,8 @@ class _TableResidues:
 
     @cached_property
     def inverse_j(self) -> _Orders:
-        res = _mul_mod(self._mod(Generator("Delta")), _inverse_mod(self._g4_cubed, self.m),
-                       self.m, self.window)
+        res = mul_mod(self._mod(Generator("Delta")), _inverse_mod(self._g4_cubed, self.m),
+                      self.m, self.window)
         return self._orders(1, res, lambda: generator_series(Generator("j"), self.window).invert())
 
 

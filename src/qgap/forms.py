@@ -16,6 +16,14 @@ factor power, and the product of all factors but the last, from a
 any monomial of a batch needs (a survey family is one batch), and takes c_0
 as one dot product (``QSeries.product_coeff``) of the two.
 
+Delta is q times the eighth power of Jacobi's series for prod (1 - q^n)^3,
+three exact packed squarings (``series.delta_over_q``); ``product_expand``,
+the O(n^2) product recurrence, is its test oracle and builds the eta
+quotient in ``identity_checks``.  The section 3.3 tables of
+``qgap.congruence`` read Delta and G4 from here and reduce them mod p^K_p,
+K_p at least 3 above the largest order any table reads to n = 4096 (44,
+17, 7 and 5 at p = 2, 3, 5, 7, measured at window 4098).
+
 Expansions are memoized per (generator, window), factor powers in an LRU
 cache of FACTOR_CACHE_SIZE entries; QSeries values are immutable, so the
 memos are safe for concurrent readers.
@@ -29,7 +37,7 @@ from functools import lru_cache
 from qgap.arith import alpha_coeff, divisor_sum_sieve
 from qgap.catalog import FormExpr, Generator, dim_m
 from qgap.exprs import parse_expr
-from qgap.series import DefectError, QSeries, product_expand
+from qgap.series import DefectError, QSeries, delta_over_q, product_expand
 
 __all__ = [
     "FactorPowers",
@@ -92,7 +100,7 @@ def generator_series(gen: Generator, window: int) -> QSeries:
     if kind == "G":
         return eisenstein_g(p[0], window)
     if kind == "Delta":
-        return product_expand(lambda n: 24, window).shift(1)
+        return delta_over_q(window).shift(1)
     if kind == "j":
         # T(14) is Delta^-1: its entry is the one inversion of Delta per
         # window, shared by j and phi

@@ -10,12 +10,21 @@ Coefficients are exact ints or fractions.Fraction; a Fraction that reduces
 to an integer is stored as an int (this is invisible: both are exact
 rationals and compare equal).  Floats are rejected.
 
-Multiplication is schoolbook convolution.  Series at the scale this package
-targets are a few thousand terms at most, and bignum coefficient growth
-dominates the cost anyway.  Integer powers, the inverse and m-th roots share
-one O(n^2) recurrence for u^(p/q) (J. C. P. Miller's), so none of them goes
-through repeated multiplication.  A single coefficient of a product, such as
-a constant term, is one dot product (``product_coeff``).
+Multiplication of QSeries is schoolbook convolution: it takes any exact
+coefficients, and bignum coefficient growth dominates its cost at the few
+thousand terms this package targets.  Integer powers, the inverse and m-th
+roots share one O(n^2) recurrence for u^(p/q) (J. C. P. Miller's), so none
+of them goes through repeated multiplication.  A single coefficient of a
+product, such as a constant term, is one dot product (``product_coeff``).
+
+Residue lists mod m multiply through one packed kernel, ``mul_mod``
+(Kronecker substitution: one big-int product per series product).  It
+serves the p-adic tables of ``qgap.congruence`` and ``delta_over_q``.  By
+Jacobi's identity prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), a
+sparse series with small coefficients, so Delta/q, its eighth power, is
+three packed squarings, each exact because it runs mod a power of two
+above twice the elementary bound on its coefficients.  ``product_expand``
+expands any product prod (1 - q^n)^(e_n) by its O(n^2) recurrence.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from typing import Callable, Iterable
 
 from qgap.arith import divisor_sum_sieve
 
-__all__ = ["DefectError", "QSeries", "ReachError", "product_expand"]
+__all__ = ["DefectError", "QSeries", "ReachError", "delta_over_q", "mul_mod", "product_expand"]
 
 
 class ReachError(LookupError):
@@ -393,3 +402,44 @@ def product_expand(exponents: Callable[[int], int], prec: int) -> QSeries:
             raise ArithmeticError("non-integral product coefficient; exponent data invalid")
         p.append(q)
     return QSeries(0, p)
+
+
+def mul_mod(a: list, b: list, m: int, n: int) -> list:
+    """The first n coefficients of a*b mod m, for residue lists a, b with
+    entries in [0, m).  Kronecker substitution: each list is packed into
+    one int, a slot of 2*bits(m - 1) + bits(n) bits per coefficient (a
+    coefficient of the product is at most n*(m - 1)^2), and one int product
+    holds every coefficient; a square (``a is b``) packs once and squares.
+    Bytes, not ``str``, carry the packing, so the int-to-str digit cap
+    never applies."""
+    s = (2 * (m - 1).bit_length() + n.bit_length() + 7) // 8
+
+    def pack(c):
+        return int.from_bytes(b"".join(x.to_bytes(s, "little") for x in c[:n]), "little")
+
+    x = pack(a)
+    buf = (x * (x if b is a else pack(b))).to_bytes(2 * s * n, "little")
+    return [int.from_bytes(buf[i:i + s], "little") % m for i in range(0, s * n, s)]
+
+
+def delta_over_q(prec: int) -> QSeries:
+    """Expand Delta/q = prod_{n>=1} (1 - q^n)^24 to ``prec`` coefficients
+    as J^8, where J = sum_k (-1)^k (2k+1) q^(k(k+1)/2) is the cube
+    prod (1 - q^n)^3 (Jacobi's identity, Hardy and Wright, Theorem 357),
+    by three squarings through ``mul_mod``.  With L1 the sum of |J_i| over
+    the window, every coefficient of J^e is at most L1^e in absolute value,
+    so J^e is exact mod M = 2^B once M/2 > L1^e: each square is taken mod
+    that M and lifted back to the symmetric range [-M/2, M/2)."""
+    if prec <= 0:
+        raise ValueError(f"prec must be >= 1, got {prec}")
+    c = [0] * prec
+    k = 0
+    while k * (k + 1) // 2 < prec:
+        c[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    l1 = sum(map(abs, c))
+    for e in (2, 4, 8):
+        half = 1 << (l1**e).bit_length()
+        r = [x % (2 * half) for x in c]
+        c = [x - 2 * half if x >= half else x for x in mul_mod(r, r, 2 * half, prec)]
+    return QSeries(0, c)

@@ -134,12 +134,16 @@ def gap_check(h: int, forms, level: int = 2, form_ids=None) -> list[GapCheckResu
     gap bound for its weight.  Forms must have a nonzero constant term.  A
     form whose reach is at most the bound is enough when its first nonzero
     index lies below the reach; ReachError only when the verdict is
-    undecided, every justified coefficient after c_0 being zero."""
+    undecided, every justified coefficient after c_0 being zero.
+    ``form_ids``, when given, names each form: ValueError unless there is
+    exactly one id per form."""
     if h <= 0 or h % 2 != 0:
         raise ValueError(f"gap_check needs even h > 0, got {h}")
     r, bound, conj = _gap_bounds(level, h)
     if form_ids is None:
         form_ids = [f"form[{i}]" for i in range(len(forms))]
+    elif len(form_ids) != len(forms):
+        raise ValueError(f"{len(form_ids)} form ids for {len(forms)} forms")
     results = []
     for fid, f in zip(form_ids, forms):
         if f.coeff(0) == 0:

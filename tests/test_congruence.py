@@ -11,6 +11,7 @@ import qgap.forms
 from qgap import congruence, exprs
 from qgap.arith import INFINITE, ord_p
 from qgap.catalog import KINDS, Generator
+from qgap.cli import FULL_SEC33_DELTA, FULL_SEC33_RECIPROCAL
 from qgap.exprs import ParseError, parse_expr, parse_template
 from qgap.congruence import (
     classify_expr,
@@ -25,7 +26,7 @@ from qgap.congruence import (
     render_table,
 )
 from qgap.forms import eval_expr, generator_series
-from qgap.series import DefectError, QSeries, ReachError
+from qgap.series import DefectError, QSeries, ReachError, mul_mod
 
 
 def only(checks):
@@ -426,6 +427,9 @@ class TestSection33:
 
 PRODUCTION_K = congruence._RESIDUE_EXPONENTS
 TINY_K = ((2, 1), (3, 1), (5, 1), (7, 1))
+#: The (p, K) the packed kernel is checked at: the production K_p, moduli
+#: of about 64 bits, and 2^105, the widest modulus of delta_over_q(4098).
+KERNEL_K = PRODUCTION_K + ((2, 64), (3, 40), (5, 28), (7, 23), (2, 105))
 
 
 def residues_of(series, count, m):
@@ -440,11 +444,11 @@ def residues_of(series, count, m):
 
 @st.composite
 def residue_case(draw, count):
-    """(m, [series, ...]): m = p^K for p in 2, 3, 5, 7 and K from 1 to the
-    production K_p, and ``count`` integer coefficient lists of length
+    """(m, [series, ...]): m = p^K for p in 2, 3, 5, 7 and K from 1 to a
+    K_p of ``KERNEL_K``, and ``count`` integer coefficient lists of length
     1..300, each entry a random integer in [-m, m], 0 (interior zeros),
     m - 1 (a full slot) or 1 - m, drawn from a seeded generator."""
-    p, top = draw(st.sampled_from(PRODUCTION_K))
+    p, top = draw(st.sampled_from(KERNEL_K))
     m = p ** draw(st.integers(1, top))
     rng = draw(st.randoms(use_true_random=False))
     return m, [[rng.choice([0, m - 1, 1 - m, rng.randint(-m, m)])
@@ -461,7 +465,7 @@ class TestResidueKernel:
         m, (a, b) = case
         n = min(n, len(a), len(b))
         ra, rb = [c % m for c in a], [c % m for c in b]
-        assert congruence._mul_mod(ra, rb, m, n) \
+        assert mul_mod(ra, rb, m, n) \
             == residues_of(QSeries(0, a) * QSeries(0, b), n, m)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -472,11 +476,11 @@ class TestResidueKernel:
         want = residues_of(QSeries(0, u).invert(), len(u), m)
         assert congruence._inverse_mod([c % m for c in u], m) == want
 
-    @pytest.mark.parametrize("p, k", PRODUCTION_K)
+    @pytest.mark.parametrize("p, k", KERNEL_K)
     def test_full_slots_do_not_carry(self, p, k):
         m, n = p**k, 300
         full = QSeries(0, [m - 1] * n)
-        assert congruence._mul_mod([m - 1] * n, [m - 1] * n, m, n) \
+        assert mul_mod([m - 1] * n, [m - 1] * n, m, n) \
             == residues_of(full * full, n, m)
 
 
@@ -592,13 +596,18 @@ class TestInverseOrders:
         assert rows == {**{p: delta_pn_compare(p, n) for p in (2, 3, 5)},
                         "reciprocal": reciprocal_compare(n), "lehner": lehner_check(n)}
 
-    def test_fallback_is_cold_to_2048(self):
+    def test_fallback_is_cold_at_the_full_windows(self):
+        # what ``verify --suite sec33 --full`` reads: j and Delta^-1 from
+        # delta_pn_compare, 1/j from reciprocal_compare, j from lehner_check;
         # a window's coefficients are a prefix of every larger window's, so
-        # no zero residue at window 2050 means none in any table to n <= 2048
+        # no zero residue there means none in any smaller table
+        readers = {p: [congruence._residues(p, FULL_SEC33_RECIPROCAL).j] for p, _ in PRODUCTION_K}
+        for p in (2, 3, 5):
+            res = congruence._residues(p, FULL_SEC33_DELTA)
+            readers[p] += [res.j, res.delta_inverse,
+                           congruence._residues(p, FULL_SEC33_RECIPROCAL).inverse_j]
         for p, k in PRODUCTION_K:
-            res = congruence._residues(p, 2048)
-            readers = [res.j, res.delta_inverse] + ([res.inverse_j] if p < 7 else [])
-            assert all(max(orders._orders) < k for orders in readers)
+            assert all(max(orders._orders) < k for orders in readers[p])
 
 
 class TestTableInputs:

@@ -95,6 +95,14 @@ class TestDeltaAndJ:
         d = gen("Delta", 10)
         assert (d * d.invert()).agrees_with(QSeries.one(d.window))
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(1, 400))
+    def test_delta_equals_the_product_recurrence(self, w):
+        assert gen("Delta", w) == product_expand(lambda n: 24, w).shift(1)
+
+    def test_delta_equals_the_product_recurrence_at_2050(self):
+        assert gen("Delta", 2050) == product_expand(lambda n: 24, 2050).shift(1)
+
     def test_j_expansion(self):
         j = gen("j", 4)
         assert j.valuation == -1

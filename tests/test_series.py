@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap.series import QSeries, ReachError, product_expand
+from qgap.series import QSeries, ReachError, delta_over_q, product_expand
 
 import series_oracle
 from einf4_oracle import neg_power_einf4
@@ -250,6 +250,8 @@ class TestProductExpand:
     def test_rejects_bad_prec(self):
         with pytest.raises(ValueError):
             product_expand(lambda n: 0, 0)
+        with pytest.raises(ValueError):
+            delta_over_q(0)
 
 
 class TestNegPowerEinf4:

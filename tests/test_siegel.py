@@ -109,6 +109,14 @@ class TestGapCheck:
         (res,) = gap_check(h, [f])
         assert (res.first_nonzero_index, res.verdict) == (1, "PASS")
 
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c", "d"], []])
+    def test_one_id_per_form(self, ids):
+        eg = generator_series(Generator("Egamma2"), 6)
+        with pytest.raises(ValueError, match=f"^{len(ids)} form ids for 3 forms$"):
+            gap_check(2, [eg, eg, eg], form_ids=ids)
+        assert [res.form_id for res in gap_check(2, [eg, eg, eg], form_ids=["a", "b", "c"])] \
+            == ["a", "b", "c"]
+
     def test_short_reach_zero_after_c0_undecided(self):
         h, r = 12, dim_m(2, 12)
         f = QSeries(0, [1] + [0] * (r - 1))
