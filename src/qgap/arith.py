@@ -138,22 +138,28 @@ def sigma(n: int, alpha: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def bernoulli(k: int) -> Fraction:
-    """B_k in the all-positive convention (B_1 = 1/6, B_2 = 1/30, ...).
+def _signed_bernoulli(degree: int) -> tuple[Fraction, ...]:
+    """The modern signed B_0, ..., B_degree for ``degree`` a power of two:
+    the coefficients of x/(e^x - 1) times n!, from the division of x by
+    e^x - 1, i.e. sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1.  Each table
+    continues the division where the one of half its degree stops, so
+    every table up to degree D costs one division to degree D."""
+    if degree == 1:
+        return (Fraction(1), Fraction(-1, 2))
+    b = list(_signed_bernoulli(degree // 2))
+    for n in range(len(b), degree + 1):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n) if b[j]) / (n + 1))
+    return tuple(b)
 
-    Computed by exact power-series division of x by e^x - 1, truncated
-    beyond degree 2k.
-    """
+
+def bernoulli(k: int) -> Fraction:
+    """B_k in the all-positive convention (B_1 = 1/6, B_2 = 1/30, ...),
+    read from the signed table of the least power-of-two degree >= 2k
+    (``_signed_bernoulli``), so B_1, ..., B_K cost one division of x by
+    e^x - 1 in any order of calls."""
     if k < 1:
         raise ValueError(f"bernoulli requires k >= 1, got {k}")
-    m = 2 * k
-    # unit part of (e^x - 1)/x, coefficients 1/(i+1)!
-    unit = [Fraction(1, math.factorial(i + 1)) for i in range(m + 1)]
-    inv = [Fraction(1)]
-    for n in range(1, m + 1):
-        inv.append(-sum(unit[i] * inv[n - i] for i in range(1, n + 1)))
-    b = (-1) ** (k + 1) * inv[m] * math.factorial(m)
-    return b
+    return abs(_signed_bernoulli(1 << (2 * k - 1).bit_length())[2 * k])
 
 
 def alpha_coeff(h: int):

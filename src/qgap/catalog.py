@@ -3,9 +3,12 @@ symbolic data (weight, conductor, leading exponent) and the dimension
 formulas for the spaces they live in.
 
 ``KINDS`` holds one entry per generator kind: its parameter syntax, its
-parameter check and its symbolic data.  The parser, the printer and the
-``Generator`` properties all read it, so adding a kind takes one ``KINDS``
-entry plus one builder branch in ``forms.generator_series``.
+parameter check and its symbolic data.  The parser and the printer read
+it, and the ``Generator`` properties read a memo of its symbolic data,
+computed once per distinct (kind, params) (``_generator_data``), so adding
+a kind takes one ``KINDS`` entry plus one builder branch in
+``forms.generator_series``.  A ``FormExpr`` sums its factors' data once,
+when it is made.
 
 Every generator is normalized: the leading Fourier coefficient is 1.  The
 weight of a monomial is the sum of the factor weights, and its leading
@@ -16,10 +19,11 @@ occur among monic leading terms).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import lcm
 from string import Formatter
+from typing import NamedTuple
 
 from qgap.series import DefectError
 
@@ -106,6 +110,29 @@ KINDS = {kind.name: kind for kind in (
 )}
 
 
+def _kind(name: str) -> Kind:
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise DefectError(f"no catalog entry for generator kind {name!r}") from None
+
+
+class _GeneratorData(NamedTuple):
+    weight: int
+    conductor: int
+    valuation: int
+    e_inf: tuple[int, int] | None
+
+
+@lru_cache(maxsize=None)
+def _generator_data(kind: str, params: tuple[int, ...]) -> _GeneratorData:
+    """The symbolic data of the generator (kind, params), computed once
+    per distinct pair; DefectError for a kind not in ``KINDS``."""
+    spec = _kind(kind)
+    return _GeneratorData(spec.weight(*params), spec.conductor(*params),
+                          spec.valuation(*params), spec.e_inf(*params))
+
+
 @dataclass(frozen=True)
 class Generator:
     """One catalog entry, e.g. G(6), Delta, E(3,inf,8), T2(12)."""
@@ -127,24 +154,17 @@ class Generator:
             raise ValueError(f"{kind.shape} needs {violated}, got {self}")
 
     @property
-    def _spec(self) -> Kind:
-        try:
-            return KINDS[self.kind]
-        except KeyError:
-            raise DefectError(f"no catalog entry for generator kind {self.kind!r}") from None
-
-    @property
     def weight(self) -> int:
-        return self._spec.weight(*self.params)
+        return _generator_data(self.kind, self.params).weight
 
     @property
     def conductor(self) -> int:
-        return self._spec.conductor(*self.params)
+        return _generator_data(self.kind, self.params).conductor
 
     @property
     def valuation(self) -> int:
         """Leading exponent of the normalized expansion at infinity."""
-        return self._spec.valuation(*self.params)
+        return _generator_data(self.kind, self.params).valuation
 
     @property
     def pole_order(self) -> int:
@@ -153,40 +173,35 @@ class Generator:
     @property
     def e_inf(self) -> tuple[int, int] | None:
         """(N, k) when the generator is the series E(N,inf,k), else None."""
-        return self._spec.e_inf(*self.params)
+        return _generator_data(self.kind, self.params).e_inf
 
     def __str__(self) -> str:
-        return self._spec.render(self.params)
+        return _kind(self.kind).render(self.params)
 
 
 @dataclass(frozen=True)
 class FormExpr:
-    """A parsed monomial: ordered (generator, nonzero exponent) factors."""
+    """A parsed monomial: ordered (generator, nonzero exponent) factors,
+    with the weight, valuation, pole order and conductor they give."""
 
     factors: tuple[tuple[Generator, int], ...]
     text: str = ""
+    weight: int = field(init=False, repr=False, compare=False)
+    valuation: int = field(init=False, repr=False, compare=False)
+    pole_order: int = field(init=False, repr=False, compare=False)
+    conductor: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("an expression needs at least one factor")
         if any(e == 0 for _, e in self.factors):
             raise ValueError("zero exponents are not allowed")
-
-    @cached_property
-    def weight(self) -> int:
-        return sum(g.weight * e for g, e in self.factors)
-
-    @cached_property
-    def valuation(self) -> int:
-        return sum(g.valuation * e for g, e in self.factors)
-
-    @cached_property
-    def pole_order(self) -> int:
-        return max(0, -self.valuation)
-
-    @cached_property
-    def conductor(self) -> int:
-        return lcm(*(g.conductor for g, _ in self.factors))
+        data = [(_generator_data(g.kind, g.params), e) for g, e in self.factors]
+        valuation = sum(d.valuation * e for d, e in data)
+        object.__setattr__(self, "weight", sum(d.weight * e for d, e in data))
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "pole_order", max(0, -valuation))
+        object.__setattr__(self, "conductor", lcm(*(d.conductor for d, _ in data)))
 
     @property
     def canonical_text(self) -> str:

@@ -22,11 +22,13 @@ conductor rule.  Weights of any sign use least non-negative residues.
 
 Every clause above, every deviation rule, and Theorems 4.1/4.2 in
 ``qgap.siegel`` is one call of ``order_check``: ord_p(c_0) = want or
->= want, optionally with the mod-3 side.  It evaluates ord_p on the
-rational directly, and the mod-3 sign through c_0 * 3^(-ord_3) reduced
-mod 3 (well-defined whenever the denominator is prime to 3).  A vanishing
-c_0 satisfies a divisibility clause and is ZERO_CONSTANT_TERM on an exact
-one.
+>= want for p = 2 or 3, optionally with the mod-3 side.  It reads a
+``C0Read``, the (ord_2, ord_3, sign_3) that ``read_c0`` takes from one pass
+over the numerator and denominator of c_0, and a survey record reads the
+same one: ord_2 from the lowest set bits, ord_3 from one division loop, and
+the sign from the two residues mod 3 left over (c_0 * 3^(-ord_3) is prime
+to 3 above and below).  A vanishing c_0 satisfies a divisibility clause and
+is ZERO_CONSTANT_TERM on an exact one.
 
 A survey runs the forms of each template as one batch: it parses each
 template once and binds each instance's field values to a form, and every
@@ -55,8 +57,8 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import FormExpr, Generator
@@ -66,6 +68,7 @@ from qgap.series import DefectError, QSeries, ReachError, mul_mod
 from qgap.verdict import Verdict
 
 __all__ = [
+    "C0Read",
     "RuleCheck",
     "SurveyRecord",
     "SurveyReport",
@@ -77,6 +80,7 @@ __all__ = [
     "full_rules_config",
     "lehner_check",
     "order_check",
+    "read_c0",
     "reciprocal_compare",
     "render_summary",
     "render_table",
@@ -177,60 +181,83 @@ def _ord_str(v):
 # -- membership machinery ----------------------------------------------------
 
 
-def _sign3(c0) -> int | None:
-    """Which of c0 = +3^a or -3^a (mod 3^(a+1)) holds, a = ord_3(c0);
-    None for zero or a 3-adically non-integral reduced part."""
-    if c0 == 0:
-        return None
-    a = ord_p(c0, 3)
-    t = Fraction(c0) * Fraction(3) ** (-a)
-    if t.denominator % 3 == 0:  # cannot happen after scaling, kept as a guard
-        return None
-    r = t.numerator * pow(t.denominator, -1, 3) % 3
-    return 1 if r == 1 else -1
+class C0Read(NamedTuple):
+    """What every rule reads of a constant term c0: its orders at 2 and 3
+    (INFINITE for c0 = 0) and ``sign3``, +1/-1 for the side of
+    c0 = +-3^ord3 (mod 3^(ord3+1)), None for c0 = 0."""
+
+    ord2: object  # int or INFINITE
+    ord3: object
+    sign3: int | None
 
 
-def order_check(rule_id: str, p: int, c0, want: int, *, at_least: bool = False,
-                sign: int | None = None) -> RuleCheck:
-    """The one constant-term clause: ord_p(c0) = want, or ord_p(c0) >= want
-    when ``at_least``; with ``sign`` (+1/-1, p = 3 only) also
-    c0 = sign * 3^want (mod 3^(want+1)).  A divisibility clause holds for
-    c0 = 0 (its order is infinite); an exact clause reports
-    ZERO_CONSTANT_TERM there."""
+def read_c0(c0) -> C0Read:
+    """The ``C0Read`` of an int or Fraction c0, from one pass over its
+    numerator and denominator: ord_2 from their lowest set bits, ord_3 from
+    one division loop over each, and the sign from the product of the two
+    residues mod 3 left over (each residue is its own inverse mod 3)."""
+    num, den = c0.numerator, c0.denominator
+    if not num:
+        return C0Read(INFINITE, INFINITE, None)
+    ord2 = (num & -num).bit_length() - (den & -den).bit_length()
+    ord3 = 0
+    q, r = divmod(num, 3)
+    while not r:
+        ord3 += 1
+        num = q
+        q, r = divmod(num, 3)
+    q, t = divmod(den, 3)
+    while not t:
+        ord3 -= 1
+        den = q
+        q, t = divmod(den, 3)
+    return C0Read(ord2, ord3, 1 if r * t % 3 == 1 else -1)
+
+
+def order_check(rule_id: str, p: int, read: C0Read, want: int, *,
+                at_least: bool = False, sign: int | None = None) -> RuleCheck:
+    """The one constant-term clause on the ``C0Read`` of c0, p = 2 or 3:
+    ord_p(c0) = want, or ord_p(c0) >= want when ``at_least``; with
+    ``sign`` (+1/-1, p = 3 only) also c0 = sign * 3^want (mod 3^(want+1)).
+    A divisibility clause holds for c0 = 0 (its order is infinite); an
+    exact clause reports ZERO_CONSTANT_TERM there."""
     if sign is not None and p != 3:
         raise ValueError(f"a sign condition needs p = 3, got p = {p}")
-    o = ord_p(c0, p)
-    observed = f"ord{p}={_ord_str(o)}"
-    if p == 3:
-        got_sign = _sign3(c0)
-        observed += f",sign={got_sign}"
+    if p == 2:
+        o = read.ord2
+        observed = f"ord2={_ord_str(o)}"
+    elif p == 3:
+        o = read.ord3
+        observed = f"ord3={_ord_str(o)},sign={read.sign3}"
+    else:
+        raise ValueError(f"order_check reads ord_2 and ord_3 only, got p = {p}")
     predicted = f"ord{p}{'>=' if at_least else '='}{want}"
     if sign is not None:
         predicted += f",sign={'+' if sign > 0 else '-'}"
     if at_least:
         verdict = Verdict.PASS if o >= want else Verdict.FAIL
-    elif c0 == 0:
+    elif o == INFINITE:
         verdict = Verdict.ZERO_CONSTANT_TERM
     else:
-        ok = o == want and (sign is None or got_sign == sign)
+        ok = o == want and (sign is None or read.sign3 == sign)
         verdict = Verdict.PASS if ok else Verdict.FAIL
     return RuleCheck(rule_id, predicted, observed, verdict)
 
 
-def _check_2adic(prefix: str, w: int, beta: int, c0) -> RuleCheck:
+def _check_2adic(prefix: str, w: int, beta: int, read: C0Read) -> RuleCheck:
     # w is even: every catalog kind has even weight
     if w % 4 == 0:
-        return order_check(prefix + "a", 2, c0, 3 * beta)
-    return order_check(prefix + "b", 2, c0, 4 * beta, at_least=True)
+        return order_check(prefix + "a", 2, read, 3 * beta)
+    return order_check(prefix + "b", 2, read, 4 * beta, at_least=True)
 
 
-def _check_3adic(prefix: str, w: int, s: int, gamma: int, L: int, c0) -> RuleCheck:
+def _check_3adic(prefix: str, w: int, s: int, gamma: int, L: int, read: C0Read) -> RuleCheck:
     if w % 3 == 0:
-        return order_check(prefix + "c", 3, c0, gamma, sign=1 if s % 2 == 0 else -1)
+        return order_check(prefix + "c", 3, read, gamma, sign=1 if s % 2 == 0 else -1)
     if w % 3 == 1 and L == 1:
-        return order_check(prefix + "d", 3, c0, gamma, sign=1)
+        return order_check(prefix + "d", 3, read, gamma, sign=1)
     clause = "e" if w % 3 == 1 else "f"
-    return order_check(prefix + clause, 3, c0, gamma + 1, at_least=True)
+    return order_check(prefix + clause, 3, read, gamma + 1, at_least=True)
 
 
 # -- deviation rules for pure E(N,inf,k)^-a powers ---------------------------
@@ -259,23 +286,23 @@ def deviation_window(N: int, k: int, a: int) -> str | None:
     return None
 
 
-def deviation_rules(N: int, k: int, a: int, c0) -> RuleCheck:
-    """Check the deviation formula for E(N,inf,k)^-a, or NOT_APPLICABLE when
-    (N,k,a) sits in no deviation window (the plain conductor rule applies
-    there instead)."""
+def deviation_rules(N: int, k: int, a: int, read: C0Read) -> RuleCheck:
+    """Check the deviation formula for E(N,inf,k)^-a on the ``C0Read`` of
+    its constant term, or NOT_APPLICABLE when (N,k,a) sits in no deviation
+    window (the plain conductor rule applies there instead)."""
     window = deviation_window(N, k, a)
     if window is None:
         return RuleCheck("dev-none", "no deviation window",
-                         f"ord2={_ord_str(ord_p(c0, 2))},ord3={_ord_str(ord_p(c0, 3))}",
+                         f"ord2={_ord_str(read.ord2)},ord3={_ord_str(read.ord3)}",
                          Verdict.NOT_APPLICABLE)
     if window == "dev-3-1":
-        return order_check(window, 2, c0, 3 * digit_sum(a, 2) + ord_p(a + 1, 2) + k - 5)
+        return order_check(window, 2, read, 3 * digit_sum(a, 2) + ord_p(a + 1, 2) + k - 5)
     if window == "dev-3-2":
-        return order_check(window, 3, c0, digit_sum(a, 3), sign=1 if a % 2 == 1 else -1)
+        return order_check(window, 3, read, digit_sum(a, 3), sign=1 if a % 2 == 1 else -1)
     if window == "dev-3-3":
         # only the order is systematic; the +- side is recorded, not asserted
-        return order_check(window, 3, c0, digit_sum(a, 3) + ord_p(a + 1, 3))
-    return order_check(window, 3, c0, digit_sum(a, 3), sign=-1)  # dev-3-4
+        return order_check(window, 3, read, digit_sum(a, 3) + ord_p(a + 1, 3))
+    return order_check(window, 3, read, digit_sum(a, 3), sign=-1)  # dev-3-4
 
 
 # -- record assembly ---------------------------------------------------------
@@ -300,6 +327,7 @@ def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
     s, w, conductor = expr.pole_order, expr.weight, expr.conductor
     if c0 is None:
         c0 = constant_term(expr)
+    read = read_c0(c0)
     beta, gamma, L = ((digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3))
                       if s > 0 else (0, 0, 0))
     pure = _pure_e_power(expr)
@@ -307,19 +335,18 @@ def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
         checks = [RuleCheck("-", "pole at infinity required", f"pole_order={s}",
                             Verdict.NOT_APPLICABLE)]
     elif pure is not None and deviation_window(*pure) is not None:
-        checks = [deviation_rules(*pure, c0)]
+        checks = [deviation_rules(*pure, read)]
     elif conductor == 1:
         # the 2-adic and 3-adic clause families are independent
-        checks = [_check_2adic("1", w, beta, c0), _check_3adic("1", w, s, gamma, L, c0)]
+        checks = [_check_2adic("1", w, beta, read), _check_3adic("1", w, s, gamma, L, read)]
     elif conductor == 2:
-        checks = [_check_2adic("2", w, beta, c0)]
+        checks = [_check_2adic("2", w, beta, read)]
     elif conductor == 3:
-        checks = [_check_3adic("3", w, s, gamma, L, c0)]
+        checks = [_check_3adic("3", w, s, gamma, L, read)]
     else:
         checks = [RuleCheck("-", f"no rule for conductor {conductor}", "-",
                             Verdict.NOT_APPLICABLE)]
-    return SurveyRecord(str(expr), conductor, w, s, c0, beta, gamma, L,
-                        ord_p(c0, 2), ord_p(c0, 3), _sign3(c0), tuple(checks))
+    return SurveyRecord(str(expr), conductor, w, s, c0, beta, gamma, L, *read, tuple(checks))
 
 
 # -- survey runner -------------------------------------------------------------

@@ -27,7 +27,7 @@ from operator import mul
 
 from qgap.arith import digit_sum
 from qgap.catalog import Generator, dim_m
-from qgap.congruence import RuleCheck, order_check
+from qgap.congruence import RuleCheck, order_check, read_c0
 from qgap.forms import basis_m1, basis_m2, constant_term, t_series
 from qgap.series import QSeries, ReachError
 from qgap.verdict import Verdict
@@ -248,13 +248,13 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
           when the level-1 dimension is a power of two, and
           c_0[T_{2,h}] = 8 mod 16 (h = 2^x-6) or 16 mod 32 (h = 2^x-4).
     """
-    checks = [(f"s={s}", order_check("4.1", 2, constant_term(f"Einf4^-{s}"), 3))
+    checks = [(f"s={s}", order_check("4.1", 2, read_c0(constant_term(f"Einf4^-{s}")), 3))
               for s in s_powers]
     for D in (1, 3, 5):
         s = D
         while s <= s42_max:
             c0 = constant_term(f"Delta^-{s}")
-            checks.append((f"s={s}", order_check("4.2", 2, c0, 3 * digit_sum(s, 2))))
+            checks.append((f"s={s}", order_check("4.2", 2, read_c0(c0), 3 * digit_sum(s, 2))))
             s *= 2
     residues = [(f"T({h})", 16 if h % 12 == 8 else 8, 32)
                 for h in range(4, h43_max + 1, 2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgap import arith
 from qgap.arith import (
     INFINITE,
     alpha_coeff,
@@ -175,6 +176,13 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli(0)
 
+    @pytest.mark.parametrize("order", ["descending", "ascending"])
+    def test_table_growth_against_akiyama_tanigawa(self, order):
+        arith._signed_bernoulli.cache_clear()
+        ks = range(64, 0, -1) if order == "descending" else range(1, 65)
+        for k in ks:
+            assert bernoulli(k) == abs(bernoulli_oracle(2 * k))
+
 
 class TestAlphaCoeff:
     def test_table(self):
@@ -184,8 +192,10 @@ class TestAlphaCoeff:
             assert alpha_coeff(h) == want
 
     def test_integral_values_are_ints(self):
-        assert isinstance(alpha_coeff(4), int)
-        assert isinstance(alpha_coeff(12), Fraction)
+        arith._signed_bernoulli.cache_clear()
+        for h in range(2, 11, 2):
+            assert type(alpha_coeff(h)) is int
+        assert type(alpha_coeff(12)) is Fraction
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):

@@ -455,6 +455,10 @@ GOLDEN = {
         "4324c963ee9187d03b1296510841452b58d82ad755e580671161efd0895d0f0b",
     ("verify", "--suite", "theorems4", "--json"):
         "56973c3012a06ca2c195d7255107d17dac7cdbe91b51a64fc772f65a1b87306a",
+    ("verify", "--suite", "rules"):
+        "95d6def75475d97c768eef152681f99929cf30adf9dcf14c02ffa99092672434",
+    ("verify", "--suite", "rules", "--json"):
+        "dd2b99c758e2a944e75d9c845e5e65f3cbb4ea3c5fd4bb6be89740a408eac25f",
     ("verify", "--suite", "sec33"):
         "6727fee499739168f6a7a67067e4625fe35c8150731db79221c581b3e5f066b4",
     ("verify", "--suite", "sec33", "--json"):

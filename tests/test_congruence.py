@@ -20,6 +20,7 @@ from qgap.congruence import (
     deviation_window,
     lehner_check,
     order_check,
+    read_c0,
     reciprocal_compare,
     run_survey,
     render_summary,
@@ -156,14 +157,61 @@ class TestOrderCheck:
 
     def test_rational_order_and_sign(self):
         # -3/2 = 3 * (-1/2) and -1/2 = 1 mod 3: ord_3 = 1 on the + side
-        chk = order_check("x", 3, Fraction(-3, 2), 1, sign=1)
+        chk = order_check("x", 3, read_c0(Fraction(-3, 2)), 1, sign=1)
         assert (chk.observed, chk.verdict) == ("ord3=1,sign=1", "PASS")
-        assert order_check("x", 3, Fraction(-3, 2), 1, sign=-1).verdict == "FAIL"
-        assert order_check("x", 2, Fraction(-3, 2), -1).verdict == "PASS"
+        assert order_check("x", 3, read_c0(Fraction(-3, 2)), 1, sign=-1).verdict == "FAIL"
+        assert order_check("x", 2, read_c0(Fraction(-3, 2)), -1).verdict == "PASS"
 
     def test_sign_needs_p_3(self):
         with pytest.raises(ValueError, match="p = 3"):
-            order_check("x", 2, 8, 3, sign=1)
+            order_check("x", 2, read_c0(8), 3, sign=1)
+
+    @pytest.mark.parametrize("p", [5, 7, 1])
+    def test_rejects_primes_other_than_2_and_3(self, p):
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            order_check("x", p, read_c0(25), 2)
+
+
+def sign3_oracle(c0) -> int | None:
+    """Which of c0 = +3^a or -3^a (mod 3^(a+1)) holds, a = ord_3(c0), from
+    the reduced part c0 * 3^(-a); None for zero."""
+    if c0 == 0:
+        return None
+    t = Fraction(c0) * Fraction(3) ** (-ord_p(c0, 3))
+    r = t.numerator * pow(t.denominator, -1, 3) % 3
+    return 1 if r == 1 else -1
+
+
+# numerators and denominators with and without factors 2 and 3, up to
+# 3,100 bits (the full survey's constant terms reach 3,678 bits)
+_SMOOTH = st.builds(lambda a, b: 2**a * 3**b, st.integers(0, 40), st.integers(0, 40))
+_UNIT = st.one_of(st.integers(1, 10**6), st.integers(1, 2**3100))
+
+
+class TestReadC0:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.just(0),
+        st.integers(),
+        st.fractions(max_denominator=10**6),
+        st.builds(lambda sgn, u, s, v, t: Fraction(sgn * u * s, v * t),
+                  st.sampled_from([1, -1]), _UNIT, _SMOOTH, _UNIT, _SMOOTH),
+        st.builds(lambda u, s: u * s, st.integers(-2**3100, 2**3100), _SMOOTH),
+    ))
+    def test_matches_ord_p_and_sign_oracle(self, c0):
+        read = read_c0(c0)
+        assert read == (ord_p(c0, 2), ord_p(c0, 3), sign3_oracle(c0))
+        assert type(read.ord2) is type(ord_p(c0, 2))
+        assert type(read.ord3) is type(ord_p(c0, 3))
+
+    def test_zero(self):
+        assert read_c0(0) == read_c0(Fraction(0)) == (INFINITE, INFINITE, None)
+
+    def test_examples(self):
+        # -33 = 3 * -11 and -11 = 1 mod 3; 5/72 = 3^-2 * 5/8, 5/8 = 1 mod 3
+        assert read_c0(-33) == (0, 1, 1)
+        assert read_c0(Fraction(5, 72)) == (-3, -2, 1)
+        assert read_c0(Fraction(-5, 72)) == (-3, -2, -1)
 
 
 class TestDeviations:
@@ -213,7 +261,7 @@ class TestDeviations:
         assert chk.verdict == "PASS"
 
     def test_window_miss_reports_not_applicable(self):
-        chk = deviation_rules(2, 6, 3, -10)
+        chk = deviation_rules(2, 6, 3, read_c0(-10))
         assert chk.verdict == "NOT_APPLICABLE"
 
 
