@@ -227,8 +227,14 @@ _SUITES = {
     "sec33": _suite_sec33,
 }
 
+#: The suites with a paper scale; --full on any other suite exits 2.
+_FULL_SUITES = ("rules", "sec33")
+
 
 def _cmd_verify(args) -> int:
+    if args.full and args.suite not in _FULL_SUITES:
+        raise ValueError(f"suite {args.suite} has no --full scale; "
+                         f"only {', '.join(_FULL_SUITES)} have one")
     verdicts, lines, records = _SUITES[args.suite](args.full, _jobs(args.jobs))
     verdict = Verdict.FAIL if any(v.fails for v in verdicts) else Verdict.PASS
     return _report(args, [verdict], [*lines, f"suite {args.suite}: {verdict}"],
@@ -285,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--full", action="store_true",
-                   help="paper-scale ranges instead of desk defaults")
+                   help="paper-scale ranges instead of desk defaults "
+                        f"({', '.join(_FULL_SUITES)} only)")
     p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -1,15 +1,15 @@
-import hashlib
 import json
 import re
 import time
 
 import pytest
 
-from qgap.cli import main
+import golden
+from qgap.cli import _build_parser, main
 from qgap.quadratic import E8
 from test_quadratic import E6, skewed
 
-D4_GRAM = "4\n2 -1 0 0\n-1 2 -1 -1\n0 -1 2 0\n0 -1 0 2\n"
+D4 = golden.GOLDEN_DIR / "d4.gram"
 
 
 def write_gram(path, rows):
@@ -344,17 +344,13 @@ class TestGap:
 
 
 class TestThetaMinima:
-    def test_theta(self, tmp_path, capsys):
-        gram = tmp_path / "d4.gram"
-        gram.write_text(D4_GRAM)
-        code, out, _ = run(capsys, "theta", str(gram), "--terms", "3")
+    def test_theta(self, capsys):
+        code, out, _ = run(capsys, "theta", str(D4), "--terms", "3")
         assert code == 0
         assert out.splitlines() == ["0\t1", "1\t24", "2\t24", "3\t96"]
 
-    def test_minima(self, tmp_path, capsys):
-        gram = tmp_path / "d4.gram"
-        gram.write_text(D4_GRAM)
-        code, out, _ = run(capsys, "minima", str(gram))
+    def test_minima(self, capsys):
+        code, out, _ = run(capsys, "minima", str(D4))
         assert code == 0
         assert out.strip() == "min=2 bound=4 PASS"
 
@@ -440,106 +436,53 @@ class TestVerify:
         assert code == 0
         assert "suite satz: PASS" in out
 
-
-# sha256 of stdout for commands whose output must stay byte-identical
-GOLDEN = {
-    ("verify", "--suite", "identities"):
-        "9eaf11c602db7964ba4047069e2c02013aac83aa8f1d2bdbb1a4294a23876755",
-    ("verify", "--suite", "identities", "--json"):
-        "684046b39616e84f54cac765361ab8b0fdb49cb949750065e157a07b81f9c133",
-    ("verify", "--suite", "satz"):
-        "802d8a24b2138f51c3b79f8a96c145c206036f338b82425b77c9cdca49c47b4f",
-    ("verify", "--suite", "satz", "--json"):
-        "39a0b66ef672759e8406b924122d34f6d3d7490764e4622d54f517a1c17f570b",
-    ("verify", "--suite", "theorems4"):
-        "4324c963ee9187d03b1296510841452b58d82ad755e580671161efd0895d0f0b",
-    ("verify", "--suite", "theorems4", "--json"):
-        "56973c3012a06ca2c195d7255107d17dac7cdbe91b51a64fc772f65a1b87306a",
-    ("verify", "--suite", "rules"):
-        "95d6def75475d97c768eef152681f99929cf30adf9dcf14c02ffa99092672434",
-    ("verify", "--suite", "rules", "--json"):
-        "dd2b99c758e2a944e75d9c845e5e65f3cbb4ea3c5fd4bb6be89740a408eac25f",
-    ("verify", "--suite", "sec33"):
-        "6727fee499739168f6a7a67067e4625fe35c8150731db79221c581b3e5f066b4",
-    ("verify", "--suite", "sec33", "--json"):
-        "6effa145ba1298e3e594d4b47ed09eab25349ff190587c234798a85fb073474d",
-    ("gap", "--hmax", "8", "--combos", "2"):
-        "1fd34656dadedc002591d1bc0aceab272320011758538a1c13d6f42c39f63f0b",
-    ("gap", "--hmax", "8", "--combos", "2", "--json"):
-        "9c85bac0b83c7cd0f4897f16434b70bee3962b8797da93801bc26a3e6f45b9f7",
-    ("minima", "{d4}"):
-        "7ca34117cd745dfa48015a71ad9e2f00e9f92a50954bd905dc40b0d1a5e3b652",
-    ("theta", "{d4}", "--terms", "3"):
-        "1baa2cc343e2792e48437fd0a404079d01a4508a6a4429a99bef6a41332dbcf2",
-    ("c0", "Delta^-1"):
-        "68ca3fba3b7e864770cb61aeb306d4bd4354b68ab4dd38450860c5d823e42a53",
-    ("expand", "G(12)", "--prec", "3"):
-        "38cea9290686160695dfb9e9455c98ba7e3f930ee5f7240c0010f650c6b50181",
-    ("expand", "G(12)", "--prec", "3", "--json"):
-        "ea966a28b6097114065f4fcbe604e591344267efa28145483e767378e9fd4d7c",
-}
+    @pytest.mark.parametrize("suite", ["identities", "satz", "theorems4"])
+    def test_full_without_paper_scale_exit_2(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--full")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: suite ") and suite in err
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
-def test_golden_output(argv, tmp_path, capsys):
-    gram = tmp_path / "d4.gram"
-    gram.write_text(D4_GRAM)
-    code, out, _ = run(capsys, *(a.format(d4=gram) for a in argv))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+GOLDEN = golden.load()
 
 
-# sha256 of `qgap gap --hmax 120 --json` stdout at each level: every record
-# of the on-demand suite equals the full-window suite's
-GOLDEN_GAP = {
-    "1": "27166b0930b9ad5d6eeda519639d92f5811dc4b0763b874d668379e8ee2cd76e",
-    "2": "245775ff822456c752732a04b9f41a750f3c0e62a2dc52c14aab121cf0f3976b",
-}
+def _argv_id(entry):
+    return " ".join(entry["argv"])
 
 
-@pytest.mark.parametrize("level", sorted(GOLDEN_GAP))
-def test_golden_gap_hmax120(level, capsys):
-    code, out, _ = run(capsys, "gap", "--level", level, "--hmax", "120", "--json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GAP[level]
+# every desk-tier entry of tests/golden/golden.json; `python tests/golden.py`
+# runs the paper tier
+@pytest.mark.parametrize("entry", [e for e in GOLDEN if not golden.is_paper(e)],
+                         ids=_argv_id)
+def test_golden_output(entry):
+    golden.check(entry)
 
 
-# one family per survey clause (1a-1f, 2a/2b, 3c-3f), per deviation window
-# (dev-3-1 .. dev-3-4), and per NOT_APPLICABLE record (no pole, conductor 6)
-GOLDEN_SURVEY_CONFIG = {"name": "golden", "families": [
-    {"template": t, "ranges": r} for t, r in (
-        ("Delta^-{a}", {"a": [1, 4]}),
-        ("G(6)*Delta^-{a}", {"a": [1, 3]}),
-        ("G(4)*Delta^-{a}", {"a": [1, 3]}),
-        ("G(8)*Delta^-{a}", {"a": [1, 3]}),
-        ("Delta2^-{a}", {"a": [1, 3]}),
-        ("E(2,inf,6)^-{a}", {"a": [1, 3]}),
-        ("phi(3)^-{a}", {"a": [1, 3]}),
-        ("G(4)*Phi(3)^-{a}", {"a": [1, 3]}),
-        ("G(2)*Phi(3)^-{a}", {"a": [1, 3]}),
-        ("E(2,inf,8)^-{a}", {"a": [1, 3]}),
-        ("E(3,inf,6)^-{a}", {"a": [1, 3]}),
-        ("E(3,inf,8)^-{a}", {"a": [1, 4]}),
-        ("G({k})", {"k": [4, 6, 2]}),
-        ("phi(2)^-1*phi(3)^-{a}", {"a": [1, 2]}),
-    )
-]}
-
-# sha256 of `qgap survey` stdout on GOLDEN_SURVEY_CONFIG, the --json
-# summary line's timestamp dropped
-GOLDEN_SURVEY = {
-    ():
-        "902ce5a1c9f1d8110da777f58e931947351da795b429230fc526cf8fc90c5561",
-    ("--json",):
-        "45b2590cd4852361e2fa92318838e215a431e038447de465039f57dab71574ba",
-}
+@pytest.mark.parametrize("entry", [e for e in GOLDEN if golden.is_paper(e)],
+                         ids=_argv_id)
+def test_golden_paper_argv_parses_and_names_existing_files(entry):
+    # the paper tier runs only in CI, so a typo in its argv fails here first
+    args = _build_parser().parse_args(entry["argv"])
+    for name in ("config", "gram"):
+        if hasattr(args, name):
+            assert (golden.GOLDEN_DIR / getattr(args, name)).is_file()
 
 
-@pytest.mark.parametrize("flags", sorted(GOLDEN_SURVEY), ids=" ".join)
-def test_golden_survey_output(flags, tmp_path, capsys):
-    cfg = tmp_path / "golden.json"
-    cfg.write_text(json.dumps(GOLDEN_SURVEY_CONFIG))
-    code, out, _ = run(capsys, "survey", str(cfg), *flags)
-    assert code == 0
-    out = re.sub(r', "timestamp": "[^"]*"\}$', "}", out, flags=re.M)
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SURVEY[flags]
+def test_golden_duplicate_argv_rejected(tmp_path):
+    manifest = tmp_path / "golden.json"
+    manifest.write_text(json.dumps([{"argv": ["c0", "Delta"], "sha256": "0"}] * 2))
+    with pytest.raises(ValueError, match="duplicate argv: c0 Delta"):
+        golden.load(manifest)
+
+
+def test_golden_mismatch_names_argv_and_both_digests():
+    entry = {"argv": ["c0", "Delta^-1"], "sha256": "0" * 64}
+    with pytest.raises(AssertionError) as info:
+        golden.check(entry)
+    assert str(info.value) == (f"qgap c0 Delta^-1: sha256 {golden.digest(entry['argv'])}, "
+                               f"pinned {'0' * 64}")
+
+
+def test_golden_nonzero_exit_fails():
+    with pytest.raises(AssertionError, match=r"qgap c0 Delta\^: exit 2"):
+        golden.digest(["c0", "Delta^"])

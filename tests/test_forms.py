@@ -437,3 +437,16 @@ class TestIdentities:
     def test_all_pass_at_200(self):
         for name, ok in identity_checks(200):
             assert ok, name
+
+    def test_perturbed_j2_fails_its_identities(self, monkeypatch):
+        import qgap.forms
+
+        def perturbed(gen, window):
+            series = generator_series(gen, window)
+            if gen.kind == "j2":  # add q^5, keeping the reach
+                series = series + QSeries(5, [1] + [0] * (window - 7))
+            return series
+
+        monkeypatch.setattr(qgap.forms, "generator_series", perturbed)
+        failed = [name for name, ok in identity_checks(200) if not ok]
+        assert failed == ["j2 = m2 + 64", "D(j2) = -Egamma2*E04/Einf4"]
