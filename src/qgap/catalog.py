@@ -152,6 +152,15 @@ class Generator:
         violated = kind.check(*p)
         if violated is not None:
             raise ValueError(f"{kind.shape} needs {violated}, got {self}")
+        # generators key every expansion and factor-power table: hash once
+        object.__setattr__(self, "_hash", hash((self.kind, p)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the hash is that of the loading process
+        return Generator, (self.kind, self.params)
 
     @property
     def weight(self) -> int:

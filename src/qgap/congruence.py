@@ -33,7 +33,10 @@ is ZERO_CONSTANT_TERM on an exact one.
 A survey runs the forms of each template as one batch: it parses each
 template once and binds each instance's field values to a form, and every
 form reads its factor powers from one ``forms.FactorPowers`` table.  Worker
-processes (``jobs`` > 1) take whole batches.
+processes (``jobs`` > 1) take whole batches.  Each process of a survey
+builds the checks once per distinct (s, w mod 12, conductor,
+``_pure_e_power``, ``C0Read``), all that they read, and equal check tuples
+are one object.
 
 The section 3.3 tables report p-adic orders only, and read every order at
 p from residues mod p^K_p (``_RESIDUE_EXPONENTS``): j, Delta^-1 and 1/j are
@@ -57,6 +60,7 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -195,7 +199,10 @@ def read_c0(c0) -> C0Read:
     """The ``C0Read`` of an int or Fraction c0, from one pass over its
     numerator and denominator: ord_2 from their lowest set bits, ord_3 from
     one division loop over each, and the sign from the product of the two
-    residues mod 3 left over (each residue is its own inverse mod 3)."""
+    residues mod 3 left over (each residue is its own inverse mod 3).
+    TypeError for anything but an int (not a bool) or a Fraction."""
+    if isinstance(c0, bool) or not isinstance(c0, (int, Fraction)):
+        raise TypeError(f"c0 must be an exact int or Fraction, got {type(c0).__name__}")
     num, den = c0.numerator, c0.denominator
     if not num:
         return C0Read(INFINITE, INFINITE, None)
@@ -319,34 +326,46 @@ def _pure_e_power(expr: FormExpr) -> tuple[int, int, int] | None:
     return (*gen.e_inf, -e)
 
 
+def _rule_checks(s: int, w12: int, conductor: int, pure, read: C0Read):
+    """((beta, gamma, L), checks) of a form with pole order s, weight
+    w = w12 (mod 12), this conductor, ``_pure_e_power`` and ``C0Read``: all
+    that the checks read."""
+    if s <= 0:
+        return (0, 0, 0), (RuleCheck("-", "pole at infinity required", f"pole_order={s}",
+                                     Verdict.NOT_APPLICABLE),)
+    digits = beta, gamma, L = digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3)
+    if pure is not None and deviation_window(*pure) is not None:
+        checks = (deviation_rules(*pure, read),)
+    elif conductor == 1:
+        # the 2-adic and 3-adic clause families are independent
+        checks = _check_2adic("1", w12, beta, read), _check_3adic("1", w12, s, gamma, L, read)
+    elif conductor == 2:
+        checks = (_check_2adic("2", w12, beta, read),)
+    elif conductor == 3:
+        checks = (_check_3adic("3", w12, s, gamma, L, read),)
+    else:
+        checks = (RuleCheck("-", f"no rule for conductor {conductor}", "-",
+                            Verdict.NOT_APPLICABLE),)
+    return digits, checks
+
+
 def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
     """Evaluate the constant term of a monomial (unless supplied) and apply
     the rule matching its conductor, or the deviation rule on its window."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
-    s, w, conductor = expr.pole_order, expr.weight, expr.conductor
     if c0 is None:
         c0 = constant_term(expr)
+    return _classify(expr, c0, _rule_checks)
+
+
+def _classify(expr: FormExpr, c0, rule_checks) -> SurveyRecord:
+    """The record of ``expr`` with constant term c0, its checks taken from
+    ``rule_checks`` (``_rule_checks`` or a memo of it)."""
+    s, w, conductor = expr.pole_order, expr.weight, expr.conductor
     read = read_c0(c0)
-    beta, gamma, L = ((digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3))
-                      if s > 0 else (0, 0, 0))
-    pure = _pure_e_power(expr)
-    if s <= 0:
-        checks = [RuleCheck("-", "pole at infinity required", f"pole_order={s}",
-                            Verdict.NOT_APPLICABLE)]
-    elif pure is not None and deviation_window(*pure) is not None:
-        checks = [deviation_rules(*pure, read)]
-    elif conductor == 1:
-        # the 2-adic and 3-adic clause families are independent
-        checks = [_check_2adic("1", w, beta, read), _check_3adic("1", w, s, gamma, L, read)]
-    elif conductor == 2:
-        checks = [_check_2adic("2", w, beta, read)]
-    elif conductor == 3:
-        checks = [_check_3adic("3", w, s, gamma, L, read)]
-    else:
-        checks = [RuleCheck("-", f"no rule for conductor {conductor}", "-",
-                            Verdict.NOT_APPLICABLE)]
-    return SurveyRecord(str(expr), conductor, w, s, c0, beta, gamma, L, *read, tuple(checks))
+    digits, checks = rule_checks(s, w % 12, conductor, _pure_e_power(expr), read)
+    return SurveyRecord(str(expr), conductor, w, s, c0, *digits, *read, checks)
 
 
 # -- survey runner -------------------------------------------------------------
@@ -395,10 +414,20 @@ def _expand_range(spec) -> list[int]:
     raise ValueError(f"range must be [lo, hi] or [lo, hi, step] of integers, got {spec!r}")
 
 
+def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    """ValueError naming the first key of ``obj`` not among ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}: {what} has only "
+                             + ", ".join(repr(k) for k in keys))
+
+
 def _family_tasks(fam) -> tuple[Template, list[dict]]:
     """The parsed template of one survey family and the field values of
     each instance, each listing its fields in sorted order; ValueError when
     the family is malformed, checked before any instance is built."""
+    if isinstance(fam, dict):
+        _check_keys(fam, ("template", "ranges", "filters"), "a family")
     if not isinstance(fam, dict) or not isinstance(fam.get("template"), str):
         raise ValueError("a family is an object with a string 'template'")
     ranges, filters = fam.get("ranges", {}), fam.get("filters", [])
@@ -424,6 +453,7 @@ def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
     families = config.get("families", []) if isinstance(config, dict) else None
     if not isinstance(families, list):
         raise ValueError("a survey config is an object with a 'families' list")
+    _check_keys(config, ("name", "families"), "a survey config")
     batches = {}
     for i, fam in enumerate(families):
         try:
@@ -435,26 +465,52 @@ def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
             for _, (template, envs) in sorted(batches.items())]
 
 
-def _survey_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
+def _survey_batch(batch: tuple[Template, list[dict]], rule_checks) -> list[SurveyRecord]:
     """The records of one template's forms: bind its instances, then
     classify each, all reading their factor powers from one
-    ``FactorPowers`` table, dropped when the batch ends."""
+    ``FactorPowers`` table, dropped when the batch ends, and their checks
+    from the survey's memo ``rule_checks``."""
     template, envs = batch
     exprs = [template(env) for env in envs]
     powers = FactorPowers(exprs)
-    return [_survey_record(expr, powers) for expr in exprs]
+    return [_survey_record(expr, powers, rule_checks) for expr in exprs]
 
 
-def _survey_record(expr: FormExpr, powers: FactorPowers) -> SurveyRecord:
+def _survey_record(expr: FormExpr, powers: FactorPowers, rule_checks) -> SurveyRecord:
     """Classify one form; a defect or arithmetic failure on it, including
     one while building a factor power it needs, becomes an ERROR record
     carrying the exception text instead of ending the survey."""
     try:
-        return classify_expr(expr, constant_term(expr, powers))
+        return _classify(expr, constant_term(expr, powers), rule_checks)
     except (DefectError, ReachError, ArithmeticError) as exc:
         check = RuleCheck("error", "-", f"{type(exc).__name__}: {exc}", Verdict.ERROR)
         return SurveyRecord(str(expr), expr.conductor, expr.weight, expr.pole_order,
                             None, 0, 0, 0, None, None, None, (check,))
+
+
+def _clause_memo():
+    """A memo of ``_rule_checks`` for one survey, sharing equal check tuples."""
+    shared = {}
+
+    @lru_cache(maxsize=None)
+    def rule_checks(*key):
+        digits, checks = _rule_checks(*key)
+        return digits, shared.setdefault(checks, checks)
+
+    return rule_checks
+
+
+#: The clause memo of a survey worker process, made when the worker starts.
+_worker_checks = None
+
+
+def _start_worker() -> None:
+    global _worker_checks
+    _worker_checks = _clause_memo()
+
+
+def _worker_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
+    return _survey_batch(batch, _worker_checks)
 
 
 def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
@@ -468,10 +524,11 @@ def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
     if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_survey_batch, batches))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
+            chunks = list(pool.map(_worker_batch, batches))
     else:
-        chunks = map(_survey_batch, batches)
+        rule_checks = _clause_memo()
+        chunks = (_survey_batch(batch, rule_checks) for batch in batches)
     return SurveyReport(records=[rec for chunk in chunks for rec in chunk])
 
 

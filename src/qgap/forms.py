@@ -24,9 +24,14 @@ quotient in ``identity_checks``.  The section 3.3 tables of
 K_p at least 3 above the largest order any table reads to n = 4096 (44,
 17, 7 and 5 at p = 2, 3, 5, 7, measured at window 4098).
 
-Expansions are memoized per (generator, window), factor powers in an LRU
-cache of FACTOR_CACHE_SIZE entries; QSeries values are immutable, so the
-memos are safe for concurrent readers.
+Each generator is expanded only when a window longer than its largest
+expansion so far is asked for; ``generator_series`` serves every other
+window as a prefix of that one, and memoizes the prefix per (generator,
+window).  A ``FactorPowers`` table asks for each generator at the largest
+window its batch reads before it builds a power of it, so a batch expands
+each of its generators once.  Factor powers sit in an LRU cache of
+FACTOR_CACHE_SIZE entries; QSeries values are immutable, so the memos are
+safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -88,12 +93,26 @@ def t_series(level: int, h: int, prec: int) -> QSeries:
     raise ValueError(f"t_series exists at levels 1 and 2, not {level}")
 
 
+#: The largest expansion of each generator built so far.
+_largest: dict[Generator, QSeries] = {}
+
+
 @lru_cache(maxsize=None)
 def generator_series(gen: Generator, window: int) -> QSeries:
     """Expansion of a catalog generator with ``window`` justified
-    coefficients from its valuation."""
+    coefficients from its valuation: the prefix of the largest expansion of
+    ``gen`` built so far, which is built first when it is shorter."""
     if window < 1:
         raise ValueError("window must be >= 1")
+    big = _largest.get(gen)
+    if big is None or big.window < window:
+        big = _largest[gen] = _expand(gen, window)
+    return _prefix(big, window)
+
+
+def _expand(gen: Generator, window: int) -> QSeries:
+    """Build the expansion of ``gen`` to ``window`` coefficients, reading
+    the generators it is made of through ``generator_series``."""
     kind, p = gen.kind, gen.params
 
     if gen.e_inf is not None:
@@ -187,13 +206,17 @@ class FactorPowers:
     factor power, and the product of the leading factors of each monomial,
     built once at the largest window any monomial of the batch reads it at.
     A monomial with pole order s reads s + 1 coefficients, a prefix of that
-    build.  Factor powers come from ``factor_power``; nothing is built
-    before a monomial asks for it, so a failing build fails only the
-    monomials that need it."""
+    build.  Factor powers come from ``factor_power``, and before the first
+    power of a generator is built, the generator is expanded at the largest
+    window the batch reads it at, so every power reads a prefix of that one
+    expansion.  Nothing is built before a monomial asks for it, so a failing
+    build fails only the monomials that need it."""
 
     def __init__(self, exprs):
         self._windows: dict[tuple, int] = {}
         self._built: dict[tuple, QSeries] = {}
+        # generator -> largest window read, until it is first expanded
+        self._unexpanded: dict[Generator, int] = {}
         for expr in exprs:
             window = expr.pole_order + 1
             factors = expr.factors
@@ -201,6 +224,9 @@ class FactorPowers:
             for key in keys:
                 if self._windows.get(key, 0) < window:
                     self._windows[key] = window
+            for gen, _ in factors:
+                if self._unexpanded.get(gen, 0) < window:
+                    self._unexpanded[gen] = window
 
     def series(self, factors: tuple, window: int) -> QSeries:
         """The product of ``factors`` ((generator, exponent) pairs) with at
@@ -210,6 +236,7 @@ class FactorPowers:
             w = max(window, self._windows.get(factors, 0))
             if len(factors) == 1:
                 (gen, e), = factors
+                generator_series(gen, max(w, self._unexpanded.pop(gen, 0)))
                 built = factor_power(gen, e, w)
             else:
                 built = (_prefix(self.series(factors[:-1], w), w)

@@ -8,14 +8,20 @@ returning zero.  Below the valuation all coefficients are exactly zero.
 
 Coefficients are exact ints or fractions.Fraction; a Fraction that reduces
 to an integer is stored as an int (this is invisible: both are exact
-rationals and compare equal).  Floats are rejected.
+rationals and compare equal).  Floats are rejected.  A series also has an
+integer content: its coefficients as int numerators over one common
+positive denominator, computed once, on first use.  An all-int series is
+its own content, over 1, known when it is made, so nothing is copied.
 
 Multiplication of QSeries is schoolbook convolution: it takes any exact
 coefficients, and bignum coefficient growth dominates its cost at the few
 thousand terms this package targets.  Integer powers, the inverse and m-th
 roots share one O(n^2) recurrence for u^(p/q) (J. C. P. Miller's), so none
-of them goes through repeated multiplication.  A single coefficient of a
-product, such as a constant term, is one dot product (``product_coeff``).
+of them goes through repeated multiplication; it runs on the integer
+content, so its divisions are exact integer divisions wherever the result
+is integral after one scaling (always for integer p).  A single
+coefficient of a product, such as a constant term, is one int dot product
+of the two contents and one division (``product_coeff``).
 
 Residue lists mod m multiply through one packed kernel, ``mul_mod``
 (Kronecker substitution: one big-int product per series product).  It
@@ -30,6 +36,7 @@ expands any product prod (1 - q^n)^(e_n) by its O(n^2) recurrence.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Callable, Iterable
 
@@ -65,10 +72,13 @@ class QSeries:
     valuation == reach); reach == valuation + number of stored coefficients.
     """
 
-    __slots__ = ("_val", "_coeffs", "_reach")
+    __slots__ = ("_val", "_coeffs", "_reach", "_content")
 
     def __init__(self, valuation: int, coeffs: Iterable):
-        coeffs = [_norm_coeff(c) for c in coeffs]
+        coeffs = list(coeffs)
+        integral = all(type(c) is int for c in coeffs)
+        if not integral:
+            coeffs = [_norm_coeff(c) for c in coeffs]
         reach = valuation + len(coeffs)
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
@@ -78,6 +88,8 @@ class QSeries:
         self._val = valuation if coeffs else reach
         self._coeffs = tuple(coeffs)
         self._reach = reach
+        # an all-int series is its own integer content
+        self._content = (self._coeffs, 1) if integral else None
 
     # -- constructors ------------------------------------------------------
 
@@ -145,6 +157,16 @@ class QSeries:
         out = list(self._coeffs[:count])
         out.extend([0] * (count - len(out)))
         return out
+
+    def _int_content(self) -> tuple[tuple, int]:
+        """(numerators, denominator): the stored coefficients as ints over
+        their least common positive denominator, computed on first use."""
+        if self._content is None:
+            c = self._coeffs
+            den = lcm(*[x.denominator for x in c if type(x) is not int])
+            self._content = (c, 1) if den == 1 else (
+                tuple(x.numerator * (den // x.denominator) for x in c), den)
+        return self._content
 
     def first_nonzero_index(self, start: int = 1) -> int | None:
         """Smallest exponent n >= start with a nonzero (justified)
@@ -271,18 +293,20 @@ class QSeries:
         """Coefficient of q^n in ``self * other`` as one dot product over
         the terms whose exponents add up to n: O(n) work where the full
         product costs O(n^2).  Justified exactly where the product's
-        coefficient is; ReachError at or beyond the product's reach."""
+        coefficient is; ReachError at or beyond the product's reach.  It runs
+        on the integer contents: an int dot product over one denominator."""
         reach = min(self._reach + other._val, other._reach + self._val)
         if n >= reach:
             raise ReachError(
                 f"coefficient of q^{n} is beyond the justified reach {reach}"
             )
-        a, b = self._coeffs, other._coeffs
+        (a, da), (b, db) = self._int_content(), other._int_content()
         k = n - self._val - other._val
         lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
         if lo > hi:
             return 0
-        return _norm_coeff(sum(map(mul, a[lo:hi + 1], reversed(b[k - hi:k - lo + 1]))))
+        s = sum(map(mul, a[lo:hi + 1], reversed(b[k - hi:k - lo + 1])))
+        return s if da * db == 1 else _norm_coeff(Fraction(s, da * db))
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse, justified on the same-size window.
@@ -323,27 +347,45 @@ class QSeries:
         with D = q d/dq:
 
             q*k*u_0*b_k = sum_{i=1..k} ((p+q)*i - q*k) * u_i * b_{k-i}.
+
+        It is homogeneous in u, so it runs on the integer content U of u.
+        With b_k = b_0 * C_k / U_0^k and V_i = U_i * U_0^(i-1) it reads
+
+            q*k*C_k = sum_{i=1..k} ((p+q)*i - q*k) * V_i * C_{k-i},
+
+        C_0 = 1, and C_k is an integer for integer p, so every division is
+        exact; only a root may leave a Fraction.
         """
         if not self._coeffs:
             raise ZeroDivisionError("cannot invert a series that is zero up to reach")
-        u = self._coeffs
+        u, _ = self._int_content()
         u0 = u[0]
-        b = [_norm_coeff(Fraction(u0) ** p) if q == 1 else 1]
+        b0 = _norm_coeff(Fraction(self._coeffs[0]) ** p) if q == 1 else 1
+        v, f = u, 1
+        if u0 != 1:
+            v = [0]
+            for c in u[1:]:
+                v.append(c * f)
+                f *= u0
         # p + q == 0 is the inverse: the i-weighted sum drops out, and
-        # dividing by q*k leaves u_0*b_k = -sum u_i*b_{k-i}
-        iu = [(p + q) * i * c for i, c in enumerate(u)] if p + q else None
+        # dividing by q*k leaves C_k = -sum V_i*C_{k-i}
+        iv = [(p + q) * i * c for i, c in enumerate(v)] if p + q else None
+        c = [1]
         for k in range(1, len(u)):
-            s = sum(map(mul, u[1:k + 1], reversed(b)))
-            if iu is None:
-                s, d = -s, u0
-            else:
-                s = sum(map(mul, iu[1:k + 1], reversed(b))) - q * k * s
-                d = q * k * u0
-            if type(s) is int and type(d) is int and not s % d:
-                b.append(s // d)
-            else:
-                b.append(_norm_coeff(Fraction(s, d)))
-        return QSeries(self._val * p // q, b)
+            s = sum(map(mul, v[1:k + 1], reversed(c)))
+            if iv is None:
+                c.append(-s)
+                continue
+            s = sum(map(mul, iv[1:k + 1], reversed(c))) - q * k * s
+            c.append(s // (q * k) if type(s) is int and not s % (q * k) else Fraction(s, q * k))
+        val = self._val * p // q
+        if u0 == 1 and b0 == 1:
+            return QSeries(val, c)
+        b, f = [], b0.denominator
+        for x in c:
+            b.append(Fraction(b0.numerator * x, f))
+            f *= u0
+        return QSeries(val, b)
 
     def q_derivative(self) -> "QSeries":
         """The operator q d/dq (= d/d log q): coefficient of q^n becomes n*c_n."""
@@ -373,6 +415,7 @@ class QSeries:
         s._val = self._val + k
         s._coeffs = self._coeffs
         s._reach = self._reach + k
+        s._content = self._content
         return s
 
 

@@ -64,3 +64,27 @@ def product_expand(exponents: dict, prec: int) -> QSeries:
             raise ArithmeticError("non-integral product coefficient")
         p[n] = q
     return QSeries(0, p)
+
+
+def miller_power(a: QSeries, p: int, q: int = 1) -> QSeries:
+    """a^(p/q) by J. C. P. Miller's recurrence run term by term on the
+    stored coefficients, each b_k one Fraction division:
+
+        q*k*u_0*b_k = sum_{i=1..k} ((p+q)*i - q*k) * u_i * b_{k-i}.
+
+    q > 1 needs a monic unit part and q | valuation."""
+    if a.is_zero:
+        raise ZeroDivisionError("cannot invert a series that is zero up to reach")
+    u = a.coefficients()
+    b = [Fraction(u[0]) ** p if q == 1 else Fraction(1)]
+    for k in range(1, len(u)):
+        s = sum(((p + q) * i - q * k) * u[i] * b[k - i] for i in range(1, k + 1))
+        b.append(s / (q * k * u[0]))
+    return QSeries(a.valuation * p // q, b)
+
+
+def product_coeff(a: QSeries, b: QSeries, n: int):
+    """Coefficient of q^n in a*b as a per-term Fraction sum over the
+    exponent pairs that add up to n, each read through ``coeff``."""
+    return sum((Fraction(a.coeff(i)) * b.coeff(n - i)
+                for i in range(a.valuation, n - b.valuation + 1)), Fraction(0))

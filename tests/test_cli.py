@@ -245,6 +245,32 @@ class TestSurvey:
         assert out == "" and err.startswith("error: survey family 1: ")
         assert "empty" in err
 
+    def test_misspelt_family_key_exit_2_before_any_form(self, tmp_path, capsys, monkeypatch):
+        import qgap.congruence
+
+        monkeypatch.setattr(qgap.congruence, "constant_term",
+                            lambda expr, powers=None: pytest.fail("evaluated a form"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}},
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 4]}, "filter": ["a odd"]},
+        ]}))
+        code, out, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error: survey family 1: unknown key 'filter'")
+
+    def test_misspelt_config_key_exit_2_before_any_form(self, tmp_path, capsys, monkeypatch):
+        import qgap.congruence
+
+        monkeypatch.setattr(qgap.congruence, "constant_term",
+                            lambda expr, powers=None: pytest.fail("evaluated a form"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nmae": "x", "families": [
+            {"template": "Delta^-{a}", "ranges": {"a": [1, 4]}}]}))
+        code, out, err = run(capsys, "survey", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error: unknown key 'nmae'")
+
     @pytest.mark.parametrize("filt, word", [
         ("b odd", "'b'"), ("a % 0 == 1", "modulus 0"), ("a % 3 == 1, 2", "unsupported"),
         ("a % 3 in ,", "got []"), ("a % 3 in {}", "got []"), ("a % 3 == 7", "got [7]"),

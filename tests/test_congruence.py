@@ -16,6 +16,7 @@ from qgap.exprs import ParseError, parse_expr, parse_template
 from qgap.congruence import (
     classify_expr,
     delta_pn_compare,
+    desk_rules_config,
     deviation_rules,
     deviation_window,
     lehner_check,
@@ -207,6 +208,14 @@ class TestReadC0:
     def test_zero(self):
         assert read_c0(0) == read_c0(Fraction(0)) == (INFINITE, INFINITE, None)
 
+    @pytest.mark.parametrize("c0", [1.5, 2.0, "3", True, None])
+    def test_inexact_c0_is_a_type_error_naming_the_type(self, c0):
+        with pytest.raises(TypeError, match=f"got {type(c0).__name__}$"):
+            read_c0(c0)
+        if c0 is not None:  # None asks classify_expr to evaluate c0
+            with pytest.raises(TypeError, match=f"got {type(c0).__name__}$"):
+                classify_expr("Delta^-1", c0=c0)
+
     def test_examples(self):
         # -33 = 3 * -11 and -11 = 1 mod 3; 5/72 = 3^-2 * 5/8, 5/8 = 1 mod 3
         assert read_c0(-33) == (0, 1, 1)
@@ -336,6 +345,32 @@ def parse_or_error(text):
         return parse_expr(text)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+class TestClauseMemo:
+    def test_desk_records_match_fresh_classification_and_share_checks(self):
+        records = run_survey(desk_rules_config()).records
+        shared = {}
+        for rec in records:
+            assert rec.to_dict() == classify_expr(rec.expr).to_dict()
+            assert shared.setdefault(rec.checks, rec.checks) is rec.checks
+        assert len(shared) < len(records) / 10
+
+    def test_each_survey_starts_its_own_memo(self, monkeypatch):
+        cfg = {"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 6]}}]}
+        calls = []
+        real = congruence._rule_checks
+
+        def counted(*key):
+            calls.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(congruence, "_rule_checks", counted)
+        first = run_survey(cfg).records
+        assert len(calls) == 6
+        second = run_survey(cfg).records
+        assert len(calls) == 12 and calls[6:] == calls[:6]
+        assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
 class TestTemplateParsing:

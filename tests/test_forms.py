@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgap.forms
 from qgap.catalog import KINDS, FormExpr, Generator, dim_m
 from qgap.forms import (
     FactorPowers,
@@ -450,3 +451,56 @@ class TestIdentities:
         monkeypatch.setattr(qgap.forms, "generator_series", perturbed)
         failed = [name for name, ok in identity_checks(200) if not ok]
         assert failed == ["j2 = m2 + 64", "D(j2) = -Egamma2*E04/Einf4"]
+
+
+def cold_caches():
+    """Forget every expansion and factor power built so far."""
+    generator_series.cache_clear()
+    qgap.forms.factor_power.cache_clear()
+    qgap.forms._largest.clear()
+
+
+class TestOneExpansionPerGenerator:
+    """``generator_series`` serves every window as a prefix of the largest
+    expansion of the generator built so far."""
+
+    @pytest.mark.parametrize("w", [1, 2, 7, 33])
+    @pytest.mark.parametrize("name", KINDS)
+    def test_prefix_after_larger_build_equals_fresh_build(self, name, w):
+        for g in {ADMITTED[name][0], ADMITTED[name][-1]}:
+            cold_caches()
+            fresh = generator_series(g, w)
+            big = generator_series(g, 40)  # longer than the build at w
+            assert big.window == 40 and qgap.forms._largest[g] is big
+            generator_series.cache_clear()  # w is now read from big
+            assert generator_series(g, w) == fresh
+            cold_caches()
+            assert generator_series(g, 40) == big
+
+    def test_batch_expands_each_generator_once(self, monkeypatch):
+        expanded = []
+        real = qgap.forms._expand
+
+        def counted(gen, window):
+            expanded.append((str(gen), window))
+            return real(gen, window)
+
+        monkeypatch.setattr(qgap.forms, "_expand", counted)
+        cold_caches()
+        batch = [FormExpr(((Generator("G", (4,)), a), (Generator("G", (6,)), 1),
+                           (Generator("Einf4"), -b)))
+                 for a in range(1, 4) for b in range(1, 6)]
+        powers = FactorPowers(batch)
+        got = [constant_term(expr, powers) for expr in batch]
+        assert sorted(expanded) == [("Einf4", 6), ("G(4)", 6), ("G(6)", 6)]
+        cold_caches()
+        assert got == [eval_expr(expr, expr.pole_order + 1).coeff(0) for expr in batch]
+
+
+def test_generator_hash_is_cached_by_value_and_survives_pickling():
+    import pickle
+
+    for g in CATALOG:
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and repr(h) == repr(g)
+        assert hash(h) == hash(g) == hash((g.kind, g.params))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -403,3 +404,74 @@ def test_powers_of_zero_series(reach):
         else:
             assert z**e == series_oracle.power(z, e)
     assert (z**3).reach == 3 * reach
+
+
+# -- the integer-content kernel against per-term Fraction loops -------------
+
+
+@st.composite
+def fraction_series_st(draw, max_window=10, monic=False):
+    """A series with at least one non-integral coefficient, a nonzero
+    leading one (exactly 1 when ``monic``), valuation in -3..3."""
+    val = draw(st.integers(min_value=-3, max_value=3))
+    window = draw(st.integers(min_value=2 if monic else 1, max_value=max_window))
+    coeffs = draw(st.lists(coeff_st, min_size=window, max_size=window))
+    coeffs[0] = 1 if monic else draw(coeff_st.filter(bool))
+    i = draw(st.integers(min_value=1 if monic else 0, max_value=window - 1))
+    coeffs[i] = Fraction(draw(st.integers(-50, 50).filter(lambda x: x % 2)),
+                         2 * draw(st.integers(1, 6)))
+    return QSeries(val, coeffs)
+
+
+def exact_type(x):
+    return int if Fraction(x).denominator == 1 else Fraction
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.one_of(fraction_series_st(), series_st(max_window=10)))
+def test_int_content_is_the_coefficients_over_their_lcm(a):
+    nums, den = a._int_content()
+    assert all(type(x) is int for x in nums) and den >= 1
+    assert [Fraction(x, den) for x in nums] == a.coefficients()
+    assert den == lcm(*(Fraction(c).denominator for c in a.coefficients()))
+    if den == 1:  # an all-int series copies nothing
+        assert nums is a._int_content()[0] and list(nums) == a.coefficients()
+
+
+@settings(max_examples=120, derandomize=True)
+@given(fraction_series_st(), st.one_of(fraction_series_st(), series_st(max_window=10)),
+       st.integers(-8, 3))
+def test_content_product_coeff_matches_per_term_fraction_sum(a, b, back):
+    reach = min(a.reach + b.valuation, b.reach + a.valuation)
+    for n in (reach + back, reach - 1, a.valuation + b.valuation - 1):
+        if n >= reach:
+            with pytest.raises(ReachError):
+                a.product_coeff(b, n)
+            continue
+        for x, y in ((a, b), (b, a)):
+            got, want = x.product_coeff(y, n), series_oracle.product_coeff(x, y, n)
+            assert got == want and type(got) is exact_type(want)
+
+
+@pytest.mark.parametrize("reach", [-2, 0, 3])
+def test_content_product_coeff_with_a_zero_series(reach):
+    z, a = QSeries.zero(reach), QSeries(-1, [Fraction(1, 3), 2, Fraction(5, 7)])
+    for n in range(-4, reach - 1):
+        assert z.product_coeff(a, n) == a.product_coeff(z, n) == 0
+    with pytest.raises(ReachError):
+        z.product_coeff(a, reach - 1)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(fraction_series_st(max_window=8), st.integers(-6, 6).filter(bool))
+def test_content_power_matches_fraction_recurrence(a, p):
+    got = a._power(p)
+    assert got == series_oracle.miller_power(a, p) == series_oracle.power(a, p)
+    assert all(type(c) is exact_type(c) for c in got.coefficients())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(fraction_series_st(max_window=8, monic=True), st.integers(min_value=1, max_value=4))
+def test_content_root_matches_fraction_recurrence(a, m):
+    a = a.shift(a.valuation * (m - 1))  # valuation divisible by m
+    assert a.root(m) == series_oracle.miller_power(a, 1, m) == series_oracle.root(a, m)
