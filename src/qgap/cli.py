@@ -96,7 +96,7 @@ def _cmd_survey(args) -> int:
         "summary": report.summary, "config": config.get("name"),
         "timestamp": report.timestamp}])
     with _full_digits():
-        return _report(args, [r.verdict for r in report.records],
+        return _report(args, report.summary["verdicts"],
                        map(render_table, [report]), rows)
 
 
@@ -188,7 +188,7 @@ def _suite_rules(full: bool, jobs: int):
         lines.append(f"{rec.verdict}: {rec.expr} " + "; ".join(
             f"{c.rule_id} {c.predicted} {c.observed} {c.verdict}" for c in rec.checks))
     records = [{"summary": report.summary, "config": config["name"]}]
-    return [r.verdict for r in report.records], lines, records
+    return report.summary["verdicts"], lines, records
 
 
 def _suite_sec33(full: bool, jobs: int):

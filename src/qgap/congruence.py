@@ -32,11 +32,12 @@ is ZERO_CONSTANT_TERM on an exact one.
 
 A survey runs the forms of each template as one batch: it parses each
 template once and binds each instance's field values to a form, and every
-form reads its factor powers from one ``forms.FactorPowers`` table.  Worker
-processes (``jobs`` > 1) take whole batches.  Each process of a survey
-builds the checks once per distinct (s, w mod 12, conductor,
-``_pure_e_power``, ``C0Read``), all that they read, and equal check tuples
-are one object.
+form reads its factor powers from one ``forms.FactorPowers`` table.  Each
+record is one ``classify_expr`` call, and a batch depends on nothing but
+itself, so worker processes (``jobs`` > 1) run the same ``_survey_batch``
+as a serial survey.  The checks come from one memo per process,
+``_rule_checks``, keyed on all that they read: (s, w mod 12, conductor,
+``_pure_e_power``, ``C0Read``).  Equal check tuples are one object.
 
 The section 3.3 tables report p-adic orders only, and read every order at
 p from residues mod p^K_p (``_RESIDUE_EXPONENTS``): j, Delta^-1 and 1/j are
@@ -160,7 +161,7 @@ class SurveyReport:
     records: list[SurveyRecord]
     timestamp: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
 
-    @property
+    @cached_property
     def summary(self) -> dict:
         verdicts: dict[str, int] = {}
         rules: dict[str, dict[str, int]] = {}
@@ -173,6 +174,8 @@ class SurveyReport:
 
     @property
     def failed(self) -> list[SurveyRecord]:
+        if not any(v.fails for v in self.summary["verdicts"]):
+            return []
         return [r for r in self.records if r.verdict.fails]
 
 
@@ -326,15 +329,22 @@ def _pure_e_power(expr: FormExpr) -> tuple[int, int, int] | None:
     return (*gen.e_inf, -e)
 
 
+#: One object per distinct check tuple that ``_rule_checks`` has built.
+_SHARED_CHECKS: dict = {}
+
+
+@lru_cache(maxsize=None)
 def _rule_checks(s: int, w12: int, conductor: int, pure, read: C0Read):
     """((beta, gamma, L), checks) of a form with pole order s, weight
     w = w12 (mod 12), this conductor, ``_pure_e_power`` and ``C0Read``: all
-    that the checks read."""
+    that the checks read, so one memo serves every caller of the process,
+    and equal check tuples are one object."""
+    digits = beta, gamma, L = (
+        (digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3)) if s > 0 else (0, 0, 0))
     if s <= 0:
-        return (0, 0, 0), (RuleCheck("-", "pole at infinity required", f"pole_order={s}",
-                                     Verdict.NOT_APPLICABLE),)
-    digits = beta, gamma, L = digit_sum(s, 2), digit_sum(s, 3), largest_digit(s, 3)
-    if pure is not None and deviation_window(*pure) is not None:
+        checks = (RuleCheck("-", "pole at infinity required", f"pole_order={s}",
+                            Verdict.NOT_APPLICABLE),)
+    elif pure is not None and deviation_window(*pure) is not None:
         checks = (deviation_rules(*pure, read),)
     elif conductor == 1:
         # the 2-adic and 3-adic clause families are independent
@@ -346,25 +356,21 @@ def _rule_checks(s: int, w12: int, conductor: int, pure, read: C0Read):
     else:
         checks = (RuleCheck("-", f"no rule for conductor {conductor}", "-",
                             Verdict.NOT_APPLICABLE),)
-    return digits, checks
+    return digits, _SHARED_CHECKS.setdefault(checks, checks)
 
 
 def classify_expr(expr: FormExpr | str, c0=None) -> SurveyRecord:
-    """Evaluate the constant term of a monomial (unless supplied) and apply
-    the rule matching its conductor, or the deviation rule on its window."""
+    """The record of a monomial: its constant term c0 (evaluated unless
+    supplied), what the rules read of c0, and the checks of the rule
+    matching its conductor, or of the deviation rule on its window.  Every
+    survey record is one call of this."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
     if c0 is None:
         c0 = constant_term(expr)
-    return _classify(expr, c0, _rule_checks)
-
-
-def _classify(expr: FormExpr, c0, rule_checks) -> SurveyRecord:
-    """The record of ``expr`` with constant term c0, its checks taken from
-    ``rule_checks`` (``_rule_checks`` or a memo of it)."""
     s, w, conductor = expr.pole_order, expr.weight, expr.conductor
     read = read_c0(c0)
-    digits, checks = rule_checks(s, w % 12, conductor, _pure_e_power(expr), read)
+    digits, checks = _rule_checks(s, w % 12, conductor, _pure_e_power(expr), read)
     return SurveyRecord(str(expr), conductor, w, s, c0, *digits, *read, checks)
 
 
@@ -465,52 +471,26 @@ def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
             for _, (template, envs) in sorted(batches.items())]
 
 
-def _survey_batch(batch: tuple[Template, list[dict]], rule_checks) -> list[SurveyRecord]:
+def _survey_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
     """The records of one template's forms: bind its instances, then
     classify each, all reading their factor powers from one
-    ``FactorPowers`` table, dropped when the batch ends, and their checks
-    from the survey's memo ``rule_checks``."""
+    ``FactorPowers`` table, dropped when the batch ends."""
     template, envs = batch
     exprs = [template(env) for env in envs]
     powers = FactorPowers(exprs)
-    return [_survey_record(expr, powers, rule_checks) for expr in exprs]
+    return [_survey_record(expr, powers) for expr in exprs]
 
 
-def _survey_record(expr: FormExpr, powers: FactorPowers, rule_checks) -> SurveyRecord:
+def _survey_record(expr: FormExpr, powers: FactorPowers) -> SurveyRecord:
     """Classify one form; a defect or arithmetic failure on it, including
     one while building a factor power it needs, becomes an ERROR record
     carrying the exception text instead of ending the survey."""
     try:
-        return _classify(expr, constant_term(expr, powers), rule_checks)
+        return classify_expr(expr, constant_term(expr, powers))
     except (DefectError, ReachError, ArithmeticError) as exc:
         check = RuleCheck("error", "-", f"{type(exc).__name__}: {exc}", Verdict.ERROR)
         return SurveyRecord(str(expr), expr.conductor, expr.weight, expr.pole_order,
                             None, 0, 0, 0, None, None, None, (check,))
-
-
-def _clause_memo():
-    """A memo of ``_rule_checks`` for one survey, sharing equal check tuples."""
-    shared = {}
-
-    @lru_cache(maxsize=None)
-    def rule_checks(*key):
-        digits, checks = _rule_checks(*key)
-        return digits, shared.setdefault(checks, checks)
-
-    return rule_checks
-
-
-#: The clause memo of a survey worker process, made when the worker starts.
-_worker_checks = None
-
-
-def _start_worker() -> None:
-    global _worker_checks
-    _worker_checks = _clause_memo()
-
-
-def _worker_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
-    return _survey_batch(batch, _worker_checks)
 
 
 def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
@@ -524,11 +504,10 @@ def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
     if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
-            chunks = list(pool.map(_worker_batch, batches))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_survey_batch, batches))
     else:
-        rule_checks = _clause_memo()
-        chunks = (_survey_batch(batch, rule_checks) for batch in batches)
+        chunks = map(_survey_batch, batches)
     return SurveyReport(records=[rec for chunk in chunks for rec in chunk])
 
 
@@ -577,7 +556,7 @@ def render_summary(report: SurveyReport) -> str:
 #: (Delta^-1; 6 at p = 7, which no table reads) and 36, 14, 5 (1/j), so
 #: the exact fallback stays cold on the paper-scale run.  A larger order
 #: still reads exactly, through the fallback; K_p sets only the speed.
-_RESIDUE_EXPONENTS = ((2, 48), (3, 20), (5, 10), (7, 8))
+_RESIDUE_EXPONENTS = {2: 48, 3: 20, 5: 10, 7: 8}
 
 
 def _inverse_mod(u: list, m: int) -> list:
@@ -663,13 +642,11 @@ class _TableResidues:
         return self._orders(1, res, lambda: generator_series(Generator("j"), self.window).invert())
 
 
-_residues_at = lru_cache(maxsize=None)(_TableResidues)
-
-
+@lru_cache(maxsize=None)
 def _residues(p: int, n_max: int) -> _TableResidues:
     """The residues mod p^K_p that a table to ``n_max`` reads (window
     n_max + 2), shared by every table of one process."""
-    return _residues_at(p, dict(_RESIDUE_EXPONENTS)[p], n_max + 2)
+    return _TableResidues(p, _RESIDUE_EXPONENTS[p], n_max + 2)
 
 
 def delta_pn_compare(p: int, n_max: int) -> list[dict]:

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from functools import lru_cache
 from string import Formatter
 
 import pytest
@@ -29,6 +30,7 @@ from qgap.congruence import (
 )
 from qgap.forms import eval_expr, generator_series
 from qgap.series import DefectError, QSeries, ReachError, mul_mod
+from test_forms import cold_caches
 
 
 def only(checks):
@@ -353,24 +355,27 @@ class TestClauseMemo:
         shared = {}
         for rec in records:
             assert rec.to_dict() == classify_expr(rec.expr).to_dict()
+            # rebuilt, not read from the memo
+            key = (rec.pole_order, rec.weight % 12, rec.conductor,
+                   congruence._pure_e_power(parse_expr(rec.expr)), read_c0(rec.c0))
+            assert congruence._rule_checks.__wrapped__(*key) \
+                == ((rec.beta, rec.gamma, rec.largest3), rec.checks)
             assert shared.setdefault(rec.checks, rec.checks) is rec.checks
         assert len(shared) < len(records) / 10
 
-    def test_each_survey_starts_its_own_memo(self, monkeypatch):
-        cfg = {"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 6]}}]}
-        calls = []
-        real = congruence._rule_checks
-
-        def counted(*key):
-            calls.append(key)
-            return real(*key)
-
-        monkeypatch.setattr(congruence, "_rule_checks", counted)
+    def test_one_memo_serves_every_survey_and_classify_expr(self):
+        cfg = {"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 6]}},
+                            {"template": "E(3,inf,6)^-{a}", "ranges": {"a": [1, 4]}}]}
         first = run_survey(cfg).records
-        assert len(calls) == 6
+        before = congruence._rule_checks.cache_info()
         second = run_survey(cfg).records
-        assert len(calls) == 12 and calls[6:] == calls[:6]
+        after = congruence._rule_checks.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 10)
+        assert all(a.checks is b.checks for a, b in zip(first, second))
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+        again = classify_expr(first[2].expr)
+        assert again.checks is first[2].checks
+        assert congruence._rule_checks.cache_info().misses == after.misses
 
 
 class TestTemplateParsing:
@@ -508,7 +513,7 @@ class TestSection33:
         assert (1, 2) not in by_key
 
 
-PRODUCTION_K = congruence._RESIDUE_EXPONENTS
+PRODUCTION_K = tuple(congruence._RESIDUE_EXPONENTS.items())
 TINY_K = ((2, 1), (3, 1), (5, 1), (7, 1))
 #: The (p, K) the packed kernel is checked at: the production K_p, moduli
 #: of about 64 bits, and 2^105, the widest modulus of delta_over_q(4098).
@@ -653,7 +658,11 @@ class TestInverseOrders:
     def test_tiny_k_rows_equal_the_exact_path(self, monkeypatch):
         n = 200
         with monkeypatch.context() as m:
-            m.setattr(congruence, "_RESIDUE_EXPONENTS", TINY_K)
+            m.setattr(congruence, "_RESIDUE_EXPONENTS", dict(TINY_K))
+            # a memo of its own, so no production residues are read here
+            # and no tiny-K residues outlive the test
+            m.setattr(congruence, "_residues",
+                      lru_cache(maxsize=None)(congruence._residues.__wrapped__))
             rows = {p: delta_pn_compare(p, n) for p in (2, 3, 5)}
             rows["reciprocal"], rows["lehner"] = reciprocal_compare(n), lehner_check(n)
             fallbacks = [(p, name) for p in (2, 3, 5, 7)
@@ -713,8 +722,8 @@ class TestTableInputs:
             built.add(gen)
             return expand(gen, window)
 
-        generator_series.cache_clear()
-        congruence._residues_at.cache_clear()
+        cold_caches()
+        congruence._residues.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(QSeries, "_power", power_spy)
             m.setattr(qgap.forms, "generator_series", expand_spy)
