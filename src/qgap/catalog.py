@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 from qgap.series import DefectError
 
-__all__ = ["KINDS", "FormExpr", "Generator", "Kind", "dim_m"]
+__all__ = ["DELTA", "E04", "EGAMMA2", "EINF4", "G4", "G6", "J", "J2", "KINDS", "T14",
+           "FormExpr", "Generator", "Kind", "dim_m"]
 
 
 def dim_m(level: int, h: int) -> int:
@@ -186,6 +187,12 @@ class Generator:
 
     def __str__(self) -> str:
         return _kind(self.kind).render(self.params)
+
+
+#: The fixed generators that other generators and the bases are built from.
+DELTA, J, J2, EGAMMA2, E04, EINF4 = map(Generator,
+                                       ("Delta", "j", "j2", "Egamma2", "E04", "Einf4"))
+G4, G6, T14 = Generator("G", (4,)), Generator("G", (6,)), Generator("T", (14,))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from qgap import congruence, siegel
 from qgap.congruence import desk_rules_config, full_rules_config, render_summary, render_table, run_survey
@@ -26,10 +28,6 @@ from qgap.series import ReachError
 from qgap.verdict import Verdict
 
 __all__ = ["main"]
-
-DESK_SEC33 = 512
-FULL_SEC33_DELTA = 2470
-FULL_SEC33_RECIPROCAL = 4096
 
 
 def _jobs(flag: int | None) -> int:
@@ -44,8 +42,8 @@ def _jobs(flag: int | None) -> int:
 @contextlib.contextmanager
 def _full_digits():
     """Print exact values of any size: CPython's cap on int-to-text digits
-    (4,300 by default) is lifted while a command writes its result, after it
-    has read its inputs, which keep the cap; the cap is restored after."""
+    (4,300 by default) is lifted while ``main`` prints a command's result,
+    after it has read its inputs, which keep the cap; the cap is restored."""
     if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
         yield
         return
@@ -59,8 +57,7 @@ def _full_digits():
 
 def _report(args, verdicts, lines, rows) -> int:
     """Print ``rows`` as JSON lines under --json, else the text ``lines``
-    (either may be a lazy iterable); the exit code is 1 when some verdict
-    fails, else 0."""
+    (either may be lazy); the exit code is 1 when some verdict fails, else 0."""
     if args.json:
         lines = map(json.dumps, rows)
     for line in lines:
@@ -68,39 +65,37 @@ def _report(args, verdicts, lines, rows) -> int:
     return 1 if any(v.fails for v in verdicts) else 0
 
 
-def _cmd_expand(args) -> int:
+# Each _cmd_* returns (verdicts, lines, rows) for ``_report``; values past
+# the digit cap (expand, c0, survey) render lazily, when ``main`` prints them.
+
+def _cmd_expand(args):
     series = eval_expr(args.expr, args.prec)
-    with _full_digits():
-        coeffs = [str(c) for c in series.coefficients(args.prec)]
-        return _report(args, [], [f"val {series.valuation}: [{', '.join(coeffs)}]"],
-                       [{"expr": args.expr, "valuation": series.valuation,
-                         "coefficients": coeffs}])
+    coeffs = series.coefficients(args.prec)
+    return ([], (f"val {series.valuation}: [{', '.join(map(str, c))}]" for c in [coeffs]),
+            ({"expr": args.expr, "valuation": series.valuation,
+              "coefficients": [*map(str, c)]} for c in [coeffs]))
 
 
-def _cmd_c0(args) -> int:
+def _cmd_c0(args):
     c0 = constant_term(args.expr)
-    with _full_digits():
-        return _report(args, [], [c0], [{"expr": args.expr, "c0": str(c0)}])
+    return [], [c0], ({"expr": args.expr, "c0": str(c)} for c in [c0])
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}:{exc.lineno}: {exc.msg}") from None
     report = run_survey(config, jobs=_jobs(args.jobs))
-    # both renderings are lazy, so only the printed one is built (a full
-    # survey has about 91k records)
+    # a full survey has about 91k records
     rows = itertools.chain((rec.to_dict() for rec in report.records), [{
         "summary": report.summary, "config": config.get("name"),
         "timestamp": report.timestamp}])
-    with _full_digits():
-        return _report(args, report.summary["verdicts"],
-                       map(render_table, [report]), rows)
+    return report.summary["verdicts"], map(render_table, [report]), rows
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args):
     out = siegel.run_gap_suite(level=args.level, hmax=args.hmax,
                                combos=args.combos, seed=args.seed)
     records = out["records"]
@@ -119,22 +114,17 @@ def _cmd_gap(args) -> int:
     rows = [rec.to_dict() for rec in records]
     rows.append({"level": out["level"], "hmax": out["hmax"], "seed": out["seed"],
                  "total": len(records), "failed": failed})
-    return _report(args, verdicts, lines, rows)
+    return verdicts, lines, rows
 
 
-def _cmd_theta(args) -> int:
-    gram = load_gram(args.gram)
-    if gram.rank > args.max_rank:
-        raise ValueError(
-            f"rank {gram.rank} exceeds the cap {args.max_rank}; "
-            "raise it with --max-rank"
-        )
+def _cmd_theta(args):
+    gram = load_gram(args.gram, max_rank=args.max_rank)
     counts = theta(gram, args.terms)
-    return _report(args, [], [f"{n}\t{c}" for n, c in enumerate(counts)],
-                   [{"gram": str(args.gram), "rank": gram.rank, "counts": counts}])
+    return ([], [f"{n}\t{c}" for n, c in enumerate(counts)],
+            [{"gram": str(args.gram), "rank": gram.rank, "counts": counts}])
 
 
-def _cmd_minima(args) -> int:
+def _cmd_minima(args):
     gram = load_gram(args.gram)
     if theorem51_applies(gram):
         rec = verify_theorem51(gram)
@@ -142,18 +132,17 @@ def _cmd_minima(args) -> int:
         rec = {"rank": gram.rank, "min": min_represented(gram), "bound": None,
                "verdict": Verdict.NOT_APPLICABLE}
     bound = "n/a" if rec["bound"] is None else rec["bound"]
-    return _report(args, [rec["verdict"]],
-                   [f"min={rec['min']} bound={bound} {rec['verdict']}"], [rec])
+    return [rec["verdict"]], [f"min={rec['min']} bound={bound} {rec['verdict']}"], [rec]
 
 
-def _suite_identities(full: bool, jobs: int):
+def _suite_identities():
     records = [{"check": name, "verdict": Verdict.PASS if ok else Verdict.FAIL}
                for name, ok in identity_checks(200)]
     lines = [f"identity {r['check']}: {r['verdict']}" for r in records]
     return [r["verdict"] for r in records], lines, records
 
 
-def _suite_satz(full: bool, jobs: int):
+def _suite_satz():
     out = siegel.run_satz_suite()
     records = [{"check": f"vanishing {rec['form']}", "verdict": rec["verdict"]}
                for rec in out["vanishing"]]
@@ -172,31 +161,24 @@ def _suite_satz(full: bool, jobs: int):
     return [r["verdict"] for r in records], lines, records
 
 
-def _suite_theorems4(full: bool, jobs: int):
+def _suite_theorems4():
     records = siegel.theorem4_checks()
     lines = [f"{r['theorem']} {r['instance']}: {r['verdict']}" for r in records]
     return [r["verdict"] for r in records], lines, records
 
 
-def _suite_rules(full: bool, jobs: int):
-    config = full_rules_config() if full else desk_rules_config()
-    if full:
-        print("warning: --full survey ranges take a long time", file=sys.stderr)
+def _suite_rules(rules_config, jobs: int):
+    config = rules_config()
     report = run_survey(config, jobs=jobs)
     lines = [render_summary(report)]
     for rec in report.failed[:20]:
         lines.append(f"{rec.verdict}: {rec.expr} " + "; ".join(
             f"{c.rule_id} {c.predicted} {c.observed} {c.verdict}" for c in rec.checks))
-    records = [{"summary": report.summary, "config": config["name"]}]
-    return report.summary["verdicts"], lines, records
+    return report.summary["verdicts"], lines, [{"summary": report.summary,
+                                                "config": config["name"]}]
 
 
-def _suite_sec33(full: bool, jobs: int):
-    n_delta = FULL_SEC33_DELTA if full else DESK_SEC33
-    n_recip = FULL_SEC33_RECIPROCAL if full else DESK_SEC33
-    if full:
-        print(f"warning: --full recomputes expansions to {n_recip} terms; "
-              "expect a long run", file=sys.stderr)
+def _suite_sec33(n_delta: int, n_recip: int):
     verdicts, records = [], []
 
     def table(name, n_max, rows, **extra):
@@ -210,35 +192,44 @@ def _suite_sec33(full: bool, jobs: int):
             r["n"] for r in rows if r["verdict"] == Verdict.EXCEPTION])
     table("reciprocal", n_recip, congruence.reciprocal_compare(n_recip))
     table("lehner", n_recip, congruence.lehner_check(n_recip))
-    lines = [
-        f"{r['table']} (n<={r['n_max']}): {r['rows']} rows, "
-        f"{r['failed']} failed"
-        + (f", exceptions at {r['exceptions']}" if r.get("exceptions") else "")
-        for r in records
-    ]
+    lines = [f"{r['table']} (n<={r['n_max']}): {r['rows']} rows, {r['failed']} failed"
+             + (f", exceptions at {r['exceptions']}" if r.get("exceptions") else "")
+             for r in records]
     return verdicts, lines, records
 
 
+class _Suite(NamedTuple):
+    """A verify suite: its desk run, its paper-scale run, whether it reads --jobs."""
+
+    desk: Callable
+    full: Callable | None = None
+    jobs: bool = False
+
+
 _SUITES = {
-    "identities": _suite_identities,
-    "satz": _suite_satz,
-    "theorems4": _suite_theorems4,
-    "rules": _suite_rules,
-    "sec33": _suite_sec33,
+    "identities": _Suite(_suite_identities),
+    "satz": _Suite(_suite_satz),
+    "theorems4": _Suite(_suite_theorems4),
+    "rules": _Suite(partial(_suite_rules, desk_rules_config),
+                    partial(_suite_rules, full_rules_config), jobs=True),
+    "sec33": _Suite(partial(_suite_sec33, 512, 512), partial(_suite_sec33, 2470, 4096)),
 }
 
-#: The suites with a paper scale; --full on any other suite exits 2.
-_FULL_SUITES = ("rules", "sec33")
 
-
-def _cmd_verify(args) -> int:
-    if args.full and args.suite not in _FULL_SUITES:
-        raise ValueError(f"suite {args.suite} has no --full scale; "
-                         f"only {', '.join(_FULL_SUITES)} have one")
-    verdicts, lines, records = _SUITES[args.suite](args.full, _jobs(args.jobs))
+def _cmd_verify(args):
+    suite = _SUITES[args.suite]
+    for flag, field, given in (("--full", "full", args.full),
+                               ("--jobs", "jobs", args.jobs is not None)):
+        if given and not getattr(suite, field):
+            takers = ", ".join(n for n, s in _SUITES.items() if getattr(s, field))
+            raise ValueError(f"suite {args.suite} takes no {flag}; {flag} is for {takers} only")
+    jobs = (_jobs(args.jobs),) if suite.jobs else ()
+    if args.full:
+        print("warning: --full runs paper-scale ranges; expect a long run", file=sys.stderr)
+    verdicts, lines, records = (suite.full if args.full else suite.desk)(*jobs)
     verdict = Verdict.FAIL if any(v.fails for v in verdicts) else Verdict.PASS
-    return _report(args, [verdict], [*lines, f"suite {args.suite}: {verdict}"],
-                   [*records, {"suite": args.suite, "verdict": verdict}])
+    return ([verdict], [*lines, f"suite {args.suite}: {verdict}"],
+            [*records, {"suite": args.suite, "verdict": verdict}])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--full", action="store_true",
-                   help="paper-scale ranges instead of desk defaults "
-                        f"({', '.join(_FULL_SUITES)} only)")
+                   help="paper-scale ranges instead of desk defaults ("
+                        f"{', '.join(n for n, s in _SUITES.items() if s.full)} only)")
     p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
@@ -304,7 +295,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        verdicts, lines, rows = args.func(args)
+        with _full_digits():
+            return _report(args, verdicts, lines, rows)
     except (ParseError, ReachError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

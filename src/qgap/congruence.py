@@ -66,7 +66,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
-from qgap.catalog import FormExpr, Generator
+from qgap.catalog import DELTA, G4, J, T14, FormExpr, Generator
 from qgap.exprs import Template, parse_expr, parse_template
 from qgap.forms import FactorPowers, constant_term, generator_series
 from qgap.series import DefectError, QSeries, ReachError, mul_mod
@@ -620,14 +620,14 @@ class _TableResidues:
 
     def __init__(self, p: int, k: int, window: int):
         self.p, self.k, self.m, self.window = p, k, p**k, window
-        g = self._mod(Generator("G", (4,)))
+        g = self._mod(G4)
         self._g4_cubed = mul_mod(mul_mod(g, g, self.m, window), g, self.m, window)
-        d_inv = _inverse_mod(self._mod(Generator("Delta")), self.m)
+        d_inv = _inverse_mod(self._mod(DELTA), self.m)
         # T(14) is Delta^-1
         self.delta_inverse = self._orders(-1, d_inv,
-                                          lambda: generator_series(Generator("T", (14,)), window))
+                                          lambda: generator_series(T14, window))
         self.j = self._orders(-1, mul_mod(self._g4_cubed, d_inv, self.m, window),
-                              lambda: generator_series(Generator("j"), window))
+                              lambda: generator_series(J, window))
 
     def _mod(self, gen: Generator) -> list:
         return [c % self.m for c in generator_series(gen, self.window).coefficients()]
@@ -637,9 +637,9 @@ class _TableResidues:
 
     @cached_property
     def inverse_j(self) -> _Orders:
-        res = mul_mod(self._mod(Generator("Delta")), _inverse_mod(self._g4_cubed, self.m),
+        res = mul_mod(self._mod(DELTA), _inverse_mod(self._g4_cubed, self.m),
                       self.m, self.window)
-        return self._orders(1, res, lambda: generator_series(Generator("j"), self.window).invert())
+        return self._orders(1, res, lambda: generator_series(J, self.window).invert())
 
 
 @lru_cache(maxsize=None)
@@ -697,7 +697,7 @@ def reciprocal_compare(n_max: int) -> list[dict]:
     Delta."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    d = generator_series(Generator("Delta"), n_max + 2)
+    d = generator_series(DELTA, n_max + 2)
     inv_j = {p: _residues(p, n_max).inverse_j for p in (2, 3, 5)}
     rows = []
     for n in range(1, n_max + 1):

@@ -40,7 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qgap.arith import alpha_coeff, divisor_sum_sieve
-from qgap.catalog import FormExpr, Generator, dim_m
+from qgap.catalog import (DELTA, E04, EGAMMA2, EINF4, G4, G6, J2, T14, FormExpr, Generator,
+                          dim_m)
 from qgap.exprs import parse_expr
 from qgap.series import DefectError, QSeries, delta_over_q, product_expand
 
@@ -77,8 +78,7 @@ def eisenstein_g(h: int, prec: int) -> QSeries:
 def m2(prec: int) -> QSeries:
     """The hauptmodul shift E04/Einf4 (equals j2 - 64), built without j2 so
     that ``identity_checks`` compares two independent expansions."""
-    return (generator_series(Generator("E04"), prec)
-            * generator_series(Generator("Einf4"), prec).invert())
+    return generator_series(E04, prec) * generator_series(EINF4, prec).invert()
 
 
 def t_series(level: int, h: int, prec: int) -> QSeries:
@@ -125,8 +125,8 @@ def _expand(gen: Generator, window: int) -> QSeries:
     if kind == "j":
         # T(14) is Delta^-1: its entry is the one inversion of Delta per
         # window, shared by j and phi
-        g4 = generator_series(Generator("G", (4,)), window)
-        return g4**3 * generator_series(Generator("T", (14,)), window)
+        g4 = generator_series(G4, window)
+        return g4**3 * generator_series(T14, window)
     if kind == "Egamma2":
         sums = divisor_sum_sieve(window - 1, lambda d: d if d % 2 else 0)
         return QSeries(0, [1] + [24 * s for s in sums])
@@ -134,41 +134,38 @@ def _expand(gen: Generator, window: int) -> QSeries:
         sums = divisor_sum_sieve(window - 1, lambda d: -d**3 if d % 2 else d**3)
         return QSeries(0, [1] + [16 * s for s in sums])
     if kind == "Delta2":
-        return (
-            generator_series(Generator("E04"), window)
-            * generator_series(Generator("Einf4"), window)
-        )
+        return generator_series(E04, window) * generator_series(EINF4, window)
     if kind == "j2":
-        eg = generator_series(Generator("Egamma2"), window)
-        return eg * eg * generator_series(Generator("Einf4"), window).invert()
+        eg = generator_series(EGAMMA2, window)
+        return eg * eg * generator_series(EINF4, window).invert()
     if kind == "phi":
         N = p[0]
-        dl = generator_series(Generator("Delta"), window)
-        return dl.rescale(N) * generator_series(Generator("T", (14,)), window)
+        dl = generator_series(DELTA, window)
+        return dl.rescale(N) * generator_series(T14, window)
     if kind == "Phi":
         N = p[0]
         phi = generator_series(Generator("phi", (N,)), window)
         return phi if N == 2 else phi.root(2)
     if kind == "S":
         n, d = p
-        g4 = generator_series(Generator("G", (4,)), window)
-        g6 = generator_series(Generator("G", (6,)), window)
+        g4 = generator_series(G4, window)
+        g6 = generator_series(G6, window)
         blend = Fraction(n, d) * g4**3 + Fraction(d - n, d) * g6**2
-        return generator_series(Generator("Delta"), window) * blend
+        return generator_series(DELTA, window) * blend
     if kind == "T":
         h = p[0]
         r = dim_m(1, h)
         eis_weight = 0 if h % 12 == 2 else 14 - (h % 12)
-        tail = generator_series(Generator("Delta"), window) ** (-r)
+        tail = generator_series(DELTA, window) ** (-r)
         if eis_weight == 0:
             return tail
         return generator_series(Generator("G", (eis_weight,)), window) * tail
     if kind == "T2":
         h = p[0]
         r = dim_m(2, h)
-        eg = generator_series(Generator("Egamma2"), window)
-        e04 = generator_series(Generator("E04"), window)
-        einf = generator_series(Generator("Einf4"), window)
+        eg = generator_series(EGAMMA2, window)
+        e04 = generator_series(E04, window)
+        einf = generator_series(EINF4, window)
         if h % 4 == 0:
             return eg * e04 * einf ** (-r)
         return eg * eg * e04 * einf ** (-(1 + r))
@@ -281,13 +278,13 @@ def basis_m2(h: int, prec: int) -> list[QSeries]:
     if h <= 0 or h % 2 != 0:
         raise ValueError(f"basis_m2 needs even h > 0, got {h}")
     r = dim_m(2, h)
-    einf = generator_series(Generator("Einf4"), prec)
+    einf = generator_series(EINF4, prec)
     tail = einf ** (r - 1)
     if h % 4 != 0:
-        tail = generator_series(Generator("Egamma2"), prec) * tail
+        tail = generator_series(EGAMMA2, prec) * tail
     basis = [tail]
     if r > 1:
-        ej2 = generator_series(Generator("j2"), prec)
+        ej2 = generator_series(J2, prec)
         while len(basis) < r:
             basis.append(basis[-1] * ej2)
     return basis
@@ -301,9 +298,9 @@ def basis_m1(h: int, prec: int) -> list[QSeries]:
     if h < 4 or h % 2 != 0:
         raise ValueError(f"basis_m1 needs even h >= 4, got {h}")
     r = dim_m(1, h)
-    g4 = generator_series(Generator("G", (4,)), prec)
-    g6 = generator_series(Generator("G", (6,)), prec)
-    dl = generator_series(Generator("Delta"), prec)
+    g4 = generator_series(G4, prec)
+    g6 = generator_series(G6, prec)
+    dl = generator_series(DELTA, prec)
     basis = []
     dpow = QSeries.one(prec)
     for d in range(r):
@@ -318,8 +315,7 @@ def basis_m1(h: int, prec: int) -> list[QSeries]:
 def identity_checks(prec: int = 200) -> list[tuple[str, bool]]:
     """The structural series identities among the generators, each checked
     to ``prec`` coefficients with exact equality."""
-    eg, e04, einf, ej2 = (generator_series(Generator(kind), prec + 2)
-                          for kind in ("Egamma2", "E04", "Einf4", "j2"))
+    eg, e04, einf, ej2 = (generator_series(g, prec + 2) for g in (EGAMMA2, E04, EINF4, J2))
     g4 = eisenstein_g(4, prec + 2)
     results = []
 

@@ -229,11 +229,6 @@ class GramMatrix:
     def reduction(self) -> Reduction:
         return _lll(self.entries)
 
-    def value(self, x) -> int:
-        """Q_A(x) = x^T A x."""
-        n = self.rank
-        return sum(self.entries[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-
 
 def validate(rows) -> GramMatrix:
     """Spec-facing constructor name."""
@@ -396,9 +391,10 @@ def verify_theorem51(gram: GramMatrix) -> dict:
     }
 
 
-def parse_gram(text: str, source: str = "<gram>") -> GramMatrix:
+def parse_gram(text: str, source: str = "<gram>", max_rank: int | None = None) -> GramMatrix:
     """Gram file format: first data line is the rank v, then v lines of v
-    integers; '#' starts a comment."""
+    integers; '#' starts a comment.  A rank over ``max_rank`` (``qgap theta
+    --max-rank``) is refused at its line, before any elimination."""
     rows = []
     v = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -422,6 +418,8 @@ def parse_gram(text: str, source: str = "<gram>") -> GramMatrix:
             v = values[0]
             if v < 1:
                 raise ValueError(f"{source}:{lineno}: rank must be >= 1")
+            if max_rank is not None and v > max_rank:
+                raise ValueError(f"rank {v} exceeds the cap {max_rank}; raise it with --max-rank")
             continue
         if len(values) != v:
             raise ValueError(
@@ -438,6 +436,6 @@ def parse_gram(text: str, source: str = "<gram>") -> GramMatrix:
         raise ValueError(f"{source}: {exc}") from None
 
 
-def load_gram(path) -> GramMatrix:
+def load_gram(path, max_rank: int | None = None) -> GramMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_gram(fh.read(), source=str(path))
+        return parse_gram(fh.read(), source=str(path), max_rank=max_rank)

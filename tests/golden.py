@@ -8,16 +8,20 @@ reaches an output.  An entry whose argv has ``--full`` is paper tier; every
 other entry is desk tier and runs in tier-1
 (``tests/test_cli.py::test_golden_output``).
 
-Run the paper tier with ``python tests/golden.py``.
+Run the paper tier with ``python tests/golden.py``: each of its entries runs
+in a fresh interpreter, so neither it nor the workers it forks starts with
+the memos an earlier entry filled.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from qgap.cli import main
@@ -73,9 +77,11 @@ def check(entry: dict) -> None:
 
 def run_paper_tier() -> int:
     failed = 0
+    spawn = multiprocessing.get_context("spawn")
     for entry in filter(is_paper, load()):
         try:
-            check(entry)
+            with ProcessPoolExecutor(1, mp_context=spawn) as fresh:
+                fresh.submit(check, entry).result()
         except AssertionError as exc:
             print(f"FAIL {exc}")
             failed += 1

@@ -12,7 +12,7 @@ import qgap.forms
 from qgap import congruence, exprs
 from qgap.arith import INFINITE, ord_p
 from qgap.catalog import KINDS, Generator
-from qgap.cli import FULL_SEC33_DELTA, FULL_SEC33_RECIPROCAL
+from qgap.cli import _SUITES
 from qgap.exprs import ParseError, parse_expr, parse_template
 from qgap.congruence import (
     classify_expr,
@@ -693,11 +693,11 @@ class TestInverseOrders:
         # delta_pn_compare, 1/j from reciprocal_compare, j from lehner_check;
         # a window's coefficients are a prefix of every larger window's, so
         # no zero residue there means none in any smaller table
-        readers = {p: [congruence._residues(p, FULL_SEC33_RECIPROCAL).j] for p, _ in PRODUCTION_K}
+        n_delta, n_recip = _SUITES["sec33"].full.args
+        readers = {p: [congruence._residues(p, n_recip).j] for p, _ in PRODUCTION_K}
         for p in (2, 3, 5):
-            res = congruence._residues(p, FULL_SEC33_DELTA)
-            readers[p] += [res.j, res.delta_inverse,
-                           congruence._residues(p, FULL_SEC33_RECIPROCAL).inverse_j]
+            res = congruence._residues(p, n_delta)
+            readers[p] += [res.j, res.delta_inverse, congruence._residues(p, n_recip).inverse_j]
         for p, k in PRODUCTION_K:
             assert all(max(orders._orders) < k for orders in readers[p])
 

@@ -33,9 +33,9 @@ def box_counts(gram: GramMatrix, n_max: int, radius: int) -> list[int]:
     """Independent oracle: enumerate the full coordinate box and bucket by
     value.  `radius` must be large enough to contain the ellipsoid; callers
     verify stability by checking radius and radius+1 agree."""
-    counts = [0] * (n_max + 1)
+    a, counts = gram.entries, [0] * (n_max + 1)
     for x in itertools.product(range(-radius, radius + 1), repeat=gram.rank):
-        v = gram.value(x)
+        v = sum(a[i][j] * xi * xj for i, xi in enumerate(x) for j, xj in enumerate(x))
         if v <= 2 * n_max:
             counts[v // 2] += 1
     return counts
