@@ -12,7 +12,8 @@ Bernoulli convention: here every B_k is positive, defined through
 
 so B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, ...  This differs from the modern
 signed convention B_2 = 1/30, B_4 = -1/30; conversion is
-B_k(here) = |B_{2k}(modern)|.
+B_k(here) = |B_{2k}(modern)|.  The signed tables behind it are one memo,
+``_signed_bernoulli``, registered with ``qgap.memo``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from qgap.memo import register
 
 __all__ = [
     "INFINITE",
@@ -137,6 +140,7 @@ def sigma(n: int, alpha: int) -> int:
     return total
 
 
+@register
 @lru_cache(maxsize=None)
 def _signed_bernoulli(degree: int) -> tuple[Fraction, ...]:
     """The modern signed B_0, ..., B_degree for ``degree`` a power of two:

@@ -4,9 +4,8 @@ formulas for the spaces they live in.
 
 ``KINDS`` holds one entry per generator kind: its parameter syntax, its
 parameter check and its symbolic data.  The parser and the printer read
-it, and the ``Generator`` properties read a memo of its symbolic data,
-computed once per distinct (kind, params) (``_generator_data``), so adding
-a kind takes one ``KINDS`` entry plus one builder branch in
+it, and a ``Generator`` computes its symbolic data from it when it is
+made, so adding a kind takes one ``KINDS`` entry plus one builder branch in
 ``forms.generator_series``.  A ``FormExpr`` sums its factors' data once,
 when it is made.
 
@@ -20,12 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from string import Formatter
-from typing import NamedTuple
-
-from qgap.series import DefectError
 
 __all__ = ["DELTA", "E04", "EGAMMA2", "EINF4", "G4", "G6", "J", "J2", "KINDS", "T14",
            "FormExpr", "Generator", "Kind", "dim_m"]
@@ -111,35 +107,17 @@ KINDS = {kind.name: kind for kind in (
 )}
 
 
-def _kind(name: str) -> Kind:
-    try:
-        return KINDS[name]
-    except KeyError:
-        raise DefectError(f"no catalog entry for generator kind {name!r}") from None
-
-
-class _GeneratorData(NamedTuple):
-    weight: int
-    conductor: int
-    valuation: int
-    e_inf: tuple[int, int] | None
-
-
-@lru_cache(maxsize=None)
-def _generator_data(kind: str, params: tuple[int, ...]) -> _GeneratorData:
-    """The symbolic data of the generator (kind, params), computed once
-    per distinct pair; DefectError for a kind not in ``KINDS``."""
-    spec = _kind(kind)
-    return _GeneratorData(spec.weight(*params), spec.conductor(*params),
-                          spec.valuation(*params), spec.e_inf(*params))
-
-
 @dataclass(frozen=True)
 class Generator:
-    """One catalog entry, e.g. G(6), Delta, E(3,inf,8), T2(12)."""
+    """One catalog entry, e.g. G(6), Delta, E(3,inf,8), T2(12), with the
+    symbolic data its ``Kind`` gives for its parameters."""
 
     kind: str
     params: tuple[int, ...] = ()
+    weight: int = field(init=False, repr=False, compare=False)
+    conductor: int = field(init=False, repr=False, compare=False)
+    valuation: int = field(init=False, repr=False, compare=False)
+    e_inf: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = KINDS.get(self.kind)
@@ -153,6 +131,8 @@ class Generator:
         violated = kind.check(*p)
         if violated is not None:
             raise ValueError(f"{kind.shape} needs {violated}, got {self}")
+        for name in ("weight", "conductor", "valuation", "e_inf"):
+            object.__setattr__(self, name, getattr(kind, name)(*p))
         # generators key every expansion and factor-power table: hash once
         object.__setattr__(self, "_hash", hash((self.kind, p)))
 
@@ -164,29 +144,11 @@ class Generator:
         return Generator, (self.kind, self.params)
 
     @property
-    def weight(self) -> int:
-        return _generator_data(self.kind, self.params).weight
-
-    @property
-    def conductor(self) -> int:
-        return _generator_data(self.kind, self.params).conductor
-
-    @property
-    def valuation(self) -> int:
-        """Leading exponent of the normalized expansion at infinity."""
-        return _generator_data(self.kind, self.params).valuation
-
-    @property
     def pole_order(self) -> int:
         return max(0, -self.valuation)
 
-    @property
-    def e_inf(self) -> tuple[int, int] | None:
-        """(N, k) when the generator is the series E(N,inf,k), else None."""
-        return _generator_data(self.kind, self.params).e_inf
-
     def __str__(self) -> str:
-        return _kind(self.kind).render(self.params)
+        return KINDS[self.kind].render(self.params)
 
 
 #: The fixed generators that other generators and the bases are built from.
@@ -212,12 +174,11 @@ class FormExpr:
             raise ValueError("an expression needs at least one factor")
         if any(e == 0 for _, e in self.factors):
             raise ValueError("zero exponents are not allowed")
-        data = [(_generator_data(g.kind, g.params), e) for g, e in self.factors]
-        valuation = sum(d.valuation * e for d, e in data)
-        object.__setattr__(self, "weight", sum(d.weight * e for d, e in data))
+        valuation = sum(g.valuation * e for g, e in self.factors)
+        object.__setattr__(self, "weight", sum(g.weight * e for g, e in self.factors))
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "pole_order", max(0, -valuation))
-        object.__setattr__(self, "conductor", lcm(*(d.conductor for d, _ in data)))
+        object.__setattr__(self, "conductor", lcm(*(g.conductor for g, _ in self.factors)))
 
     @property
     def canonical_text(self) -> str:

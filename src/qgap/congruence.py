@@ -37,7 +37,9 @@ record is one ``classify_expr`` call, and a batch depends on nothing but
 itself, so worker processes (``jobs`` > 1) run the same ``_survey_batch``
 as a serial survey.  The checks come from one memo per process,
 ``_rule_checks``, keyed on all that they read: (s, w mod 12, conductor,
-``_pure_e_power``, ``C0Read``).  Equal check tuples are one object.
+``_pure_e_power``, ``C0Read``).  Equal check tuples are one object.  It,
+``_SHARED_CHECKS`` and the table residues (``_residues``) register with
+``qgap.memo``, and ``memo.clear()`` empties them.
 
 The section 3.3 tables report p-adic orders only, and read every order at
 p from residues mod p^K_p (``_RESIDUE_EXPONENTS``): j, Delta^-1 and 1/j are
@@ -69,6 +71,7 @@ from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
 from qgap.catalog import DELTA, G4, J, T14, FormExpr, Generator
 from qgap.exprs import Template, parse_expr, parse_template
 from qgap.forms import FactorPowers, constant_term, generator_series
+from qgap.memo import register
 from qgap.series import DefectError, QSeries, ReachError, mul_mod
 from qgap.verdict import Verdict
 
@@ -330,9 +333,10 @@ def _pure_e_power(expr: FormExpr) -> tuple[int, int, int] | None:
 
 
 #: One object per distinct check tuple that ``_rule_checks`` has built.
-_SHARED_CHECKS: dict = {}
+_SHARED_CHECKS: dict = register({}, "qgap.congruence._SHARED_CHECKS")
 
 
+@register
 @lru_cache(maxsize=None)
 def _rule_checks(s: int, w12: int, conductor: int, pure, read: C0Read):
     """((beta, gamma, L), checks) of a form with pole order s, weight
@@ -642,6 +646,7 @@ class _TableResidues:
         return self._orders(1, res, lambda: generator_series(J, self.window).invert())
 
 
+@register
 @lru_cache(maxsize=None)
 def _residues(p: int, n_max: int) -> _TableResidues:
     """The residues mod p^K_p that a table to ``n_max`` reads (window

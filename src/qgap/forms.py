@@ -30,8 +30,8 @@ window as a prefix of that one, and memoizes the prefix per (generator,
 window).  A ``FactorPowers`` table asks for each generator at the largest
 window its batch reads before it builds a power of it, so a batch expands
 each of its generators once.  Factor powers sit in an LRU cache of
-FACTOR_CACHE_SIZE entries; QSeries values are immutable, so the memos are
-safe for concurrent readers.
+FACTOR_CACHE_SIZE entries.  The three memos register with ``qgap.memo``,
+and ``memo.clear()`` is the one way to forget expansions.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from qgap.arith import alpha_coeff, divisor_sum_sieve
 from qgap.catalog import (DELTA, E04, EGAMMA2, EINF4, G4, G6, J2, T14, FormExpr, Generator,
                           dim_m)
 from qgap.exprs import parse_expr
+from qgap.memo import register
 from qgap.series import DefectError, QSeries, delta_over_q, product_expand
 
 __all__ = [
@@ -94,14 +95,16 @@ def t_series(level: int, h: int, prec: int) -> QSeries:
 
 
 #: The largest expansion of each generator built so far.
-_largest: dict[Generator, QSeries] = {}
+_largest: dict[Generator, QSeries] = register({}, "qgap.forms._largest")
 
 
+@register
 @lru_cache(maxsize=None)
 def generator_series(gen: Generator, window: int) -> QSeries:
     """Expansion of a catalog generator with ``window`` justified
     coefficients from its valuation: the prefix of the largest expansion of
-    ``gen`` built so far, which is built first when it is shorter."""
+    ``gen`` built so far, which is built first when it is shorter.  Only
+    ``memo.clear()`` forgets both the prefixes and the largest expansions."""
     if window < 1:
         raise ValueError("window must be >= 1")
     big = _largest.get(gen)
@@ -176,6 +179,7 @@ def _expand(gen: Generator, window: int) -> QSeries:
 FACTOR_CACHE_SIZE = 2048
 
 
+@register
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def factor_power(gen: Generator, exponent: int, window: int) -> QSeries:
     """Cached gen**exponent at the given window."""

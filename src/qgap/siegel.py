@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from qgap.arith import digit_sum
-from qgap.catalog import Generator, dim_m
+from qgap.catalog import KINDS, dim_m
 from qgap.congruence import RuleCheck, order_check, read_c0
 from qgap.forms import basis_m1, basis_m2, constant_term, t_series
 from qgap.series import QSeries, ReachError
@@ -74,8 +74,12 @@ class GapCheckResult:
 
 def _pole(level: int, h: int) -> int:
     """Pole order at infinity of the pairing series T(h) (level 1) or
-    T2(h) (level 2)."""
-    return Generator("T" if level == 1 else "T2", (h,)).pole_order
+    T2(h) (level 2), read from its catalog entry."""
+    kind = KINDS["T" if level == 1 else "T2"]
+    violated = kind.check(h)
+    if violated is not None:
+        raise ValueError(f"{kind.shape} needs {violated}, got {kind.render((h,))}")
+    return -kind.valuation(h)
 
 
 def _gap_bounds(level: int, h: int) -> tuple[int, int, int | None]:

@@ -10,7 +10,9 @@ other entry is desk tier and runs in tier-1
 
 Run the paper tier with ``python tests/golden.py``: each of its entries runs
 in a fresh interpreter, so neither it nor the workers it forks starts with
-the memos an earlier entry filled.
+the memos, or any other state, an earlier entry left; ``memo.clear()`` would
+reset the memos alone.  Each line it prints ends with the entry's wall time,
+start-up of the fresh interpreter included.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ import multiprocessing
 import os
 import re
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -79,14 +82,16 @@ def run_paper_tier() -> int:
     failed = 0
     spawn = multiprocessing.get_context("spawn")
     for entry in filter(is_paper, load()):
+        start = time.perf_counter()
         try:
             with ProcessPoolExecutor(1, mp_context=spawn) as fresh:
                 fresh.submit(check, entry).result()
         except AssertionError as exc:
-            print(f"FAIL {exc}")
+            line = f"FAIL {exc}"
             failed += 1
         else:
-            print(f"ok   qgap {' '.join(entry['argv'])}")
+            line = f"ok   qgap {' '.join(entry['argv'])}"
+        print(f"{line} ({time.perf_counter() - start:.1f} s)", flush=True)
     return 1 if failed else 0
 
 

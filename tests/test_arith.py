@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap import arith
+from qgap import memo
 from qgap.arith import (
     INFINITE,
     alpha_coeff,
@@ -178,7 +178,7 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("order", ["descending", "ascending"])
     def test_table_growth_against_akiyama_tanigawa(self, order):
-        arith._signed_bernoulli.cache_clear()
+        memo.clear()
         ks = range(64, 0, -1) if order == "descending" else range(1, 65)
         for k in ks:
             assert bernoulli(k) == abs(bernoulli_oracle(2 * k))
@@ -192,7 +192,7 @@ class TestAlphaCoeff:
             assert alpha_coeff(h) == want
 
     def test_integral_values_are_ints(self):
-        arith._signed_bernoulli.cache_clear()
+        memo.clear()
         for h in range(2, 11, 2):
             assert type(alpha_coeff(h)) is int
         assert type(alpha_coeff(12)) is Fraction

@@ -535,3 +535,11 @@ def test_golden_mismatch_names_argv_and_both_digests():
 def test_golden_nonzero_exit_fails():
     with pytest.raises(AssertionError, match=r"qgap c0 Delta\^: exit 2"):
         golden.digest(["c0", "Delta^"])
+
+
+def test_golden_desk_config_is_desk_rules_config():
+    # the README's claim: rules-desk.json is desk_rules_config() written out
+    from qgap.congruence import desk_rules_config
+
+    path = golden.GOLDEN_DIR / "rules-desk.json"
+    assert json.loads(path.read_text(encoding="utf-8")) == desk_rules_config()

@@ -1,7 +1,6 @@
 import itertools
 import json
 from fractions import Fraction
-from functools import lru_cache
 from string import Formatter
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgap.forms
-from qgap import congruence, exprs
+from qgap import congruence, exprs, memo
 from qgap.arith import INFINITE, ord_p
 from qgap.catalog import KINDS, Generator
 from qgap.cli import _SUITES
@@ -30,7 +29,6 @@ from qgap.congruence import (
 )
 from qgap.forms import eval_expr, generator_series
 from qgap.series import DefectError, QSeries, ReachError, mul_mod
-from test_forms import cold_caches
 
 
 def only(checks):
@@ -657,17 +655,19 @@ class TestInverseOrders:
 
     def test_tiny_k_rows_equal_the_exact_path(self, monkeypatch):
         n = 200
-        with monkeypatch.context() as m:
-            m.setattr(congruence, "_RESIDUE_EXPONENTS", dict(TINY_K))
-            # a memo of its own, so no production residues are read here
-            # and no tiny-K residues outlive the test
-            m.setattr(congruence, "_residues",
-                      lru_cache(maxsize=None)(congruence._residues.__wrapped__))
-            rows = {p: delta_pn_compare(p, n) for p in (2, 3, 5)}
-            rows["reciprocal"], rows["lehner"] = reciprocal_compare(n), lehner_check(n)
-            fallbacks = [(p, name) for p in (2, 3, 5, 7)
-                         for name in ("j", "delta_inverse", "inverse_j")
-                         if getattr(congruence._residues(p, n), name)._exact is not None]
+        # cleared before and after, so no production residues are read here
+        # and no tiny-K residues outlive the test
+        memo.clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(congruence, "_RESIDUE_EXPONENTS", dict(TINY_K))
+                rows = {p: delta_pn_compare(p, n) for p in (2, 3, 5)}
+                rows["reciprocal"], rows["lehner"] = reciprocal_compare(n), lehner_check(n)
+                fallbacks = [(p, name) for p in (2, 3, 5, 7)
+                             for name in ("j", "delta_inverse", "inverse_j")
+                             if getattr(congruence._residues(p, n), name)._exact is not None]
+        finally:
+            memo.clear()
         assert fallbacks == [(p, name) for p in (2, 3, 5)
                              for name in ("j", "delta_inverse", "inverse_j")] + [(7, "j")]
 
@@ -722,8 +722,7 @@ class TestTableInputs:
             built.add(gen)
             return expand(gen, window)
 
-        cold_caches()
-        congruence._residues.cache_clear()
+        memo.clear()
         with monkeypatch.context() as m:
             m.setattr(QSeries, "_power", power_spy)
             m.setattr(qgap.forms, "generator_series", expand_spy)
@@ -797,6 +796,7 @@ class TestRecordInvariants:
 def test_parallel_survey_matches_serial():
     cfg = {"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 12]}}]}
     serial = run_survey(cfg, jobs=1)
+    memo.clear()  # workers fork from a cold process
     parallel = run_survey(cfg, jobs=2)
     assert [r.to_dict() for r in serial.records] == [
         r.to_dict() for r in parallel.records
@@ -816,6 +816,7 @@ def test_parallel_survey_splits_by_template():
     del cfg["families"][-1]
     serial = run_survey(cfg, jobs=1)
     assert len(serial.records) == 21
+    memo.clear()
     assert [r.to_dict() for r in serial.records] == [
         r.to_dict() for r in run_survey(cfg, jobs=2).records]
 
@@ -832,6 +833,7 @@ def test_parallel_survey_binds_in_workers(monkeypatch):
     call = exprs.Template.__call__
     monkeypatch.setattr(exprs.Template, "__call__",
                         lambda self, env: binds.append(env) or call(self, env))
+    memo.clear()
     parallel = run_survey(cfg, jobs=2)
     assert binds == []
     assert [r.to_dict() for r in parallel.records] == [r.to_dict() for r in serial.records]
