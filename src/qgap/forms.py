@@ -30,8 +30,9 @@ window as a prefix of that one, and memoizes the prefix per (generator,
 window).  A ``FactorPowers`` table asks for each generator at the largest
 window its batch reads before it builds a power of it, so a batch expands
 each of its generators once.  Factor powers sit in an LRU cache of
-FACTOR_CACHE_SIZE entries.  The three memos register with ``qgap.memo``,
-and ``memo.clear()`` is the one way to forget expansions.
+FACTOR_CACHE_SIZE entries.  These three memos and that of ``t_series``
+register with ``qgap.memo``, and ``memo.clear()`` is the one way to forget
+expansions.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ def m2(prec: int) -> QSeries:
     return generator_series(E04, prec) * generator_series(EINF4, prec).invert()
 
 
+@register
+@lru_cache(maxsize=None)
 def t_series(level: int, h: int, prec: int) -> QSeries:
     """The weight (2-h) pole-at-infinity series used in the vanishing and
     gap arguments: level 1 pairs an Eisenstein factor with Delta^-r, level 2
     pairs E_gamma2 (squared for h = 2 mod 4) and E_04 with a power of
-    1/E_inf4."""
+    1/E_inf4.  Memoized, so a basis paired against one (level, h) builds
+    its generator once."""
     if level == 1:
         return generator_series(Generator("T", (h,)), prec)
     if level == 2:

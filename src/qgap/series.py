@@ -24,17 +24,22 @@ coefficient of a product, such as a constant term, is one int dot product
 of the two contents and one division (``product_coeff``).
 
 Residue lists mod m multiply through one packed kernel, ``mul_mod``
-(Kronecker substitution: one big-int product per series product).  It
-serves the p-adic tables of ``qgap.congruence`` and ``delta_over_q``.  By
-Jacobi's identity prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), a
-sparse series with small coefficients, so Delta/q, its eighth power, is
-three packed squarings, each exact because it runs mod a power of two
-above twice the elementary bound on its coefficients.  ``product_expand``
+(Kronecker substitution: one exact product of two packed numbers per series
+product): an int product for short lists, and from ``MUL_MOD_CROSSOVER``
+terms on a ``decimal`` one, which libmpdec takes by a number-theoretic
+transform, in a context of maximal precision that traps ``Inexact`` and
+``Rounded``.  It serves the p-adic tables of ``qgap.congruence`` and
+``delta_over_q``.  By Jacobi's identity prod (1 - q^n)^3 =
+sum_k (-1)^k (2k+1) q^(k(k+1)/2), a sparse series with small coefficients,
+so Delta/q, its eighth power, is three packed squarings, each exact because
+it runs mod a power of two above twice the elementary bound on its
+coefficients.  ``product_expand``
 expands any product prod (1 - q^n)^(e_n) by its O(n^2) recurrence.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -447,22 +452,50 @@ def product_expand(exponents: Callable[[int], int], prec: int) -> QSeries:
     return QSeries(0, p)
 
 
+#: The shorter packed operand length from which ``mul_mod`` multiplies in
+#: ``decimal``.  A sweep on CPython 3.11 (residues mod 2^48, 3^20, 5^10, 7^8,
+#: balanced lists and the 2n x n shape of a Newton step) found the int
+#: product faster up to about 900 terms and the decimal one from 1,024 on.
+MUL_MOD_CROSSOVER = 1000
+
+#: Exact decimal arithmetic: a product that would round raises instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
 def mul_mod(a: list, b: list, m: int, n: int) -> list:
     """The first n coefficients of a*b mod m, for residue lists a, b with
-    entries in [0, m).  Kronecker substitution: each list is packed into
-    one int, a slot of 2*bits(m - 1) + bits(n) bits per coefficient (a
-    coefficient of the product is at most n*(m - 1)^2), and one int product
-    holds every coefficient; a square (``a is b``) packs once and squares.
-    Bytes, not ``str``, carry the packing, so the int-to-str digit cap
-    never applies."""
-    s = (2 * (m - 1).bit_length() + n.bit_length() + 7) // 8
+    entries in [0, m).  Kronecker substitution: each list is packed, to at
+    most n terms, into one number with a slot per coefficient wide enough
+    for n*(m - 1)^2, the largest coefficient of the product, so no slot
+    carries; one product holds every coefficient, and a square (``a is b``)
+    packs once.  Below ``MUL_MOD_CROSSOVER`` terms in the shorter packed
+    operand a slot is 2*bits(m - 1) + bits(n) bits and the product is an int
+    product.  From there on a slot is the decimal digits of n*(m - 1)^2,
+    lowest coefficient last, read exactly by ``Decimal(str)``, and the
+    product is a ``decimal`` product in a context that raises DefectError
+    rather than round.  Bytes and ``decimal``, not ``str`` of an int, carry
+    the packing, so the int-to-str digit cap never applies."""
+    if min(len(a), len(b), n) < MUL_MOD_CROSSOVER:
+        s = (2 * (m - 1).bit_length() + n.bit_length() + 7) // 8
+
+        def pack(c):
+            return int.from_bytes(b"".join(x.to_bytes(s, "little") for x in c[:n]), "little")
+
+        x = pack(a)
+        buf = (x * (x if b is a else pack(b))).to_bytes(2 * s * n, "little")
+        return [int.from_bytes(buf[i:i + s], "little") % m for i in range(0, s * n, s)]
+    d = len(str(n * (m - 1) ** 2))
 
     def pack(c):
-        return int.from_bytes(b"".join(x.to_bytes(s, "little") for x in c[:n]), "little")
+        return Decimal("".join([str(x).zfill(d) for x in reversed(c[:n])]))
 
     x = pack(a)
-    buf = (x * (x if b is a else pack(b))).to_bytes(2 * s * n, "little")
-    return [int.from_bytes(buf[i:i + s], "little") % m for i in range(0, s * n, s)]
+    try:
+        prod = _EXACT.multiply(x, x if b is a else pack(b))
+    except (Inexact, Rounded):
+        raise DefectError("the decimal residue product was rounded") from None
+    digits = format(prod, "f")[-n * d:].zfill(n * d)
+    return [int(digits[i - d:i]) % m for i in range(n * d, 0, -d)]
 
 
 def delta_over_q(prec: int) -> QSeries:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 from string import Formatter
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgap.forms
-from qgap import congruence, exprs, memo
+from qgap import congruence, exprs, memo, series
 from qgap.arith import INFINITE, ord_p
 from qgap.catalog import KINDS, Generator
 from qgap.cli import _SUITES
@@ -28,7 +29,7 @@ from qgap.congruence import (
     render_table,
 )
 from qgap.forms import eval_expr, generator_series
-from qgap.series import DefectError, QSeries, ReachError, mul_mod
+from qgap.series import MUL_MOD_CROSSOVER, DefectError, QSeries, ReachError, mul_mod
 
 
 def only(checks):
@@ -568,6 +569,72 @@ class TestResidueKernel:
         full = QSeries(0, [m - 1] * n)
         assert mul_mod([m - 1] * n, [m - 1] * n, m, n) \
             == residues_of(full * full, n, m)
+
+
+def int_product(a, b, m, n):
+    """The first n coefficients of a*b mod m through one int product: each
+    list packed in hex, a slot per coefficient wider than n*(m - 1)^2, so
+    no slot carries, and read back the same way."""
+    h = (n * (m - 1) ** 2).bit_length() // 4 + 1
+
+    def pack(c):
+        return int("".join(f"{x:0{h}x}" for x in reversed(c[:n])) or "0", 16)
+
+    digits = f"{pack(a) * pack(b):x}".zfill(2 * n * h)
+    return [int(digits[-(i + 1) * h:len(digits) - i * h], 16) % m for i in range(n)]
+
+
+#: Lengths on both sides of the crossover, and one about the paper window.
+LONG_LENGTHS = (MUL_MOD_CROSSOVER - 1, MUL_MOD_CROSSOVER, MUL_MOD_CROSSOVER + 1, 2100)
+
+
+class TestLongResidueKernel:
+    """``mul_mod`` across ``MUL_MOD_CROSSOVER``, where the int product
+    gives way to the decimal one, against the int product packed apart."""
+
+    @pytest.mark.parametrize("p, k", KERNEL_K)
+    def test_balanced_and_square_products(self, p, k):
+        m, rng = p**k, random.Random(f"{p}^{k}")
+        for n in LONG_LENGTHS:
+            a, b = ([rng.randrange(m) for _ in range(n)] for _ in range(2))
+            assert mul_mod(a, b, m, n) == int_product(a, b, m, n)
+            assert mul_mod(a, a, m, n) == int_product(a, a, m, n)
+
+    @pytest.mark.parametrize("p, k", KERNEL_K)
+    def test_full_slots_do_not_carry_across_the_crossover(self, p, k):
+        # coefficient j of ((m - 1) * sum q^i)^2 is (j + 1)(m - 1)^2 = j + 1 mod m
+        m = p**k
+        for n in LONG_LENGTHS:
+            full = [m - 1] * n
+            assert mul_mod(full, full, m, n) == [(j + 1) % m for j in range(n)]
+
+    @pytest.mark.parametrize("p, k", ((2, 48), (3, 20), (2, 105)))
+    def test_uneven_shapes(self, p, k):
+        m, rng, n = p**k, random.Random(p * k), 2100
+        long, short = [rng.randrange(m) for _ in range(n + 37)], [rng.randrange(m) for _ in range(9)]
+        for a, b, size in ((short, long, n), (long, short, n), (long, long[::-1], n - 60),
+                           (long[:n // 2], long, n), ([], long, n), (long, [], n)):
+            assert mul_mod(a, b, m, size) == int_product(a, b, m, size)
+
+    def test_a_rounded_product_is_a_defect(self, monkeypatch):
+        m, c = 2**48, MUL_MOD_CROSSOVER
+        monkeypatch.setattr(series._EXACT, "prec", 28)
+        with pytest.raises(DefectError):
+            mul_mod([m - 1] * c, [m - 1] * c, m, c)
+        # the int product serves every operand shorter than the crossover,
+        # however long n and the other operand are
+        for a, b, n in (([m - 1] * (c - 1), [m - 1] * (c - 1), c - 1),
+                        ([m - 1] * 5, [m - 1] * 2 * c, 2 * c),
+                        ([m - 1] * 2 * c, [m - 1] * 2 * c, c - 1)):
+            assert mul_mod(a, b, m, n) == int_product(a, b, m, n)
+
+    @pytest.mark.parametrize("p, k", PRODUCTION_K)
+    def test_long_inverse_times_u_is_one(self, p, k):
+        # at 2,100 terms the Newton steps from 1,024 terms on multiply in decimal
+        m, rng, n = p**k, random.Random(p), 2100
+        u = [rng.randrange(m) for _ in range(n)]
+        u[0] = 1 + p * rng.randrange(m // p)
+        assert int_product(u, congruence._inverse_mod(u, m), m, n) == [1] + [0] * (n - 1)
 
 
 def inverse_orders(u, p, k):

@@ -7,10 +7,12 @@ from qgap import memo
 from qgap.arith import bernoulli
 from qgap.congruence import (delta_pn_compare, desk_rules_config, lehner_check,
                              reciprocal_compare, run_survey)
+from qgap.forms import t_series
 
 MEMOS = ["qgap.arith._signed_bernoulli", "qgap.congruence._SHARED_CHECKS",
          "qgap.congruence._residues", "qgap.congruence._rule_checks",
-         "qgap.forms._largest", "qgap.forms.factor_power", "qgap.forms.generator_series"]
+         "qgap.forms._largest", "qgap.forms.factor_power", "qgap.forms.generator_series",
+         "qgap.forms.t_series"]
 
 
 def _size(m) -> int:
@@ -18,12 +20,12 @@ def _size(m) -> int:
 
 
 def _run():
-    """A desk survey, the section 3.3 tables to n = 64 and B_20: together
-    they fill every memo."""
+    """A desk survey, the section 3.3 tables to n = 64, B_20 and one pairing
+    series: together they fill every memo."""
     records = [r.to_dict() for r in run_survey(desk_rules_config()).records]
     rows = [delta_pn_compare(p, 64) for p in (2, 3, 5)]
     rows += [reciprocal_compare(64), lehner_check(64)]
-    return records, rows, bernoulli(20)
+    return records, rows, bernoulli(20), t_series(2, 12, 4).coefficients()
 
 
 def test_clear_empties_every_memo_and_a_cold_run_equals_a_warm_one():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap.series import QSeries, ReachError, delta_over_q, product_expand
+from qgap.series import MUL_MOD_CROSSOVER, QSeries, ReachError, delta_over_q, product_expand
 
 import series_oracle
 from einf4_oracle import neg_power_einf4
@@ -240,6 +240,21 @@ class TestProductExpand:
         assert delta.coeff(2) == -24
         assert delta.coeff(3) == 252
         assert delta.coeff(4) == -1472
+
+    def test_long_delta_satisfies_the_hecke_relations(self):
+        # past the crossover, Jacobi's squarings multiply in decimal
+        n_max = MUL_MOD_CROSSOVER + 200
+        tau = [0, *delta_over_q(n_max).coefficients()]
+        assert tau[1:301] == product_expand(lambda n: 24, 300).coefficients()
+        for n in range(2, n_max + 1):
+            p = next(d for d in range(2, n + 1) if n % d == 0)
+            pk = p
+            while n % (pk * p) == 0:
+                pk *= p
+            if pk < n:  # tau(m n) = tau(m) tau(n) for coprime m, n
+                assert tau[n] == tau[pk] * tau[n // pk]
+            elif pk > p:  # tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1))
+                assert tau[n] == tau[p] * tau[n // p] - p**11 * tau[n // p // p]
 
     def test_partition_numbers(self):
         p = product_expand(lambda n: -1, 10)
