@@ -7,7 +7,7 @@ parameter check and its symbolic data.  The parser and the printer read
 it, and a ``Generator`` computes its symbolic data from it when it is
 made, so adding a kind takes one ``KINDS`` entry plus one builder branch in
 ``forms.generator_series``.  A ``FormExpr`` sums its factors' data once,
-when it is made.
+when it is made, or is made with the sums of its template's binder.
 
 Every generator is normalized: the leading Fourier coefficient is 1.  The
 weight of a monomial is the sum of the factor weights, and its leading
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from string import Formatter
+from typing import NamedTuple
 
 __all__ = ["DELTA", "E04", "EGAMMA2", "EINF4", "G4", "G6", "J", "J2", "KINDS", "T14",
            "FormExpr", "Generator", "Kind", "dim_m"]
@@ -157,28 +158,40 @@ DELTA, J, J2, EGAMMA2, E04, EINF4 = map(Generator,
 G4, G6, T14 = Generator("G", (4,)), Generator("G", (6,)), Generator("T", (14,))
 
 
-@dataclass(frozen=True)
-class FormExpr:
-    """A parsed monomial: ordered (generator, nonzero exponent) factors,
-    with the weight, valuation, pole order and conductor they give."""
-
+class _Form(NamedTuple):
     factors: tuple[tuple[Generator, int], ...]
-    text: str = ""
-    weight: int = field(init=False, repr=False, compare=False)
-    valuation: int = field(init=False, repr=False, compare=False)
-    pole_order: int = field(init=False, repr=False, compare=False)
-    conductor: int = field(init=False, repr=False, compare=False)
+    text: str
+    weight: int
+    valuation: int
+    pole_order: int
+    conductor: int
 
-    def __post_init__(self):
-        if not self.factors:
+
+class FormExpr(_Form):
+    """A parsed monomial: ordered (generator, nonzero exponent) factors,
+    its text, and the weight, valuation, pole order and conductor they
+    give.  A tuple, so a template binder that has summed the data makes a
+    form at tuple cost (``bound``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors, text: str = ""):
+        if not factors:
             raise ValueError("an expression needs at least one factor")
-        if any(e == 0 for _, e in self.factors):
+        if any(e == 0 for _, e in factors):
             raise ValueError("zero exponents are not allowed")
-        valuation = sum(g.valuation * e for g, e in self.factors)
-        object.__setattr__(self, "weight", sum(g.weight * e for g, e in self.factors))
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "pole_order", max(0, -valuation))
-        object.__setattr__(self, "conductor", lcm(*(g.conductor for g, _ in self.factors)))
+        return cls.bound(factors, text, sum(g.weight * e for g, e in factors),
+                         sum(g.valuation * e for g, e in factors),
+                         lcm(*(g.conductor for g, _ in factors)))
+
+    @classmethod
+    def bound(cls, factors, text: str, weight: int, valuation: int, conductor: int) -> FormExpr:
+        """The form of factors and data that ``exprs.Template.bind`` checked."""
+        return tuple.__new__(cls, (factors, text, weight, valuation, max(0, -valuation),
+                                   conductor))
+
+    def __getnewargs__(self):
+        return self.factors, self.text
 
     @property
     def canonical_text(self) -> str:

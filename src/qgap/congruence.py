@@ -30,10 +30,12 @@ the sign from the two residues mod 3 left over (c_0 * 3^(-ord_3) is prime
 to 3 above and below).  A vanishing c_0 satisfies a divisibility clause and
 is ZERO_CONSTANT_TERM on an exact one.
 
-A survey runs the forms of each template as one batch: it parses each
-template once and binds each instance's field values to a form, and every
-form reads its factor powers from one ``forms.FactorPowers`` table.  Each
-record is one ``classify_expr`` call, and a batch depends on nothing but
+A survey runs the forms of each template as one batch: it compiles each
+template once, one ``Template.bind`` call binds the batch's field values
+to forms (each distinct generator built once, each form's data summed
+over its factors), and every form reads its factor powers from one
+``forms.FactorPowers`` table.  Each record is one ``classify_expr`` call
+and one ``SurveyRecord`` tuple, and a batch depends on nothing but
 itself, so worker processes (``jobs`` > 1) run the same ``_survey_batch``
 as a serial survey.  The checks come from one memo per process,
 ``_rule_checks``, keyed on all that they read: (s, w mod 12, conductor,
@@ -103,8 +105,10 @@ class RuleCheck:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
+    """One survey form: its data, what the rules read of its c0, and the
+    checks; a tuple, so a record costs what its fields do."""
+
     expr: str
     conductor: int
     weight: int
@@ -432,10 +436,10 @@ def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
                              + ", ".join(repr(k) for k in keys))
 
 
-def _family_tasks(fam) -> tuple[Template, list[dict]]:
+def _family_tasks(fam) -> tuple[Template, list[tuple]]:
     """The parsed template of one survey family and the field values of
-    each instance, each listing its fields in sorted order; ValueError when
-    the family is malformed, checked before any instance is built."""
+    each instance, in sorted order of the field names; ValueError when the
+    family is malformed, checked before any instance is built."""
     if isinstance(fam, dict):
         _check_keys(fam, ("template", "ranges", "filters"), "a family")
     if not isinstance(fam, dict) or not isinstance(fam.get("template"), str):
@@ -449,10 +453,12 @@ def _family_tasks(fam) -> tuple[Template, list[dict]]:
                          f"'ranges' names {sorted(ranges)}")
     names = sorted(ranges)
     preds = [_parse_filter(f, names) for f in filters]
-    values = [_expand_range(ranges[n]) for n in names]
-    envs = (dict(zip(names, combo)) for combo in itertools.product(*values))
-    return template, [env for env in envs
-                      if all((env[var] % mod in res) != neg for var, mod, res, neg in preds)]
+    combos = itertools.product(*[_expand_range(ranges[n]) for n in names])
+    if not preds:
+        return template, list(combos)
+    at = {n: i for i, n in enumerate(names)}
+    return template, [c for c in combos
+                      if all((c[at[var]] % mod in res) != neg for var, mod, res, neg in preds)]
 
 
 def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
@@ -467,12 +473,15 @@ def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
     batches = {}
     for i, fam in enumerate(families):
         try:
-            template, envs = _family_tasks(fam)
+            template, combos = _family_tasks(fam)
         except ValueError as exc:
             raise ValueError(f"survey family {i}: {exc}") from None
-        batches.setdefault(template.text, (template, []))[1].extend(envs)
-    return [(template, sorted(envs, key=lambda env: tuple(env.values())))
-            for _, (template, envs) in sorted(batches.items())]
+        batches.setdefault(template.text, (template, []))[1].extend(combos)
+    out = []
+    for _, (template, combos) in sorted(batches.items()):
+        names = sorted(template.fields)
+        out.append((template, [dict(zip(names, c)) for c in sorted(combos)]))
+    return out
 
 
 def _survey_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
@@ -480,7 +489,7 @@ def _survey_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
     classify each, all reading their factor powers from one
     ``FactorPowers`` table, dropped when the batch ends."""
     template, envs = batch
-    exprs = [template(env) for env in envs]
+    exprs = template.bind(envs)
     powers = FactorPowers(exprs)
     return [_survey_record(expr, powers) for expr in exprs]
 

@@ -13,12 +13,17 @@ nonzero.  Errors carry the offending position and what was expected.
 
 A template has a ``{field}`` wherever the grammar reads an integer, signed
 or not in an exponent (``G({k})*Delta^-{a}``); ``parse_expr`` reads with
-the same scanner, admitting no field.
+the same scanner, admitting no field.  ``Template.bind`` binds a batch of
+field values: it builds each distinct generator of the batch once, sums
+each form's data over its factors and formats each text once.  A value
+that cannot stand in its slot re-reads the text through ``parse_expr``,
+which raises its own error.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 from typing import NamedTuple
 
 from qgap.catalog import KINDS, FormExpr, Generator
@@ -145,37 +150,62 @@ def parse_expr(text: str) -> FormExpr:
 
 
 class Template(NamedTuple):
-    """A parsed template: ``factors`` as in a FormExpr, with a ``_Field``
-    in each slot a field fills and (name, parameters) for a generator with
-    a field among its parameters; ``fields`` in order of first use."""
+    """A compiled template: ``factors`` as in a FormExpr, each generator
+    either fixed (a ``Generator``) or a kind with parameter slots
+    ((name, parameters), a ``_Field`` in each slot a field fills), each
+    exponent an int or a ``_Field``; ``fields`` in order of first use."""
 
     text: str
     factors: tuple
     fields: tuple[str, ...]
 
+    def bind(self, envs) -> list[FormExpr]:
+        """For each field-value dict in ``envs``, the FormExpr that
+        ``parse_expr(self.text.format(**env))`` reads, with the same text
+        and one object per distinct generator; the first env whose text
+        does not parse raises its error."""
+        gens = {(g.kind, g.params): g for g, _ in self.factors if type(g) is Generator}
+        forms = []
+        for env in envs:
+            text = self.text.format_map(env)
+            try:
+                factors = tuple([(g if type(g) is Generator else _generator(g, env, gens),
+                                  e if type(e) is int else _fill(e, env))
+                                 for g, e in self.factors])
+            except ValueError:
+                forms.append(parse_expr(text))
+                continue
+            weight = valuation = 0
+            for g, e in factors:
+                weight += g.weight * e
+                valuation += g.valuation * e
+            forms.append(FormExpr.bound(factors, text, weight, valuation,
+                                        lcm(*[g.conductor for g, _ in factors])))
+        return forms
+
     def __call__(self, env) -> FormExpr:
-        """The FormExpr that ``parse_expr(self.text.format(**env))`` reads,
-        with the same text.  Where a value cannot stand in its slot, the
-        text is re-read by ``parse_expr``, which raises its own error."""
-        text = self.text.format(**env)
-        try:
-            return FormExpr(tuple(
-                (gen if isinstance(gen, Generator)
-                 else Generator(gen[0], tuple(_fill(p, env) for p in gen[1])),
-                 _fill(e, env))
-                for gen, e in self.factors), text=text)
-        except ValueError:
-            return parse_expr(text)
+        """The one-form batch: ``self.bind([env])[0]``."""
+        return self.bind([env])[0]
 
 
-def _fill(slot: int | _Field, env) -> int:
-    """The integer in ``slot``; ValueError where the text reads none: a
-    sign before a negative value, or a negative parameter."""
-    if not isinstance(slot, _Field):
-        return slot
+def _generator(slot: tuple, env, gens: dict) -> Generator:
+    """The generator of kind ``slot[0]`` with ``slot[1]`` filled from env,
+    one object per (kind, parameters) in ``gens``; ValueError where the
+    parameters are no integers the kind accepts."""
+    key = slot[0], tuple(p if type(p) is int else _fill(p, env) for p in slot[1])
+    gen = gens.get(key)
+    if gen is None:
+        gen = gens[key] = Generator(*key)
+    return gen
+
+
+def _fill(slot: _Field, env) -> int:
+    """The integer the text reads in ``slot``; ValueError where it reads
+    none: a sign before a negative value, a negative parameter, or a zero
+    exponent."""
     v = env[slot.name]
-    if v < 0 and (slot.sign or not slot.signed):
-        raise ValueError(f"{slot.sign}{v} is no integer in this slot")
+    if v < 0 and (slot.sign or not slot.signed) or v == 0 and slot.signed:
+        raise ValueError(f"{slot.sign}{v} cannot stand in this slot")
     return -v if slot.sign == "-" else v
 
 
@@ -183,5 +213,7 @@ def parse_template(template: str) -> Template:
     """Parse a survey template like 'G({k})*Einf4^-{b}' once; ParseError
     at the template position where it leaves the grammar."""
     sc = _Scanner(template, fields=True)
-    factors = _factors(sc)
+    one = {}  # equal fixed generators are one object
+    factors = tuple((one.setdefault(g, g) if type(g) is Generator else g, e)
+                    for g, e in _factors(sc))
     return Template(template, factors, tuple(dict.fromkeys(sc.fields)))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from string import Formatter
@@ -15,6 +16,7 @@ from qgap.catalog import KINDS, Generator
 from qgap.cli import _SUITES
 from qgap.exprs import ParseError, parse_expr, parse_template
 from qgap.congruence import (
+    SurveyRecord,
     classify_expr,
     delta_pn_compare,
     desk_rules_config,
@@ -332,6 +334,18 @@ class TestSurveyRunner:
         rep = run_survey(cfg)
         for r in rep.records:
             json.dumps(r.to_dict())
+
+    def test_records_are_immutable_and_pickle(self):
+        """``--jobs`` workers send their records back pickled."""
+        records = [classify_expr("G(4)*Einf4^-3"), classify_expr("Delta^-1", 0),
+                   classify_expr("j^2", Fraction(-9, 4))]
+        assert [r.verdict for r in records] == ["PASS", "FAIL", "FAIL"]
+        for rec in records:
+            with pytest.raises(AttributeError):
+                rec.c0 = 0
+            back = pickle.loads(pickle.dumps(rec))
+            assert type(back) is SurveyRecord
+            assert back == rec and back.to_dict() == rec.to_dict()
 
     def test_table_renderer(self):
         cfg = {"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 2]}}]}
@@ -890,6 +904,8 @@ def test_parallel_survey_splits_by_template():
 
 @pytest.mark.slow
 def test_parallel_survey_binds_in_workers(monkeypatch):
+    """Under ``jobs`` > 1 the parent binds no batch; the serial run shows
+    that the patched binder is the one every batch goes through."""
     cfg = {"families": [
         {"template": "Delta^-{a}", "ranges": {"a": [1, 6]}},
         {"template": "G(4)^{a}*Einf4^-{b}", "ranges": {"a": [1, 3], "b": [1, 4]}},
@@ -897,11 +913,13 @@ def test_parallel_survey_binds_in_workers(monkeypatch):
     ]}
     serial = run_survey(cfg, jobs=1)
     binds = []
-    call = exprs.Template.__call__
-    monkeypatch.setattr(exprs.Template, "__call__",
-                        lambda self, env: binds.append(env) or call(self, env))
+    bind = exprs.Template.bind
+    monkeypatch.setattr(exprs.Template, "bind",
+                        lambda self, envs: binds.append(self.text) or bind(self, envs))
     memo.clear()
     parallel = run_survey(cfg, jobs=2)
     assert binds == []
     assert [r.to_dict() for r in parallel.records] == [r.to_dict() for r in serial.records]
     assert len(serial.records) == 21
+    run_survey(cfg, jobs=1)
+    assert binds == ["Delta^-{a}", "E(3,inf,6)^-{a}", "G(4)^{a}*Einf4^-{b}"]

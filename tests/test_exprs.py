@@ -101,6 +101,12 @@ class TestSymbolicData:
         with pytest.raises(ValueError):
             FormExpr(())
 
+    def test_form_survives_pickling(self):
+        form = parse_expr("G(4)^2 Delta^-1")
+        back = pickle.loads(pickle.dumps(form))
+        assert type(back) is FormExpr
+        assert (back, str(back), back.weight, back.pole_order) == (form, str(form), -4, 1)
+
 
 #: One valid instance per kind: (kind, params, (str, weight, conductor,
 #: leading exponent)), and an out-of-range parameter tuple (None when the
@@ -227,3 +233,42 @@ def test_template_binds_as_its_formatted_text_parses(drawn, env):
 def test_parse_expr_admits_no_field():
     with pytest.raises(ParseError, match="position 6: expected a signed integer, found '{'"):
         parse_expr("Delta^{a}")
+
+
+def form_data(form):
+    return (str(form), form.factors, form.weight, form.valuation, form.pole_order,
+            form.conductor)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(templates(), st.lists(st.fixed_dictionaries(
+    {f: st.one_of(st.sampled_from([2, 3, 4, 12]), st.integers(-6, 40)) for f in FIELDS}),
+    min_size=1, max_size=8))
+def test_batch_binds_as_each_formatted_text_parses(drawn, envs):
+    """A batch binds every env as its formatted text parses, up to the
+    first env that does not parse, which raises the error ``parse_expr``
+    raises; equal generators in one batch are one object."""
+    template = parse_template(drawn[0])
+    want = []
+    for env in envs:
+        try:
+            want.append(parse_expr(drawn[0].format(**env)))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                template.bind(envs)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            break
+    good = template.bind(envs[:len(want)])
+    assert [form_data(f) for f in good] == [form_data(f) for f in want]
+    one = {}
+    assert all(one.setdefault(g, g) is g for form in good for g, _ in form.factors)
+
+
+def test_batch_builds_each_generator_once():
+    template = parse_template("G(4)^{a}*G({k})*E(3,inf,{n})^-1")
+    envs = [{"a": a, "k": k, "n": n} for a in (1, 2) for k in (4, 6) for n in (6, 8)]
+    forms = template.bind(envs)
+    gens = {id(g) for form in forms for g, _ in form.factors}
+    assert len(gens) == 4  # G(4), G(6), E(3,inf,6), E(3,inf,8)
+    assert [str(f) for f in forms] == [template.text.format(**env) for env in envs]
+    assert [f.conductor for f in forms] == [3] * 8
