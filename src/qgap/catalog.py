@@ -7,7 +7,7 @@ parameter check and its symbolic data.  The parser and the printer read
 it, and a ``Generator`` computes its symbolic data from it when it is
 made, so adding a kind takes one ``KINDS`` entry plus one builder branch in
 ``forms.generator_series``.  A ``FormExpr`` sums its factors' data once,
-when it is made, or is made with the sums of its template's binder.
+when it is made.
 
 Every generator is normalized: the leading Fourier coefficient is 1.  The
 weight of a monomial is the sum of the factor weights, and its leading
@@ -170,8 +170,8 @@ class _Form(NamedTuple):
 class FormExpr(_Form):
     """A parsed monomial: ordered (generator, nonzero exponent) factors,
     its text, and the weight, valuation, pole order and conductor they
-    give.  A tuple, so a template binder that has summed the data makes a
-    form at tuple cost (``bound``)."""
+    give.  A tuple, so a template binder that has checked the factors
+    makes a form at tuple cost (``bound``)."""
 
     __slots__ = ()
 
@@ -180,15 +180,18 @@ class FormExpr(_Form):
             raise ValueError("an expression needs at least one factor")
         if any(e == 0 for _, e in factors):
             raise ValueError("zero exponents are not allowed")
-        return cls.bound(factors, text, sum(g.weight * e for g, e in factors),
-                         sum(g.valuation * e for g, e in factors),
-                         lcm(*(g.conductor for g, _ in factors)))
+        return cls.bound(factors, text)
 
     @classmethod
-    def bound(cls, factors, text: str, weight: int, valuation: int, conductor: int) -> FormExpr:
-        """The form of factors and data that ``exprs.Template.bind`` checked."""
+    def bound(cls, factors, text: str) -> FormExpr:
+        """The form of factors already checked to be nonempty with nonzero
+        exponents, as ``exprs.Template.bind`` fills them."""
+        weight = valuation = 0
+        for g, e in factors:
+            weight += g.weight * e
+            valuation += g.valuation * e
         return tuple.__new__(cls, (factors, text, weight, valuation, max(0, -valuation),
-                                   conductor))
+                                   lcm(*[g.conductor for g, _ in factors])))
 
     def __getnewargs__(self):
         return self.factors, self.text

@@ -454,8 +454,6 @@ def _family_tasks(fam) -> tuple[Template, list[tuple]]:
     names = sorted(ranges)
     preds = [_parse_filter(f, names) for f in filters]
     combos = itertools.product(*[_expand_range(ranges[n]) for n in names])
-    if not preds:
-        return template, list(combos)
     at = {n: i for i, n in enumerate(names)}
     return template, [c for c in combos
                       if all((c[at[var]] % mod in res) != neg for var, mod, res, neg in preds)]

@@ -23,7 +23,6 @@ which raises its own error.
 from __future__ import annotations
 
 import re
-from math import lcm
 from typing import NamedTuple
 
 from qgap.catalog import KINDS, FormExpr, Generator
@@ -175,12 +174,7 @@ class Template(NamedTuple):
             except ValueError:
                 forms.append(parse_expr(text))
                 continue
-            weight = valuation = 0
-            for g, e in factors:
-                weight += g.weight * e
-                valuation += g.valuation * e
-            forms.append(FormExpr.bound(factors, text, weight, valuation,
-                                        lcm(*[g.conductor for g, _ in factors])))
+            forms.append(FormExpr.bound(factors, text))
         return forms
 
     def __call__(self, env) -> FormExpr:
