@@ -34,7 +34,9 @@ A survey runs the forms of each template as one batch: it compiles each
 template once, one ``Template.bind`` call binds the batch's field values
 to forms (each distinct generator built once, each form's data summed
 over its factors), and every form reads its factor powers from one
-``forms.FactorPowers`` table.  Each record is one ``classify_expr`` call
+``forms.FactorPowers`` table; the forms are read in decreasing pole order,
+so the table builds each factor power once, and the records keep the bind
+order.  Each record is one ``classify_expr`` call
 and one ``SurveyRecord`` tuple, and a batch depends on nothing but
 itself, so worker processes (``jobs`` > 1) run the same ``_survey_batch``
 as a serial survey.  The checks come from one memo per process,
@@ -483,13 +485,18 @@ def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
 
 
 def _survey_batch(batch: tuple[Template, list[dict]]) -> list[SurveyRecord]:
-    """The records of one template's forms: bind its instances, then
-    classify each, all reading their factor powers from one
-    ``FactorPowers`` table, dropped when the batch ends."""
+    """The records of one template's forms, in bind order: bind its
+    instances, then classify each, in decreasing pole order so that one
+    ``FactorPowers`` table, dropped when the batch ends, builds each
+    series once."""
     template, envs = batch
     exprs = template.bind(envs)
-    powers = FactorPowers(exprs)
-    return [_survey_record(expr, powers) for expr in exprs]
+    powers = FactorPowers()
+    order = sorted(range(len(exprs)), key=lambda i: exprs[i].pole_order, reverse=True)
+    records = [None] * len(exprs)
+    for i in order:
+        records[i] = _survey_record(exprs[i], powers)
+    return records
 
 
 def _survey_record(expr: FormExpr, powers: FactorPowers) -> SurveyRecord:

@@ -12,9 +12,11 @@ Every window is a prefix: the first w coefficients of a window-W series
 any product, power or root of generators, depends only on the coefficients
 up to n of its inputs.  ``constant_term`` relies on this.  It reads each
 factor power, and the product of all factors but the last, from a
-``FactorPowers`` table that builds each of them once, at the largest window
-any monomial of a batch needs (a survey family is one batch), and takes c_0
-as one dot product (``QSeries.product_coeff``) of the two.
+``FactorPowers`` table, which builds a series again only when asked for a
+larger window than it holds, and takes c_0 as one dot product
+(``QSeries.product_coeff``) of the two.  A survey family is one batch,
+read in decreasing pole order, so each series is first asked for at the
+largest window the batch reads it at and is built once.
 
 Delta is q times the eighth power of Jacobi's series for prod (1 - q^n)^3,
 three exact packed squarings (``series.delta_over_q``); ``product_expand``,
@@ -27,12 +29,11 @@ K_p at least 3 above the largest order any table reads to n = 4096 (44,
 Each generator is expanded only when a window longer than its largest
 expansion so far is asked for; ``generator_series`` serves every other
 window as a prefix of that one, and memoizes the prefix per (generator,
-window).  A ``FactorPowers`` table asks for each generator at the largest
-window its batch reads before it builds a power of it, so a batch expands
-each of its generators once.  Factor powers sit in an LRU cache of
-FACTOR_CACHE_SIZE entries.  These three memos and that of ``t_series``
-register with ``qgap.memo``, and ``memo.clear()`` is the one way to forget
-expansions.
+window).  A batch read in decreasing pole order asks for each generator
+first at the largest window it reads, so it expands each of its
+generators once.  Factor powers sit in an LRU cache of FACTOR_CACHE_SIZE
+entries.  These three memos and that of ``t_series`` register with
+``qgap.memo``, and ``memo.clear()`` is the one way to forget expansions.
 """
 
 from __future__ import annotations
@@ -203,49 +204,34 @@ def eval_expr(expr: FormExpr | str, prec: int) -> QSeries:
         expr = parse_expr(expr)
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    return FactorPowers(()).series(expr.factors, prec)
+    return FactorPowers().series(expr.factors, prec)
 
 
 class FactorPowers:
-    """The series a batch of monomials reads for its constant terms: each
-    factor power, and the product of the leading factors of each monomial,
-    built once at the largest window any monomial of the batch reads it at.
-    A monomial with pole order s reads s + 1 coefficients, a prefix of that
-    build.  Factor powers come from ``factor_power``, and before the first
-    power of a generator is built, the generator is expanded at the largest
-    window the batch reads it at, so every power reads a prefix of that one
-    expansion.  Nothing is built before a monomial asks for it, so a failing
-    build fails only the monomials that need it."""
+    """The series the monomials of a batch read for their constant terms:
+    each factor power, and the product of the leading factors of each
+    monomial, built when first asked for and built again only when asked
+    for a larger window than held.  A batch read in decreasing pole order
+    (``congruence._survey_batch``) asks for each series, and each
+    generator, first at the largest window it reads, so each is built
+    once.  Factor powers come from ``factor_power``.  Nothing is built
+    before a monomial asks for it, so a failing build fails only the
+    monomials that need it."""
 
-    def __init__(self, exprs):
-        self._windows: dict[tuple, int] = {}
+    def __init__(self):
         self._built: dict[tuple, QSeries] = {}
-        # generator -> largest window read, until it is first expanded
-        self._unexpanded: dict[Generator, int] = {}
-        for expr in exprs:
-            window = expr.pole_order + 1
-            factors = expr.factors
-            keys = [(f,) for f in factors] + [factors[:k] for k in range(2, len(factors))]
-            for key in keys:
-                if self._windows.get(key, 0) < window:
-                    self._windows[key] = window
-            for gen, _ in factors:
-                if self._unexpanded.get(gen, 0) < window:
-                    self._unexpanded[gen] = window
 
     def series(self, factors: tuple, window: int) -> QSeries:
         """The product of ``factors`` ((generator, exponent) pairs) with at
         least ``window`` justified coefficients."""
         built = self._built.get(factors)
         if built is None or built.window < window:
-            w = max(window, self._windows.get(factors, 0))
             if len(factors) == 1:
                 (gen, e), = factors
-                generator_series(gen, max(w, self._unexpanded.pop(gen, 0)))
-                built = factor_power(gen, e, w)
+                built = factor_power(gen, e, window)
             else:
-                built = (_prefix(self.series(factors[:-1], w), w)
-                         * _prefix(self.series(factors[-1:], w), w))
+                built = (_prefix(self.series(factors[:-1], window), window)
+                         * _prefix(self.series(factors[-1:], window), window))
             self._built[factors] = built
         if built.window < window:
             raise DefectError(
@@ -269,7 +255,7 @@ def constant_term(expr: FormExpr | str, powers: FactorPowers | None = None):
     if isinstance(expr, str):
         expr = parse_expr(expr)
     if powers is None:
-        powers = FactorPowers([expr])
+        powers = FactorPowers()
     window = expr.pole_order + 1
     *head, last = expr.factors
     tail = powers.series((last,), window)

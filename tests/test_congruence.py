@@ -463,6 +463,15 @@ class TestSurveyPlan:
         assert [r.expr for r in records] == texts
         assert [r.c0 for r in records] == [classify_expr(t).c0 for t in texts]
 
+    def test_batch_records_come_in_bind_order(self):
+        # pole order a + b is not monotone in (a, b), the bind order
+        template = parse_template("j^{a}*Delta^-{b}")
+        envs = [{"a": a, "b": b} for a in range(1, 4) for b in range(1, 4)]
+        exprs = template.bind(envs)
+        records = congruence._survey_batch((template, envs))
+        assert [r.expr for r in records] == [str(e) for e in exprs]
+        assert [r.c0 for r in records] == [classify_expr(e).c0 for e in exprs]
+
     def test_failed_power_build_is_one_error_record_per_form(self, monkeypatch):
         import qgap.forms
 

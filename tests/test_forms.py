@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import qgap.forms
 from qgap import memo
 from qgap.catalog import KINDS, FormExpr, Generator, dim_m
+from qgap.congruence import _survey_batch
+from qgap.exprs import parse_template
 from qgap.forms import (
     FactorPowers,
     basis_m1,
@@ -53,6 +55,12 @@ ADMITTED = {
            if kind.check(*params) is None]
     for name, kind in KINDS.items()
 }
+
+
+#: A survey batch bound in increasing pole order (b), so only the order in
+#: which ``_survey_batch`` reads it builds each series once.
+FAMILY = (parse_template("G(4)^{a}*G(6)*Einf4^-{b}"),
+          [{"a": a, "b": b} for b in range(1, 6) for a in range(1, 4)])
 
 
 def padded_window(expr, prec):
@@ -336,7 +344,8 @@ class TestFactorPowers:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.lists(monomial_st(), min_size=1, max_size=6))
     def test_batch_constant_terms_match_evaluation(self, batch):
-        powers = FactorPowers(batch)
+        # the drawn order asks for some series at a larger window than held
+        powers = FactorPowers()
         for expr in batch:
             got = constant_term(expr, powers)
             want = eval_expr(expr, expr.pole_order + 1).coeff(0)
@@ -353,21 +362,19 @@ class TestFactorPowers:
             return real(gen, e, window)
 
         monkeypatch.setattr(qgap.forms, "factor_power", counted)
-        batch = [FormExpr(((Generator("G", (4,)), a), (Generator("G", (6,)), 1),
-                           (Generator("Einf4"), -b)))
-                 for a in range(1, 4) for b in range(1, 6)]
-        powers = FactorPowers(batch)
-        planned = [constant_term(expr, powers) for expr in batch]
+        template, envs = FAMILY
+        records = _survey_batch(FAMILY)
         shared = list(calls)
-        assert planned == [constant_term(expr) for expr in batch]
+        assert [r.c0 for r in records] == [constant_term(e) for e in template.bind(envs)]
         assert sorted(shared) == sorted(
             [("G(4)", a, 6) for a in range(1, 4)] + [("G(6)", 1, 6)]
             + [("Einf4", -b, b + 1) for b in range(1, 6)])
 
-    def test_unplanned_window_is_built_on_demand(self):
-        powers = FactorPowers([FormExpr(((Generator("Delta"), -1),))])
+    def test_larger_window_is_rebuilt(self):
+        powers = FactorPowers()
         assert constant_term("Delta^-1", powers) == 24
-        assert constant_term("j^2*Delta^-3", powers) == constant_term("j^2*Delta^-3")
+        assert constant_term("j*Delta^-1", powers) == constant_term("j*Delta^-1")
+        assert powers.series(((Generator("Delta"), -1),), 1).window == 3
 
     def test_failed_build_fails_only_its_forms(self, monkeypatch):
         import qgap.forms
@@ -382,7 +389,7 @@ class TestFactorPowers:
         monkeypatch.setattr(qgap.forms, "factor_power", broken)
         batch = [FormExpr(((Generator("j"), 1), (Generator("Delta"), -b)))
                  for b in (1, 2, 3)]
-        powers = FactorPowers(batch)
+        powers = FactorPowers()
         with pytest.raises(DefectError, match="injected"):
             constant_term(batch[1], powers)
         assert constant_term(batch[2], powers) == eval_expr(batch[2], 5).coeff(0)
@@ -479,14 +486,11 @@ class TestOneExpansionPerGenerator:
 
         monkeypatch.setattr(qgap.forms, "_expand", counted)
         memo.clear()
-        batch = [FormExpr(((Generator("G", (4,)), a), (Generator("G", (6,)), 1),
-                           (Generator("Einf4"), -b)))
-                 for a in range(1, 4) for b in range(1, 6)]
-        powers = FactorPowers(batch)
-        got = [constant_term(expr, powers) for expr in batch]
+        template, envs = FAMILY
+        got = [r.c0 for r in _survey_batch(FAMILY)]
         assert sorted(expanded) == [("Einf4", 6), ("G(4)", 6), ("G(6)", 6)]
         memo.clear()
-        assert got == [eval_expr(expr, expr.pole_order + 1).coeff(0) for expr in batch]
+        assert got == [eval_expr(e, e.pole_order + 1).coeff(0) for e in template.bind(envs)]
 
 
 def test_generator_hash_is_cached_by_value_and_survives_pickling():

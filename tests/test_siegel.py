@@ -27,7 +27,7 @@ class TestSatz1:
         assert satz1_check(1, 4, g4)["verdict"] == "PASS"
 
     def test_h0_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^T\(h\) needs even h > 2, got T\(2\)$"):
             satz1_check(1, 2, QSeries.one(5))
 
     def test_insufficient_reach(self):
