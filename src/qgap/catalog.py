@@ -1,6 +1,6 @@
 """Generator catalog: the named forms usable in expressions, with their
-symbolic data (weight, conductor, leading exponent) and the dimension
-formulas for the spaces they live in.
+symbolic data (weight, conductor, leading exponent), the dimension
+formulas for the spaces they live in, and the gap bounds read from them.
 
 ``KINDS`` holds one entry per generator kind: its parameter syntax, its
 parameter check and its symbolic data.  The parser and the printer read
@@ -25,7 +25,7 @@ from string import Formatter
 from typing import NamedTuple
 
 __all__ = ["DELTA", "E04", "EGAMMA2", "EINF4", "G4", "G6", "J", "J2", "KINDS", "T14",
-           "FormExpr", "Generator", "Kind", "dim_m"]
+           "FormExpr", "Generator", "Kind", "dim_m", "gap_bounds"]
 
 
 def dim_m(level: int, h: int) -> int:
@@ -39,6 +39,17 @@ def dim_m(level: int, h: int) -> int:
     if level == 2:
         return h // 4 + 1
     raise ValueError(f"dimension formula implemented for levels 1 and 2, not {level}")
+
+
+def gap_bounds(level: int, h: int) -> tuple[int, int, int | None]:
+    """(r, asserted gap bound, conjectured bound or None) at weight h, r =
+    ``dim_m(level, h)``: an entire weight-h form with c_0 != 0 has c_n != 0
+    for some n in [1, bound], bound = r, or 2r (r + 1 conjectured) for
+    level 2 and h = 2 mod 4."""
+    r = dim_m(level, h)
+    if level == 1 or h % 4 == 0:
+        return r, r, None
+    return r, 2 * r, r + 1
 
 
 @dataclass(frozen=True)

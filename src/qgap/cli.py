@@ -23,7 +23,7 @@ from qgap import congruence, siegel
 from qgap.congruence import desk_rules_config, full_rules_config, render_summary, render_table, run_survey
 from qgap.exprs import ParseError
 from qgap.forms import constant_term, eval_expr, identity_checks
-from qgap.quadratic import load_gram, min_represented, theorem51_applies, theta, verify_theorem51
+from qgap.quadratic import load_gram, theta, verify_theorem51
 from qgap.series import ReachError
 from qgap.verdict import Verdict
 
@@ -125,12 +125,7 @@ def _cmd_theta(args):
 
 
 def _cmd_minima(args):
-    gram = load_gram(args.gram)
-    if theorem51_applies(gram):
-        rec = verify_theorem51(gram)
-    else:
-        rec = {"rank": gram.rank, "min": min_represented(gram), "bound": None,
-               "verdict": Verdict.NOT_APPLICABLE}
+    rec = verify_theorem51(load_gram(args.gram))
     bound = "n/a" if rec["bound"] is None else rec["bound"]
     return [rec["verdict"]], [f"min={rec['min']} bound={bound} {rec['verdict']}"], [rec]
 

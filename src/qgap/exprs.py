@@ -177,10 +177,6 @@ class Template(NamedTuple):
             forms.append(FormExpr.bound(factors, text))
         return forms
 
-    def __call__(self, env) -> FormExpr:
-        """The one-form batch: ``self.bind([env])[0]``."""
-        return self.bind([env])[0]
-
 
 def _generator(slot: tuple, env, gens: dict) -> Generator:
     """The generator of kind ``slot[0]`` with ``slot[1]`` filled from env,

@@ -161,22 +161,18 @@ def _expand(gen: Generator, window: int) -> QSeries:
         blend = Fraction(n, d) * g4**3 + Fraction(d - n, d) * g6**2
         return generator_series(DELTA, window) * blend
     if kind == "T":
-        h = p[0]
-        r = dim_m(1, h)
-        eis_weight = 0 if h % 12 == 2 else 14 - (h % 12)
-        tail = generator_series(DELTA, window) ** (-r)
+        # Delta^-s, times the G(k) that makes up the rest of the weight
+        s = gen.pole_order
+        eis_weight = gen.weight + 12 * s
+        tail = generator_series(DELTA, window) ** (-s)
         if eis_weight == 0:
             return tail
         return generator_series(Generator("G", (eis_weight,)), window) * tail
     if kind == "T2":
-        h = p[0]
-        r = dim_m(2, h)
         eg = generator_series(EGAMMA2, window)
-        e04 = generator_series(E04, window)
-        einf = generator_series(EINF4, window)
-        if h % 4 == 0:
-            return eg * e04 * einf ** (-r)
-        return eg * eg * e04 * einf ** (-(1 + r))
+        head = eg * eg if p[0] % 4 == 2 else eg
+        tail = generator_series(EINF4, window) ** (-gen.pole_order)
+        return head * generator_series(E04, window) * tail
     raise DefectError(f"unhandled generator kind {kind!r}")
 
 

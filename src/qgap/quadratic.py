@@ -40,7 +40,7 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from qgap.catalog import dim_m
+from qgap.catalog import dim_m, gap_bounds
 from qgap.forms import basis_m2
 from qgap.series import DefectError
 from qgap.verdict import Verdict
@@ -372,19 +372,17 @@ def min_represented(gram: GramMatrix) -> int:
 
 
 def verify_theorem51(gram: GramMatrix) -> dict:
-    """Minimum bound for forms of level <= 2 in v = 0 mod 4 variables:
-    min <= 2 + v/4 when 8 | v, min <= 2 + v/2 when v = 4 mod 8."""
-    v = gram.rank
-    if v % 4 != 0:
-        raise ValueError(f"bound applies when 4 | v; rank is {v}")
-    lv = level(gram)
-    if lv > 2:
-        raise ValueError(f"bound applies to level <= 2 forms; level is {lv}")
-    bound = 2 + v // 4 if v % 8 == 0 else 2 + v // 2
-    m = min_represented(gram)
+    """Minimum bound for forms of level <= 2 in v = 0 mod 4 variables: the
+    theta series is an entire weight-v/2 Gamma_0(2) form with c_0 = 1, so
+    min <= twice the level-2 gap bound at h = v/2 (``catalog.gap_bounds``).
+    Every other form gets a NOT_APPLICABLE record with bound None."""
+    v, m = gram.rank, min_represented(gram)
+    if not theorem51_applies(gram):
+        return {"rank": v, "min": m, "bound": None, "verdict": Verdict.NOT_APPLICABLE}
+    bound = 2 * gap_bounds(2, v // 2)[1]
     return {
         "rank": v,
-        "level": lv,
+        "level": level(gram),
         "min": m,
         "bound": bound,
         "verdict": Verdict.PASS if m <= bound else Verdict.FAIL,

@@ -7,16 +7,15 @@ Three families of executable checks:
   level 2 (T_{2,h} built from the three level-2 generators);
 * the nonvanishing and sign of c_0[T_{2,h}] for h = 0 mod 4: the constant
   term has sign (-1)^(r+1), r = dim of the weight-h level-2 space;
-* gap bounds: an entire level-2 form of weight h with nonzero constant term
-  has a nonzero coefficient at some index in [1, r] (h = 0 mod 4) or
-  [1, 2r] (h = 2 mod 4); at level 1 the bound is r = dim of the level-1
-  space.  The sharper h = 2 mod 4 bound r+1 is measured and reported as
-  EXPERIMENTAL, never asserted, as is the nonvanishing of c_0[T_{2,h}] for
-  h = 2 mod 4.  A gap record reads only c_0 and the first nonzero index
-  after it, so the gap suite builds each weight's forms to a window that
-  starts at 2 and doubles, up to bound + 1, only while some form is still
-  zero after c_0; a form of shorter reach is refused only when its verdict
-  is undecided.
+* gap bounds (``catalog.gap_bounds``): an entire form of weight h with
+  nonzero constant term has a nonzero coefficient at some index in
+  [1, bound].  The conjectured level-2 bound for h = 2 mod 4 is measured
+  and reported as EXPERIMENTAL, never asserted, as is the nonvanishing of
+  c_0[T_{2,h}] for h = 2 mod 4.  A gap record reads only c_0 and the first
+  nonzero index after it, so the gap suite builds each weight's forms to a
+  window that starts at 2 and doubles, up to bound + 1, only while some
+  form is still zero after c_0; a form of shorter reach is refused only
+  when its verdict is undecided.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from qgap.arith import digit_sum
-from qgap.catalog import KINDS, dim_m
+from qgap.catalog import KINDS, dim_m, gap_bounds
 from qgap.congruence import RuleCheck, order_check, read_c0
 from qgap.forms import basis_m1, basis_m2, constant_term, t_series
 from qgap.series import QSeries, ReachError
@@ -82,14 +81,6 @@ def _pole(level: int, h: int) -> int:
     return -kind.valuation(h)
 
 
-def _gap_bounds(level: int, h: int) -> tuple[int, int, int | None]:
-    """(r, asserted gap bound, conjectured bound or None) at weight h."""
-    r = dim_m(level, h)
-    if level == 1 or h % 4 == 0:
-        return r, r, None
-    return r, 2 * r, r + 1
-
-
 def satz1_check(level: int, h: int, f: QSeries) -> dict:
     """Exact check that c_0[f * T] vanishes for an entire weight-h form f.
 
@@ -143,7 +134,7 @@ def gap_check(h: int, forms, level: int = 2, form_ids=None) -> list[GapCheckResu
     exactly one id per form."""
     if h <= 0 or h % 2 != 0:
         raise ValueError(f"gap_check needs even h > 0, got {h}")
-    r, bound, conj = _gap_bounds(level, h)
+    r, bound, conj = gap_bounds(level, h)
     if form_ids is None:
         form_ids = [f"form[{i}]" for i in range(len(forms))]
     elif len(form_ids) != len(forms):
@@ -186,7 +177,7 @@ def run_gap_suite(level: int = 2, hmax: int = 40, combos: int = 20,
     basis_of = basis_m2 if level == 2 else basis_m1
     records: list[GapCheckResult] = []
     for h in range(h_start, hmax + 1, 2):
-        r, bound, _ = _gap_bounds(level, h)
+        r, bound, _ = gap_bounds(level, h)
         # the basis is triangular with valuations 0..r-1, so only the element
         # of valuation 0 has a nonzero constant term
         lead = r - 1 if level == 2 else 0

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 
+from qgap.catalog import gap_bounds
 from qgap.forms import basis_m1, basis_m2
 from qgap.series import QSeries
-from qgap.siegel import DEFAULT_SEED, _gap_bounds, gap_check
+from qgap.siegel import DEFAULT_SEED, gap_check
 
 
 def random_combination(rng: random.Random, basis: list[QSeries]) -> QSeries:
@@ -33,7 +34,7 @@ def full_window_gap_suite(level: int = 2, hmax: int = 40, combos: int = 20,
     rng = random.Random(seed)
     records = []
     for h in range(2 if level == 2 else 4, hmax + 1, 2):
-        prec = _gap_bounds(level, h)[1] + 1
+        prec = gap_bounds(level, h)[1] + 1
         basis = basis_m2(h, prec) if level == 2 else basis_m1(h, prec)
         forms, ids = [], []
         for d, b in enumerate(basis):

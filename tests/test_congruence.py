@@ -415,13 +415,13 @@ class TestTemplateParsing:
             assert exc.value.pos == self.REJECTED[template]
             return
         fields = sorted({f for _, f, _, _ in Formatter().parse(template) if f})
-        bind = parse_template(template)
-        assert sorted(bind.fields) == fields
+        tmpl = parse_template(template)
+        assert sorted(tmpl.fields) == fields
         values = {"a": range(-2, 4), "b": range(-1, 3), "k": range(-2, 9, 2)}
         for combo in itertools.product(*(values[f] for f in fields)):
             env = dict(zip(fields, combo))
             try:
-                got = bind(env)
+                got = tmpl.bind([env])[0]
             except ValueError as exc:
                 got = f"{type(exc).__name__}: {exc}"
             assert got == parse_or_error(template.format(**env))
@@ -441,7 +441,7 @@ class TestTemplateParsing:
         assert len(run_survey(cfg).records) == 30
         assert (templates, calls) == (["G({k})*Einf4^-{b}"], [])
         with pytest.raises(ParseError, match=r"G\(3\)"):
-            real_template("G({k})*Einf4^-{b}")({"k": 3, "b": 1})
+            real_template("G({k})*Einf4^-{b}").bind([{"k": 3, "b": 1}])[0]
         assert calls == ["G(3)*Einf4^-1"]
 
 
@@ -454,7 +454,7 @@ class TestSurveyPlan:
         ]}
         batches = congruence._instantiate(cfg)
         assert [t.text for t, _ in batches] == ["Delta^-{a}", "E(2,inf,{k})^-{a}"]
-        texts = [str(template(env)) for template, envs in batches for env in envs]
+        texts = [str(template.bind([env])[0]) for template, envs in batches for env in envs]
         # (a, k) order: both E families interleave within one batch
         assert texts == [f"Delta^-{a}" for a in range(1, 4)] + [
             f"E(2,inf,{k})^-{a}" for a in range(1, 5) for k in range(6, 17, 2)

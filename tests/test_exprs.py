@@ -217,16 +217,16 @@ def templates(draw):
 @given(templates(), st.fixed_dictionaries({f: st.integers(-6, 40) for f in FIELDS}))
 def test_template_binds_as_its_formatted_text_parses(drawn, env):
     template, used = drawn
-    bind = parse_template(template)
-    assert set(bind.fields) == used
+    tmpl = parse_template(template)
+    assert set(tmpl.fields) == used
     try:
         want = parse_expr(template.format(**env))
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            bind(env)
+            tmpl.bind([env])[0]
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
     else:
-        got = bind(env)
+        got = tmpl.bind([env])[0]
         assert got == want and str(got) == str(want)
 
 

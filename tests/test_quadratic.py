@@ -10,7 +10,7 @@ import theta_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap.catalog import Generator
+from qgap.catalog import Generator, gap_bounds
 from qgap.forms import generator_series
 from qgap.quadratic import (
     D4,
@@ -372,13 +372,23 @@ class TestTheorem51:
                       [0, 0, 0, 2, 0, 0],
                       [0, 0, 0, 0, 2, 0],
                       [0, 0, 0, 0, 0, 2]])
-        with pytest.raises(ValueError, match="4"):
-            verify_theorem51(g)
+        rec = verify_theorem51(g)
+        assert (rec["rank"], rec["min"], rec["bound"]) == (6, 2, None)
+        assert "level" not in rec
+        assert rec["verdict"] == Verdict.NOT_APPLICABLE
 
     def test_level_4_rejected(self):
         scaled = validate([[2 * x for x in row] for row in D4])
-        with pytest.raises(ValueError, match="level"):
-            verify_theorem51(scaled)
+        rec = verify_theorem51(scaled)
+        assert (rec["rank"], rec["min"], rec["bound"]) == (4, 4, None)
+        assert "level" not in rec
+        assert rec["verdict"] == Verdict.NOT_APPLICABLE
+
+    @pytest.mark.parametrize("v", range(4, 65, 4))
+    def test_bound_is_twice_the_level_2_gap_bound(self, v):
+        # theta is an entire weight-v/2 Gamma_0(2) form with c_0 = 1
+        want = 2 + v // 4 if v % 8 == 0 else 2 + v // 2
+        assert 2 * gap_bounds(2, v // 2)[1] == want
 
 
 class TestGramFiles:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import gap_oracle
 import qgap.siegel
-from qgap.catalog import Generator, dim_m
+from qgap.catalog import Generator, dim_m, gap_bounds
 from qgap.forms import basis_m2, eisenstein_g, generator_series, t_series
 from qgap.series import QSeries, ReachError
 from qgap.siegel import (
@@ -59,6 +59,18 @@ class TestConstantTermT2:
     def test_rejects_h2mod4(self):
         with pytest.raises(ValueError):
             constant_term_t2(6)
+
+
+class TestGapBounds:
+    @pytest.mark.parametrize("h", range(0, 129, 2))
+    def test_level2(self, h):
+        r = h // 4 + 1
+        want = (r, r, None) if h % 4 == 0 else (r, 2 * r, r + 1)
+        assert gap_bounds(2, h) == want
+
+    @pytest.mark.parametrize("h", range(0, 129, 2))
+    def test_level1(self, h):
+        assert gap_bounds(1, h) == (dim_m(1, h),) * 2 + (None,)
 
 
 class TestGapCheck:
