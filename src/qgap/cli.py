@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import os
 import sys
 from functools import partial
 from typing import Callable, NamedTuple
@@ -31,12 +30,10 @@ __all__ = ["main"]
 
 
 def _jobs(flag: int | None) -> int:
-    """The worker count: --jobs, else QGAP_JOBS, else 1."""
-    source, text = (("--jobs", str(flag)) if flag is not None
-                    else ("QGAP_JOBS", os.environ.get("QGAP_JOBS", "1")))
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return int(text)
+    """The worker count: --jobs, else 1."""
+    if flag is not None and flag < 1:
+        raise ValueError(f"--jobs must be a positive integer, got '{flag}'")
+    return flag or 1
 
 
 @contextlib.contextmanager
@@ -108,7 +105,7 @@ def _cmd_gap(args):
             mark = "<=" if rec.within_conjectured else ">"
             extra = (f"  [experimental: first {mark} conjectured bound "
                      f"{rec.conjectured_bound}]")
-        lines.append(f"{rec.form_id}: first={rec.first_nonzero_index} "
+        lines.append(f"{rec.form}: first={rec.first_nonzero_index} "
                      f"bound={rec.bound} {rec.verdict}{extra}")
     lines.append(f"seed={out['seed']} total={len(records)} failed={failed}")
     rows = [rec.to_dict() for rec in records]
@@ -125,7 +122,7 @@ def _cmd_theta(args):
 
 
 def _cmd_minima(args):
-    rec = verify_theorem51(load_gram(args.gram))
+    rec = verify_theorem51(load_gram(args.gram, max_rank=args.max_rank))
     bound = "n/a" if rec["bound"] is None else rec["bound"]
     return [rec["verdict"]], [f"min={rec['min']} bound={bound} {rec['verdict']}"], [rec]
 
@@ -168,7 +165,7 @@ def _suite_rules(rules_config, jobs: int):
     lines = [render_summary(report)]
     for rec in report.failed[:20]:
         lines.append(f"{rec.verdict}: {rec.expr} " + "; ".join(
-            f"{c.rule_id} {c.predicted} {c.observed} {c.verdict}" for c in rec.checks))
+            f"{c.rule} {c.predicted} {c.observed} {c.verdict}" for c in rec.checks))
     return report.summary["verdicts"], lines, [{"summary": report.summary,
                                                 "config": config["name"]}]
 
@@ -234,6 +231,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "gap checks, and lattice theta series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gram = argparse.ArgumentParser(add_help=False)
+    gram.add_argument("gram")
+    gram.add_argument("--max-rank", type=int, default=16,
+                      help="largest rank read from the Gram file")
 
     p = sub.add_parser("expand", help="print the expansion of an expression")
     p.add_argument("expr")
@@ -262,15 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gap)
 
-    p = sub.add_parser("theta", help="theta series of a Gram matrix file")
-    p.add_argument("gram")
+    p = sub.add_parser("theta", parents=[gram], help="theta series of a Gram matrix file")
     p.add_argument("--terms", type=int, default=10)
-    p.add_argument("--max-rank", type=int, default=16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("minima", help="minimum represented value and its bound")
-    p.add_argument("gram")
+    p = sub.add_parser("minima", parents=[gram],
+                       help="minimum represented value and its bound")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_minima)
 

@@ -99,9 +99,10 @@ __all__ = [
     "run_survey",
 ]
 
-@dataclass(frozen=True)
-class RuleCheck:
-    rule_id: str
+class RuleCheck(NamedTuple):
+    """One clause on a survey c0; ``_asdict()`` is its JSON row."""
+
+    rule: str
     predicted: str
     observed: str
     verdict: Verdict
@@ -137,7 +138,7 @@ class SurveyRecord(NamedTuple):
 
     @property
     def rule_ids(self) -> str:
-        return "+".join(c.rule_id for c in self.checks) or "-"
+        return "+".join(c.rule for c in self.checks) or "-"
 
     def to_dict(self) -> dict:
         return {
@@ -152,15 +153,7 @@ class SurveyRecord(NamedTuple):
             "ord2": _ord_str(self.ord2),
             "ord3": _ord_str(self.ord3),
             "sign3": self.sign3,
-            "rules": [
-                {
-                    "rule": c.rule_id,
-                    "predicted": c.predicted,
-                    "observed": c.observed,
-                    "verdict": c.verdict,
-                }
-                for c in self.checks
-            ],
+            "rules": [c._asdict() for c in self.checks],
             "verdict": self.verdict,
         }
 
@@ -177,7 +170,7 @@ class SurveyReport:
         for rec in self.records:
             verdicts[rec.verdict] = verdicts.get(rec.verdict, 0) + 1
             for c in rec.checks:
-                bucket = rules.setdefault(c.rule_id, {})
+                bucket = rules.setdefault(c.rule, {})
                 bucket[c.verdict] = bucket.get(c.verdict, 0) + 1
         return {"total": len(self.records), "verdicts": verdicts, "rules": rules}
 

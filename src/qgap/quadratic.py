@@ -391,8 +391,9 @@ def verify_theorem51(gram: GramMatrix) -> dict:
 
 def parse_gram(text: str, source: str = "<gram>", max_rank: int | None = None) -> GramMatrix:
     """Gram file format: first data line is the rank v, then v lines of v
-    integers; '#' starts a comment.  A rank over ``max_rank`` (``qgap theta
-    --max-rank``) is refused at its line, before any elimination."""
+    integers; '#' starts a comment.  A rank over ``max_rank`` (``--max-rank``
+    of ``qgap theta`` and ``qgap minima``) is refused at its line, before any
+    elimination."""
     rows = []
     v = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

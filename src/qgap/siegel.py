@@ -21,8 +21,8 @@ Three families of executable checks:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from qgap.arith import digit_sum
 from qgap.catalog import KINDS, dim_m, gap_bounds
@@ -45,30 +45,22 @@ __all__ = [
 DEFAULT_SEED = 271828
 
 
-@dataclass(frozen=True)
-class GapCheckResult:
+class GapCheckResult(NamedTuple):
+    """One form against the gap bound for its weight; ``_asdict()`` is its
+    JSON row."""
+
     weight: int
     level: int
-    dim_r: int
+    dim: int
     bound: int
-    form_id: str
+    form: str
     first_nonzero_index: int | None
     verdict: Verdict
     conjectured_bound: int | None = None  # r+1 for h = 2 mod 4; reported only
     within_conjectured: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "level": self.level,
-            "dim": self.dim_r,
-            "bound": self.bound,
-            "form": self.form_id,
-            "first_nonzero_index": self.first_nonzero_index,
-            "verdict": self.verdict,
-            "conjectured_bound": self.conjectured_bound,
-            "within_conjectured": self.within_conjectured,
-        }
+        return self._asdict()
 
 
 def _pole(level: int, h: int) -> int:
@@ -149,7 +141,7 @@ def gap_check(h: int, forms, level: int = 2, form_ids=None) -> list[GapCheckResu
                              f"too small for bound {bound}")
         ok = first is not None and first <= bound
         results.append(GapCheckResult(
-            weight=h, level=level, dim_r=r, bound=bound, form_id=fid,
+            weight=h, level=level, dim=r, bound=bound, form=fid,
             first_nonzero_index=first, verdict=Verdict.PASS if ok else Verdict.FAIL,
             conjectured_bound=conj,
             within_conjectured=None if conj is None or first is None
@@ -262,5 +254,5 @@ def theorem4_checks(s_powers=(1, 2, 4, 8, 16, 32, 64), s42_max: int = 80,
         got = int(constant_term(name)) % mod
         checks.append((name, RuleCheck("4.3", f"{want} mod {mod}", f"{got} mod {mod}",
                                        Verdict.PASS if got == want else Verdict.FAIL)))
-    return [{"theorem": c.rule_id, "instance": instance, "predicted": c.predicted,
+    return [{"theorem": c.rule, "instance": instance, "predicted": c.predicted,
              "observed": c.observed, "verdict": c.verdict} for instance, c in checks]

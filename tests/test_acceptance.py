@@ -101,8 +101,8 @@ def test_criterion_5_survey_reproduction():
     ok &= family_pass("Phi(3)^-{}", [(a,) for a in range(1, 33)])
     # deviation rules on their windows, a <= 24, k <= 24
     dev = [r for r in report.records
-           if r.checks[0].rule_id.startswith("dev-3-")]
-    dev_ids = {r.checks[0].rule_id for r in dev}
+           if r.checks[0].rule.startswith("dev-3-")]
+    dev_ids = {r.checks[0].rule for r in dev}
     ok &= dev_ids == {"dev-3-1", "dev-3-2", "dev-3-3", "dev-3-4"}
     ok &= all(r.verdict == "PASS" for r in dev)
     assert _report("5 survey-desk", ok,

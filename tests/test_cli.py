@@ -302,28 +302,11 @@ class TestJobs:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "jobs" in err
 
-    @pytest.mark.parametrize("value", ["two", "1.5", ""])
-    def test_non_integer_env_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("QGAP_JOBS", value)
-        code, out, err = run(capsys, "verify", "--suite", "rules")
-        assert code == 2
-        assert out == "" and err.startswith("error: QGAP_JOBS")
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QGAP_JOBS", "two")
-        code, out, _ = run(capsys, "verify", "--suite", "rules", "--jobs", "1")
-        assert code == 0 and out.endswith("suite rules: PASS\n")
-
     @pytest.mark.parametrize("suite", ["identities", "satz", "theorems4", "sec33"])
     def test_jobs_on_a_suite_without_workers_exit_2(self, capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--jobs", "2")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: suite {suite} ") and "--jobs" in err
-
-    def test_env_unread_by_a_suite_without_workers(self, capsys, monkeypatch):
-        monkeypatch.setenv("QGAP_JOBS", "two")
-        code, out, _ = run(capsys, "verify", "--suite", "identities")
-        assert code == 0 and out.endswith("suite identities: PASS\n")
 
 
 class TestInternalError:
@@ -407,14 +390,15 @@ class TestThetaMinima:
         assert code == 2
         assert "max-rank" in err
 
-    def test_rank_cap_refused_before_elimination(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["theta", "minima"])
+    def test_rank_cap_refused_before_elimination(self, tmp_path, capsys, command):
         # a tridiagonal rank-400 form: validating it took 12.6 s before the
         # cap was checked at the rank line
         rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(400)]
                 for i in range(400)]
         gram = write_gram(tmp_path / "big.gram", rows)
         start = time.perf_counter()
-        code, out, err = run(capsys, "theta", str(gram), "--terms", "1")
+        code, out, err = run(capsys, command, str(gram))
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == "error: rank 400 exceeds the cap 16; raise it with --max-rank\n"

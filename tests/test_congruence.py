@@ -33,6 +33,8 @@ from qgap.congruence import (
 from qgap.forms import eval_expr, generator_series
 from qgap.series import MUL_MOD_CROSSOVER, DefectError, QSeries, ReachError, mul_mod
 
+from c0_oracle import mismatches
+
 
 def only(checks):
     assert len(checks) == 1
@@ -43,13 +45,13 @@ class TestConductor1:
     def test_delta_inverse_2adic(self):
         # c0[Delta^-1] = 24, ord2 = 3 = 3*d_2(1)
         checks = classify_expr("Delta^-1", c0=24).checks
-        assert checks[0].rule_id == "1a"
+        assert checks[0].rule == "1a"
         assert checks[0].verdict == "PASS"
 
     def test_delta_inverse_3adic(self):
         # 24 = (-1)^1 * 3 mod 9
         checks = classify_expr("Delta^-1", c0=24).checks
-        assert checks[1].rule_id == "1c"
+        assert checks[1].rule == "1c"
         assert checks[1].verdict == "PASS"
 
     def test_delta_squared_inverse(self):
@@ -63,8 +65,8 @@ class TestConductor1:
         # G(6)*Delta^-1 has weight -6 = 2 mod 4; c0 = -480, ord2 = 5 >= 4
         rec = classify_expr("G(6)*Delta^-1")
         assert rec.c0 == -480
-        two = [c for c in rec.checks if c.rule_id.endswith(("a", "b"))][0]
-        assert two.rule_id == "1b"
+        two = [c for c in rec.checks if c.rule.endswith(("a", "b"))][0]
+        assert two.rule == "1b"
         assert two.verdict == "PASS"
 
     def test_zero_constant_term_flagged(self):
@@ -89,7 +91,7 @@ class TestConductor2:
         # Delta2 = E04*Einf4 has valuation 1, so pole order 1: need ord2 = 3
         rec = classify_expr("Delta2^-1")
         assert rec.pole_order == 1
-        assert only(rec.checks).rule_id == "2a"
+        assert only(rec.checks).rule == "2a"
         assert rec.verdict == "PASS"
 
     def test_t2_family_obeys_rule_2(self):
@@ -106,7 +108,7 @@ class TestConductor3:
         rec = classify_expr("phi(3)^-1")
         assert rec.pole_order == 2
         assert rec.c0 == 252
-        assert only(rec.checks).rule_id == "3c"
+        assert only(rec.checks).rule == "3c"
         assert rec.verdict == "PASS"
 
     def test_big_phi3_inverse(self):
@@ -118,13 +120,13 @@ class TestConductor3:
     def test_e3inf6_cube_power_obeys_rule_3(self):
         # a = 0 mod 3 sits in no deviation window at k = 6
         rec = classify_expr("E(3,inf,6)^-3")
-        assert only(rec.checks).rule_id == "3c"
+        assert only(rec.checks).rule == "3c"
         assert rec.verdict == "PASS"
 
     def test_e3inf6_inverse_follows_sign_flip(self):
         # computed directly: c0 = -33 = +3 mod 9, the dev-3-2 side
         rec = classify_expr("E(3,inf,6)^-1")
-        assert only(rec.checks).rule_id == "dev-3-2"
+        assert only(rec.checks).rule == "dev-3-2"
         assert rec.verdict == "PASS"
 
 
@@ -154,7 +156,7 @@ class TestOrderCheck:
     @pytest.mark.parametrize("expr, rule, predicted, verdict", ZERO_C0_CLAUSES,
                              ids=[c[1] for c in ZERO_C0_CLAUSES])
     def test_zero_constant_term_on_every_clause(self, expr, rule, predicted, verdict):
-        checks = {c.rule_id: c for c in classify_expr(expr, c0=0).checks}
+        checks = {c.rule: c for c in classify_expr(expr, c0=0).checks}
         chk = checks[rule]
         observed = "ord2=inf" if predicted.startswith("ord2") else "ord3=inf,sign=None"
         assert (chk.predicted, chk.observed, chk.verdict) == (predicted, observed, verdict)
@@ -245,7 +247,7 @@ class TestDeviations:
         rec = classify_expr("E(2,inf,8)^-1")
         assert rec.c0 == -128
         chk = only(rec.checks)
-        assert chk.rule_id == "dev-3-1"
+        assert chk.rule == "dev-3-1"
         assert chk.verdict == "PASS"
 
     def test_dev32_prediction(self):
@@ -253,14 +255,14 @@ class TestDeviations:
         rec = classify_expr("E(3,inf,12)^-1")
         assert rec.c0 == -2049
         chk = only(rec.checks)
-        assert chk.rule_id == "dev-3-2"
+        assert chk.rule == "dev-3-2"
         assert chk.verdict == "PASS"
 
     def test_dev33_asserts_order_only(self):
         rec = classify_expr("E(3,inf,12)^-2")
         assert rec.c0 == 12240909
         chk = only(rec.checks)
-        assert chk.rule_id == "dev-3-3"
+        assert chk.rule == "dev-3-3"
         assert chk.verdict == "PASS"
         assert rec.ord3 == 3  # d_3(2) + ord_3(3) = 2 + 1
         assert rec.sign3 is not None  # recorded, not asserted
@@ -269,7 +271,7 @@ class TestDeviations:
         rec = classify_expr("E(3,inf,8)^-1")
         assert rec.c0 == -129
         chk = only(rec.checks)
-        assert chk.rule_id == "dev-3-4"
+        assert chk.rule == "dev-3-4"
         assert chk.verdict == "PASS"
 
     def test_window_miss_reports_not_applicable(self):
@@ -303,7 +305,7 @@ class TestSurveyRunner:
         assert [r.expr for r in report.records] == [
             f"E(2,inf,8)^-{a}" for a in (1, 3, 5, 7)
         ]
-        assert all(r.checks[0].rule_id == "dev-3-1" for r in report.records)
+        assert all(r.checks[0].rule == "dev-3-1" for r in report.records)
 
     def test_mod_filter(self):
         cfg = {"families": [{
@@ -861,7 +863,7 @@ class TestRecordInvariants:
     def test_d3_membership_implies_c3(self):
         # a record passing clause (c) has ord3 == gamma by definition
         rec = classify_expr("Delta^-1")
-        three = [c for c in rec.checks if c.rule_id == "1c"][0]
+        three = [c for c in rec.checks if c.rule == "1c"][0]
         assert three.verdict == "PASS"
         assert rec.ord3 == rec.gamma
 
@@ -880,6 +882,13 @@ class TestRecordInvariants:
     def test_no_pole_is_not_applicable(self):
         rec = classify_expr("Delta")
         assert rec.verdict == "NOT_APPLICABLE"
+
+
+def test_desk_survey_c0_matches_independent_oracle():
+    memo.clear()  # the survey builds cold, as a fresh run does
+    records = run_survey(desk_rules_config()).records
+    assert len(records) == 9212
+    assert mismatches(records) == []
 
 
 @pytest.mark.slow

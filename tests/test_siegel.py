@@ -126,7 +126,7 @@ class TestGapCheck:
         eg = generator_series(Generator("Egamma2"), 6)
         with pytest.raises(ValueError, match=f"^{len(ids)} form ids for 3 forms$"):
             gap_check(2, [eg, eg, eg], form_ids=ids)
-        assert [res.form_id for res in gap_check(2, [eg, eg, eg], form_ids=["a", "b", "c"])] \
+        assert [res.form for res in gap_check(2, [eg, eg, eg], form_ids=["a", "b", "c"])] \
             == ["a", "b", "c"]
 
     def test_short_reach_zero_after_c0_undecided(self):
