@@ -302,6 +302,15 @@ class TestJobs:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "jobs" in err
 
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_non_integer_jobs_exit_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "rules", "--jobs", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --jobs: invalid int value: '{value}'" in captured.err
+
     @pytest.mark.parametrize("suite", ["identities", "satz", "theorems4", "sec33"])
     def test_jobs_on_a_suite_without_workers_exit_2(self, capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--jobs", "2")
@@ -389,6 +398,20 @@ class TestThetaMinima:
         code, _, err = run(capsys, "theta", str(gram), "--terms", "1")
         assert code == 2
         assert "max-rank" in err
+
+    def test_minima_rank_cap(self, tmp_path, capsys):
+        gram = write_gram(tmp_path / "big.gram",
+                          [[2 if i == j else 0 for j in range(17)] for i in range(17)])
+        code, out, err = run(capsys, "minima", str(gram))
+        assert (code, out) == (2, "")
+        assert err == "error: rank 17 exceeds the cap 16; raise it with --max-rank\n"
+
+    def test_minima_max_rank_raises_the_cap(self, tmp_path, capsys):
+        gram = write_gram(tmp_path / "big.gram",
+                          [[2 if i == j else 0 for j in range(17)] for i in range(17)])
+        code, out, _ = run(capsys, "minima", str(gram), "--max-rank", "17")
+        assert code == 0
+        assert out.strip() == "min=2 bound=n/a NOT_APPLICABLE"
 
     @pytest.mark.parametrize("command", ["theta", "minima"])
     def test_rank_cap_refused_before_elimination(self, tmp_path, capsys, command):
