@@ -1,6 +1,11 @@
 """Series expansions for the generator catalog, bases of the level-1 and
 level-2 spaces, and evaluation of parsed expressions.
 
+Both bases have the form A * H^d, d < r, stated once by ``basis_factors``
+and built as one ladder of products with H; by bilinearity
+``siegel.run_satz_suite`` pairs T with A once per weight and reads each
+element as one dot product against H^d.
+
 All builders take a ``window``: the number of justified coefficients from
 the valuation.  Every construction here preserves windows (a product of
 series with window L has window L), so a builder returns exactly the
@@ -42,14 +47,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qgap.arith import alpha_coeff, divisor_sum_sieve
-from qgap.catalog import (DELTA, E04, EGAMMA2, EINF4, G4, G6, J2, T14, FormExpr, Generator,
-                          dim_m)
+from qgap.catalog import (DELTA, E04, EGAMMA2, EINF4, G4, G6, J, J2, T14, FormExpr,
+                          Generator, dim_m)
 from qgap.exprs import parse_expr
 from qgap.memo import register
 from qgap.series import DefectError, QSeries, delta_over_q, product_expand
 
 __all__ = [
     "FactorPowers",
+    "basis_factors",
     "basis_m1",
     "basis_m2",
     "constant_term",
@@ -260,46 +266,58 @@ def constant_term(expr: FormExpr | str, powers: FactorPowers | None = None):
     return powers.series(tuple(head), window).product_coeff(tail, 0)
 
 
-def basis_m2(h: int, prec: int) -> list[QSeries]:
-    """Monic triangular basis of the level-2 weight-h space: powers of j2
-    times E_inf4^(r-1), with an E_gamma2 factor when h = 2 mod 4.  The d-th
-    element has valuation r-1-d, so valuations run over 0..r-1.  Each
-    element carries exactly ``prec`` coefficients from its valuation."""
-    if h <= 0 or h % 2 != 0:
-        raise ValueError(f"basis_m2 needs even h > 0, got {h}")
-    r = dim_m(2, h)
-    einf = generator_series(EINF4, prec)
-    tail = einf ** (r - 1)
-    if h % 4 != 0:
-        tail = generator_series(EGAMMA2, prec) * tail
-    basis = [tail]
-    if r > 1:
-        ej2 = generator_series(J2, prec)
-        while len(basis) < r:
-            basis.append(basis[-1] * ej2)
+def basis_factors(level: int, h: int) -> tuple[int, tuple, tuple[Generator, int]]:
+    """(r, head, (H, e)): the one statement of both bases.  The monic
+    triangular basis of the weight-h space at level 1 or 2 is A * (H^e)^d
+    for d = 0..r-1, A the product of the ``head`` factors ((generator,
+    exponent) pairs) and r = ``dim_m(level, h)``.  Level 2: A =
+    E_gamma2^[h = 2 mod 4] E_inf4^(r-1), H^e = j2.  Level 1: A = G4^a G6^b,
+    b = [h = 2 mod 4], and H^e = 1/j, since Delta^d G4^(a-3d) G6^b =
+    A (Delta/G4^3)^d.  By bilinearity the Satz suite pairs T with A once
+    and each element is one dot product against a power of H."""
+    if level == 2:
+        if h <= 0 or h % 2 != 0:
+            raise ValueError(f"basis_m2 needs even h > 0, got {h}")
+        r = dim_m(2, h)
+        head = ((EGAMMA2, h % 4 // 2), (EINF4, r - 1))
+        step = (J2, 1)
+    elif level == 1:
+        if h < 4 or h % 2 != 0:
+            raise ValueError(f"basis_m1 needs even h >= 4, got {h}")
+        r, b = dim_m(1, h), h % 4 // 2
+        head = ((G4, (h - 6 * b) // 4), (G6, b))
+        step = (J, -1)
+    else:
+        raise ValueError(f"bases exist at levels 1 and 2, not {level}")
+    return r, tuple((g, e) for g, e in head if e), step
+
+
+def _basis(level: int, h: int, prec: int) -> list[QSeries]:
+    """The ladder A, A*H^e, A*H^2e, ... of ``basis_factors``, each element
+    with exactly ``prec`` coefficients from its valuation."""
+    r, head, (gen, e) = basis_factors(level, h)
+    basis = [FactorPowers().series(head, prec)]
+    while len(basis) < r:
+        basis.append(basis[-1] * factor_power(gen, e, prec))
     return basis
+
+
+def basis_m2(h: int, prec: int) -> list[QSeries]:
+    """Monic triangular basis of the level-2 weight-h space, A * j2^d
+    (``basis_factors``): powers of j2 times E_inf4^(r-1), with an E_gamma2
+    factor when h = 2 mod 4.  The d-th element has valuation r-1-d, so
+    valuations run over 0..r-1.  Each element carries exactly ``prec``
+    coefficients from its valuation."""
+    return _basis(2, h, prec)
 
 
 def basis_m1(h: int, prec: int) -> list[QSeries]:
-    """Monic triangular basis of the level-1 weight-h space: Delta^d times
-    the monomial G4^a G6^b of weight h - 12d (b in {0,1} fixed by h mod 4).
-    The d-th element has valuation d and exactly ``prec`` coefficients from
-    it."""
-    if h < 4 or h % 2 != 0:
-        raise ValueError(f"basis_m1 needs even h >= 4, got {h}")
-    r = dim_m(1, h)
-    g4 = generator_series(G4, prec)
-    g6 = generator_series(G6, prec)
-    dl = generator_series(DELTA, prec)
-    basis = []
-    dpow = QSeries.one(prec)
-    for d in range(r):
-        w = h - 12 * d
-        b = 0 if w % 4 == 0 else 1
-        a = (w - 6 * b) // 4
-        basis.append(dpow * g4**a * g6**b)
-        dpow = dpow * dl
-    return basis
+    """Monic triangular basis of the level-1 weight-h space, A * j^-d
+    (``basis_factors``): Delta^d times the monomial G4^a G6^b of weight
+    h - 12d (b in {0,1} fixed by h mod 4), built as G4^a G6^b
+    (Delta/G4^3)^d.  The d-th element has valuation d and exactly
+    ``prec`` coefficients from it."""
+    return _basis(1, h, prec)
 
 
 def identity_checks(prec: int = 200) -> list[tuple[str, bool]]:

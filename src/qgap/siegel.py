@@ -4,7 +4,10 @@ Three families of executable checks:
 
 * satz-style vanishing: c_0[f * T] = 0 for every entire f of matching
   weight, at level 1 (T_h pairing an Eisenstein factor with Delta^-r) and
-  level 2 (T_{2,h} built from the three level-2 generators);
+  level 2 (T_{2,h} built from the three level-2 generators).  Each basis
+  is A * H^d (``forms.basis_factors``), so by bilinearity the suite pairs
+  T with A once per weight and reads c_0 of each element as one dot
+  product against a power of H, shared by the weights of a level;
 * the nonvanishing and sign of c_0[T_{2,h}] for h = 0 mod 4: the constant
   term has sign (-1)^(r+1), r = dim of the weight-h level-2 space;
 * gap bounds (``catalog.gap_bounds``): an entire form of weight h with
@@ -27,7 +30,7 @@ from typing import NamedTuple
 from qgap.arith import digit_sum
 from qgap.catalog import KINDS, dim_m, gap_bounds
 from qgap.congruence import RuleCheck, order_check, read_c0
-from qgap.forms import basis_m1, basis_m2, constant_term, t_series
+from qgap.forms import FactorPowers, basis_factors, basis_m1, basis_m2, constant_term, t_series
 from qgap.series import QSeries, ReachError
 from qgap.verdict import Verdict
 
@@ -90,13 +93,27 @@ def satz1_check(level: int, h: int, f: QSeries) -> dict:
         )
     # t reaches q^0 only; the product's reach min(f.valuation + 1,
     # f.reach - pole) is still >= 1, so c_0 is justified
-    c0 = t_series(level, h, pole + 1).product_coeff(f, 0)
-    return {
-        "level": level,
-        "weight": h,
-        "c0": c0,
-        "verdict": Verdict.PASS if c0 == 0 else Verdict.FAIL,
-    }
+    return _vanishing(level, h, t_series(level, h, pole + 1).product_coeff(f, 0))
+
+
+def _vanishing(level: int, h: int, c0, **extra) -> dict:
+    """The record of one vanishing check, c_0[f * T] = ``c0``, then the
+    ``extra`` keys."""
+    return {"level": level, "weight": h, "c0": c0,
+            "verdict": Verdict.PASS if c0 == 0 else Verdict.FAIL, **extra}
+
+
+def _basis_pairings(level: int, h: int, t: QSeries, powers: FactorPowers) -> list:
+    """[c_0[f_d * t] for d < r] over the basis f_d = A * H^(e d) of
+    ``basis_factors``, t of pole order ``_pole(level, h)``.  By
+    bilinearity c_0[f_d * t] = c_0[H^(e d) * P] with P = A * t, so the
+    weight costs one product, and each element one dot product against a
+    power of H read from ``powers``."""
+    r, head, (gen, e) = basis_factors(level, h)
+    window = _pole(level, h) + 1
+    p = powers.series(head, window) * t
+    return [p.coeff(0)] + [powers.series(((gen, e * d),), window).product_coeff(p, 0)
+                           for d in range(1, r)]
 
 
 def constant_term_t2(h: int) -> dict:
@@ -205,13 +222,16 @@ def run_satz_suite(hmax_level1: int = 36, hmax_level2: int = 40) -> dict:
     for c_0[T_{2,h}] (h = 0 mod 4), and the EXPERIMENTAL record of
     c_0[T_{2,h}] for h = 2 mod 4."""
     vanishing = []
-    for level, h_start, hmax, basis in ((1, 4, hmax_level1, basis_m1),
-                                        (2, 2, hmax_level2, basis_m2)):
-        for h in range(h_start, hmax + 1, 2):
-            for d, f in enumerate(basis(h, _pole(level, h) + 1)):
-                rec = satz1_check(level, h, f)
-                rec["form"] = f"level{level} h={h} basis[{d}]"
-                vanishing.append(rec)
+    for level, h_start, hmax in ((1, 4, hmax_level1), (2, 2, hmax_level2)):
+        weights = range(h_start, hmax + 1, 2)
+        poles = {h: _pole(level, h) for h in weights}
+        # one table per level, read in decreasing pole order, so each power
+        # of H is built once, at the largest window the level reads it at
+        powers = FactorPowers()
+        pairings = {h: _basis_pairings(level, h, t_series(level, h, poles[h] + 1), powers)
+                    for h in sorted(weights, key=poles.get, reverse=True)}
+        vanishing += [_vanishing(level, h, c0, form=f"level{level} h={h} basis[{d}]")
+                      for h in weights for d, c0 in enumerate(pairings[h])]
     signs = [constant_term_t2(h) for h in range(4, hmax_level2 + 1, 4)]
     experimental = []
     for h in range(2, hmax_level2 + 1, 4):

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgap.forms
+import satz_oracle
 from qgap import memo
-from qgap.catalog import KINDS, FormExpr, Generator, dim_m
+from qgap.catalog import EGAMMA2, EINF4, G4, G6, J, J2, KINDS, FormExpr, Generator, dim_m
 from qgap.congruence import _survey_batch
 from qgap.exprs import parse_template
 from qgap.forms import (
     FactorPowers,
+    basis_factors,
     basis_m1,
     basis_m2,
     constant_term,
@@ -275,6 +277,35 @@ class TestBases:
             b = basis_m1(h, 4)
             vals = sorted(s.valuation for s in b)
             assert vals == list(range(dim_m(1, h)))
+
+    def test_basis_m1_matches_per_element_oracle(self):
+        # Delta^d G4^(a-3d) G6^b, each element built on its own, against the
+        # ladder G4^a G6^b (1/j)^d
+        for prec in (1, 2, 5, 13):
+            for h in range(4, 121, 2):
+                assert basis_m1(h, prec) == satz_oracle.basis_m1_oracle(h, prec), (h, prec)
+
+    def test_basis_factors(self):
+        assert basis_factors(2, 2) == (1, ((EGAMMA2, 1),), (J2, 1))
+        assert basis_factors(2, 12) == (4, ((EINF4, 3),), (J2, 1))
+        assert basis_factors(2, 14) == (4, ((EGAMMA2, 1), (EINF4, 3)), (J2, 1))
+        assert basis_factors(1, 4) == (1, ((G4, 1),), (J, -1))
+        assert basis_factors(1, 6) == (1, ((G6, 1),), (J, -1))
+        assert basis_factors(1, 34) == (3, ((G4, 7), (G6, 1)), (J, -1))
+
+    @pytest.mark.parametrize("level, h, message", [
+        (2, 0, "basis_m2 needs even h > 0, got 0"),
+        (2, 3, "basis_m2 needs even h > 0, got 3"),
+        (1, 2, "basis_m1 needs even h >= 4, got 2"),
+        (1, 7, "basis_m1 needs even h >= 4, got 7"),
+        (3, 4, "bases exist at levels 1 and 2, not 3"),
+    ])
+    def test_basis_factors_rejects(self, level, h, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            basis_factors(level, h)
+        if level in (1, 2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                (basis_m1 if level == 1 else basis_m2)(h, 4)
 
 
 class TestEvalExpr:

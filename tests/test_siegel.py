@@ -3,11 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gap_oracle
+import satz_oracle
 import qgap.siegel
 from qgap.catalog import Generator, dim_m, gap_bounds
-from qgap.forms import basis_m2, eisenstein_g, generator_series, t_series
+from qgap.forms import (FactorPowers, basis_m1, basis_m2, eisenstein_g, generator_series,
+                        t_series)
 from qgap.series import QSeries, ReachError
 from qgap.siegel import (
+    _basis_pairings,
+    _pole,
     constant_term_t2,
     gap_check,
     run_gap_suite,
@@ -149,6 +153,24 @@ class TestSuites:
         assert all(r["verdict"] == "EXPERIMENTAL" for r in out["experimental"])
         # experimental records observed nonzero so far
         assert all(r["nonzero"] for r in out["experimental"])
+
+    def test_satz_suite_matches_per_element_oracle(self):
+        out = run_satz_suite(hmax_level1=120, hmax_level2=120)
+        assert out["vanishing"] == satz_oracle.vanishing(120, 120)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(1, 30), st.data())
+    def test_basis_pairings_match_products(self, level, half, data):
+        # a random t with the pole of T(h) or T2(h): the pairings are mostly
+        # nonzero, so a wrong product cannot hide behind c_0 = 0
+        h = 2 * half if level == 2 else 2 * max(half, 2)
+        pole = _pole(level, h)
+        lead = data.draw(st.integers(-50, 50).filter(bool))
+        rest = data.draw(st.lists(st.integers(-50, 50), min_size=pole, max_size=pole))
+        t = QSeries(-pole, [lead] + rest)
+        basis = (basis_m1 if level == 1 else basis_m2)(h, pole + 1)
+        assert _basis_pairings(level, h, t, FactorPowers()) == [
+            t.product_coeff(f, 0) for f in basis]
 
     def test_gap_suite_small(self):
         out = run_gap_suite(level=2, hmax=16, combos=5, seed=99)
