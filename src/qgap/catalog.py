@@ -1,6 +1,7 @@
 """Generator catalog: the named forms usable in expressions, with their
 symbolic data (weight, conductor, leading exponent), the dimension
-formulas for the spaces they live in, and the gap bounds read from them.
+formulas for the spaces they live in, the gap bounds read from them, and
+the pairing series T(h) / T2(h) of each level (``pairing_generator``).
 
 ``KINDS`` holds one entry per generator kind: its parameter syntax, its
 parameter check and its symbolic data.  The parser and the printer read
@@ -25,7 +26,7 @@ from string import Formatter
 from typing import NamedTuple
 
 __all__ = ["DELTA", "E04", "EGAMMA2", "EINF4", "G4", "G6", "J", "J2", "KINDS", "T14",
-           "FormExpr", "Generator", "Kind", "dim_m", "gap_bounds"]
+           "FormExpr", "Generator", "Kind", "dim_m", "gap_bounds", "pairing_generator"]
 
 
 def dim_m(level: int, h: int) -> int:
@@ -50,6 +51,14 @@ def gap_bounds(level: int, h: int) -> tuple[int, int, int | None]:
     if level == 1 or h % 4 == 0:
         return r, r, None
     return r, 2 * r, r + 1
+
+
+def pairing_generator(level: int, h: int) -> Generator:
+    """The series T that Siegel's Satz 2 pairs with entire weight-h forms:
+    T(h) at level 1, T2(h) at level 2."""
+    if level not in (1, 2):
+        raise ValueError(f"pairing series exist at levels 1 and 2, not {level}")
+    return Generator("T" if level == 1 else "T2", (h,))
 
 
 @dataclass(frozen=True)

@@ -141,21 +141,13 @@ class SurveyRecord(NamedTuple):
         return "+".join(c.rule for c in self.checks) or "-"
 
     def to_dict(self) -> dict:
-        return {
-            "expr": self.expr,
-            "conductor": self.conductor,
-            "weight": self.weight,
-            "pole_order": self.pole_order,
-            "c0": None if self.c0 is None else str(self.c0),
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "largest3": self.largest3,
-            "ord2": _ord_str(self.ord2),
-            "ord3": _ord_str(self.ord3),
-            "sign3": self.sign3,
-            "rules": [c._asdict() for c in self.checks],
-            "verdict": self.verdict,
-        }
+        row = self._asdict()
+        del row["checks"]
+        # c0, ord2 and ord3 keep their places; rules and verdict follow sign3
+        row.update(c0=None if self.c0 is None else str(self.c0),
+                   ord2=_ord_str(self.ord2), ord3=_ord_str(self.ord3),
+                   rules=[c._asdict() for c in self.checks], verdict=self.verdict)
+        return row
 
 
 @dataclass

@@ -37,8 +37,8 @@ window as a prefix of that one, and memoizes the prefix per (generator,
 window).  A batch read in decreasing pole order asks for each generator
 first at the largest window it reads, so it expands each of its
 generators once.  Factor powers sit in an LRU cache of FACTOR_CACHE_SIZE
-entries.  These three memos and that of ``t_series`` register with
-``qgap.memo``, and ``memo.clear()`` is the one way to forget expansions.
+entries.  These three memos register with ``qgap.memo``, and
+``memo.clear()`` is the one way to forget expansions.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from qgap.arith import alpha_coeff, divisor_sum_sieve
 from qgap.catalog import (DELTA, E04, EGAMMA2, EINF4, G4, G6, J, J2, T14, FormExpr,
-                          Generator, dim_m)
+                          Generator, dim_m, pairing_generator)
 from qgap.exprs import parse_expr
 from qgap.memo import register
 from qgap.series import DefectError, QSeries, delta_over_q, product_expand
@@ -90,19 +90,13 @@ def m2(prec: int) -> QSeries:
     return generator_series(E04, prec) * generator_series(EINF4, prec).invert()
 
 
-@register
-@lru_cache(maxsize=None)
 def t_series(level: int, h: int, prec: int) -> QSeries:
     """The weight (2-h) pole-at-infinity series used in the vanishing and
-    gap arguments: level 1 pairs an Eisenstein factor with Delta^-r, level 2
-    pairs E_gamma2 (squared for h = 2 mod 4) and E_04 with a power of
-    1/E_inf4.  Memoized, so a basis paired against one (level, h) builds
-    its generator once."""
-    if level == 1:
-        return generator_series(Generator("T", (h,)), prec)
-    if level == 2:
-        return generator_series(Generator("T2", (h,)), prec)
-    raise ValueError(f"t_series exists at levels 1 and 2, not {level}")
+    gap arguments, ``catalog.pairing_generator(level, h)``: level 1 pairs
+    an Eisenstein factor with Delta^-r, level 2 pairs E_gamma2 (squared for
+    h = 2 mod 4) and E_04 with a power of 1/E_inf4.  Memoized by
+    ``generator_series``."""
+    return generator_series(pairing_generator(level, h), prec)
 
 
 #: The largest expansion of each generator built so far.
@@ -226,6 +220,8 @@ class FactorPowers:
     def series(self, factors: tuple, window: int) -> QSeries:
         """The product of ``factors`` ((generator, exponent) pairs) with at
         least ``window`` justified coefficients."""
+        if not factors:
+            raise DefectError("an empty product has no series")
         built = self._built.get(factors)
         if built is None or built.window < window:
             if len(factors) == 1:

@@ -4,7 +4,9 @@ Three families of executable checks:
 
 * satz-style vanishing: c_0[f * T] = 0 for every entire f of matching
   weight, at level 1 (T_h pairing an Eisenstein factor with Delta^-r) and
-  level 2 (T_{2,h} built from the three level-2 generators).  Each basis
+  level 2 (T_{2,h} built from the three level-2 generators).  T is
+  ``catalog.pairing_generator(level, h)``, read as a series through
+  ``forms.t_series`` and its pole order from the generator.  Each basis
   is A * H^d (``forms.basis_factors``), so by bilinearity the suite pairs
   T with A once per weight and reads c_0 of each element as one dot
   product against a power of H, shared by the weights of a level;
@@ -28,7 +30,7 @@ from operator import mul
 from typing import NamedTuple
 
 from qgap.arith import digit_sum
-from qgap.catalog import KINDS, dim_m, gap_bounds
+from qgap.catalog import dim_m, gap_bounds, pairing_generator
 from qgap.congruence import RuleCheck, order_check, read_c0
 from qgap.forms import FactorPowers, basis_factors, basis_m1, basis_m2, constant_term, t_series
 from qgap.series import QSeries, ReachError
@@ -66,27 +68,15 @@ class GapCheckResult(NamedTuple):
         return self._asdict()
 
 
-def _pole(level: int, h: int) -> int:
-    """Pole order at infinity of the pairing series T(h) (level 1) or
-    T2(h) (level 2), read from its catalog entry."""
-    kind = KINDS["T" if level == 1 else "T2"]
-    violated = kind.check(h)
-    if violated is not None:
-        raise ValueError(f"{kind.shape} needs {violated}, got {kind.render((h,))}")
-    return -kind.valuation(h)
-
-
 def satz1_check(level: int, h: int, f: QSeries) -> dict:
     """Exact check that c_0[f * T] vanishes for an entire weight-h form f.
 
     f must be holomorphic (valuation >= 0) with enough justified
     coefficients to cover the pole of the pairing series.
     """
-    if level not in (1, 2):
-        raise ValueError(f"satz1_check supports levels 1 and 2, not {level}")
+    pole = pairing_generator(level, h).pole_order
     if not f.is_zero and f.valuation < 0:
         raise ValueError("satz1_check requires a holomorphic form")
-    pole = _pole(level, h)
     if f.reach < pole + 1:
         raise ReachError(
             f"f needs reach >= {pole + 1} to pair against a pole of order {pole}"
@@ -105,12 +95,12 @@ def _vanishing(level: int, h: int, c0, **extra) -> dict:
 
 def _basis_pairings(level: int, h: int, t: QSeries, powers: FactorPowers) -> list:
     """[c_0[f_d * t] for d < r] over the basis f_d = A * H^(e d) of
-    ``basis_factors``, t of pole order ``_pole(level, h)``.  By
-    bilinearity c_0[f_d * t] = c_0[H^(e d) * P] with P = A * t, so the
-    weight costs one product, and each element one dot product against a
-    power of H read from ``powers``."""
+    ``basis_factors``, t with the pole of ``pairing_generator(level, h)``,
+    read to q^0.  By bilinearity c_0[f_d * t] = c_0[H^(e d) * P] with
+    P = A * t, so the weight costs one product, and each element one dot
+    product against a power of H read from ``powers``."""
     r, head, (gen, e) = basis_factors(level, h)
-    window = _pole(level, h) + 1
+    window = 1 - t.valuation
     p = powers.series(head, window) * t
     return [p.coeff(0)] + [powers.series(((gen, e * d),), window).product_coeff(p, 0)
                            for d in range(1, r)]
@@ -121,7 +111,7 @@ def constant_term_t2(h: int) -> dict:
     if h < 4 or h % 4 != 0:
         raise ValueError(f"constant_term_t2 needs h = 0 mod 4, h >= 4, got {h}")
     r = dim_m(2, h)
-    c0 = constant_term(f"T2({h})")
+    c0 = t_series(2, h, pairing_generator(2, h).pole_order + 1).coeff(0)
     want_positive = (r + 1) % 2 == 0
     ok = c0 != 0 and (c0 > 0) == want_positive
     return {
@@ -224,7 +214,7 @@ def run_satz_suite(hmax_level1: int = 36, hmax_level2: int = 40) -> dict:
     vanishing = []
     for level, h_start, hmax in ((1, 4, hmax_level1), (2, 2, hmax_level2)):
         weights = range(h_start, hmax + 1, 2)
-        poles = {h: _pole(level, h) for h in weights}
+        poles = {h: pairing_generator(level, h).pole_order for h in weights}
         # one table per level, read in decreasing pole order, so each power
         # of H is built once, at the largest window the level reads it at
         powers = FactorPowers()
@@ -235,7 +225,7 @@ def run_satz_suite(hmax_level1: int = 36, hmax_level2: int = 40) -> dict:
     signs = [constant_term_t2(h) for h in range(4, hmax_level2 + 1, 4)]
     experimental = []
     for h in range(2, hmax_level2 + 1, 4):
-        c0 = constant_term(f"T2({h})")
+        c0 = t_series(2, h, pairing_generator(2, h).pole_order + 1).coeff(0)
         experimental.append({
             "weight": h,
             "c0": c0,

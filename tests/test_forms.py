@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import qgap.forms
 import satz_oracle
 from qgap import memo
-from qgap.catalog import EGAMMA2, EINF4, G4, G6, J, J2, KINDS, FormExpr, Generator, dim_m
+from qgap.catalog import (EGAMMA2, EINF4, G4, G6, J, J2, KINDS, FormExpr, Generator, dim_m,
+                          pairing_generator)
 from qgap.congruence import _survey_batch
 from qgap.exprs import parse_template
 from qgap.forms import (
@@ -224,6 +226,30 @@ class TestTSeries:
         with pytest.raises(ValueError):
             t_series(3, 8, 3)
 
+    def test_pairing_generator_is_t_at_level_1_and_t2_at_level_2(self):
+        assert pairing_generator(1, 12) == Generator("T", (12,))
+        assert pairing_generator(2, 12) == Generator("T2", (12,))
+
+    def test_pairing_generator_other_levels(self):
+        for level in (0, 3, 7):
+            want = f"pairing series exist at levels 1 and 2, not {level}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                pairing_generator(level, 8)
+        with pytest.raises(ValueError, match=r"^T\(h\) needs even h > 2, got T\(2\)$"):
+            pairing_generator(1, 2)
+
+    def test_t_series_is_the_generator_series(self):
+        for level, h, window in ((1, 12, 3), (2, 12, 4), (2, 14, 6)):
+            assert t_series(level, h, window) is generator_series(
+                pairing_generator(level, h), window)
+
+    def test_c0_matches_the_text_route(self):
+        # the Satz suite reads c_0[T] from t_series; constant_term parses the text
+        for level, name, h_start in ((1, "T", 4), (2, "T2", 2)):
+            for h in range(h_start, 121, 2):
+                pole = pairing_generator(level, h).pole_order
+                assert constant_term(f"{name}({h})") == t_series(level, h, pole + 1).coeff(0)
+
 
 class TestDimensions:
     def test_spec_values(self):
@@ -424,6 +450,10 @@ class TestFactorPowers:
         with pytest.raises(DefectError, match="injected"):
             constant_term(batch[1], powers)
         assert constant_term(batch[2], powers) == eval_expr(batch[2], 5).coeff(0)
+
+    def test_empty_product_is_a_defect(self):
+        with pytest.raises(DefectError, match="empty product"):
+            FactorPowers().series((), 3)
 
 
 class TestConstantTerm:

@@ -11,8 +11,7 @@ from qgap.forms import t_series
 
 MEMOS = ["qgap.arith._signed_bernoulli", "qgap.congruence._SHARED_CHECKS",
          "qgap.congruence._residues", "qgap.congruence._rule_checks",
-         "qgap.forms._largest", "qgap.forms.factor_power", "qgap.forms.generator_series",
-         "qgap.forms.t_series"]
+         "qgap.forms._largest", "qgap.forms.factor_power", "qgap.forms.generator_series"]
 
 
 def _size(m) -> int:

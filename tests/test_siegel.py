@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 import gap_oracle
 import satz_oracle
 import qgap.siegel
-from qgap.catalog import Generator, dim_m, gap_bounds
+from qgap.catalog import Generator, dim_m, gap_bounds, pairing_generator
 from qgap.forms import (FactorPowers, basis_m1, basis_m2, eisenstein_g, generator_series,
                         t_series)
 from qgap.series import QSeries, ReachError
 from qgap.siegel import (
     _basis_pairings,
-    _pole,
     constant_term_t2,
     gap_check,
     run_gap_suite,
@@ -157,6 +156,7 @@ class TestSuites:
     def test_satz_suite_matches_per_element_oracle(self):
         out = run_satz_suite(hmax_level1=120, hmax_level2=120)
         assert out["vanishing"] == satz_oracle.vanishing(120, 120)
+        assert satz_oracle.t2_mismatches(out, 120) == []
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.sampled_from([1, 2]), st.integers(1, 30), st.data())
@@ -164,7 +164,7 @@ class TestSuites:
         # a random t with the pole of T(h) or T2(h): the pairings are mostly
         # nonzero, so a wrong product cannot hide behind c_0 = 0
         h = 2 * half if level == 2 else 2 * max(half, 2)
-        pole = _pole(level, h)
+        pole = pairing_generator(level, h).pole_order
         lead = data.draw(st.integers(-50, 50).filter(bool))
         rest = data.draw(st.lists(st.integers(-50, 50), min_size=pole, max_size=pole))
         t = QSeries(-pole, [lead] + rest)
