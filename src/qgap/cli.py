@@ -5,7 +5,27 @@ output by default, machine output (JSON / JSON-lines) with --json.  Exit
 codes: 0 when no verdict fails (``Verdict.fails``: FAIL, ZERO_CONSTANT_TERM
 and ERROR do; EXPERIMENTAL, RECORDED and the rest never fail a run), 1 when
 one does, 2 on bad input or usage, 3 on an internal defect (a one-line
-``internal error:`` message on stderr, never a traceback).
+``internal error:`` message on stderr, never a traceback), 141 when the
+reader closes stdout early (128 + SIGPIPE; nothing on stderr).
+
+``verify --json`` prints two kinds of row.  A check row has exactly the
+keys check, predicted, observed and verdict, exact values as text, and the
+closing suite line reads FAIL exactly when some check row fails.  A summary
+row keeps keys of its own: the ``rules`` summary, the counts of each
+``sec33`` table, and the suite line.  The check rows, as ``check``:
+predicted / observed:
+
+- identities, the identity: ``equal`` / ``equal`` or ``differ``;
+- satz, ``vanishing level{l} h={h} basis[{d}]``: ``0`` / c0[f_d * T];
+  ``sign c0[T2({h})]``: ``+`` or ``-`` / c0[T2(h)];
+  ``c0[T2({h})] nonzero (h=2 mod 4)``, EXPERIMENTAL: ``nonzero`` / c0[T2(h)];
+- theorems4, ``{theorem} {instance}``: the order or residue of c0 the
+  theorem states / the one read;
+- rules, ``{expr} {rule}`` for each failing clause of the first 20 failing
+  forms: the clause's predicted / observed text;
+- sec33, ``{table} n={n} p={p}`` for the first 20 failing rows per table:
+  the predicted / delta_{p,n} (delta), ord_p(c_n[Delta]) / ord_p(c_n[1/j])
+  (reciprocal), Lehner's bound / ord_p(c_n[j]) (lehner).
 """
 
 from __future__ import annotations
@@ -14,6 +34,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from functools import partial
 from typing import Callable, NamedTuple
@@ -127,67 +148,66 @@ def _cmd_minima(args):
     return [rec["verdict"]], [f"min={rec['min']} bound={bound} {rec['verdict']}"], [rec]
 
 
+def _check(check: str, predicted, observed, verdict: Verdict) -> dict:
+    """The one verify check row, exact values as text.  Each _suite_* returns
+    (rows, lines): these rows and any summary rows, which have keys of their own."""
+    return dict(check=check, predicted=str(predicted), observed=str(observed), verdict=verdict)
+
+
 def _suite_identities():
-    records = [{"check": name, "verdict": Verdict.PASS if ok else Verdict.FAIL}
-               for name, ok in identity_checks(200)]
-    lines = [f"identity {r['check']}: {r['verdict']}" for r in records]
-    return [r["verdict"] for r in records], lines, records
+    rows = [_check(name, "equal", "equal" if ok else "differ", Verdict.PASS if ok else Verdict.FAIL)
+            for name, ok in identity_checks(200)]
+    return rows, [f"identity {r['check']}: {r['verdict']}" for r in rows]
 
 
 def _suite_satz():
     out = siegel.run_satz_suite()
-    records = [{"check": f"vanishing {rec['form']}", "verdict": rec["verdict"]}
-               for rec in out["vanishing"]]
-    records += [{"check": f"sign c0[T2({rec['weight']})]", "verdict": rec["verdict"]}
-                for rec in out["signs"]]
-    records += [{"check": f"c0[T2({rec['weight']})] nonzero (h=2 mod 4)",
-                 "verdict": rec["verdict"], "observed_nonzero": rec["nonzero"]}
-                for rec in out["experimental"]]
-    lines = [
-        f"vanishing checks: {sum(r['verdict'] == Verdict.PASS for r in out['vanishing'])}"
-        f"/{len(out['vanishing'])} pass",
-        f"sign checks: {sum(r['verdict'] == Verdict.PASS for r in out['signs'])}"
-        f"/{len(out['signs'])} pass",
-        f"experimental nonvanishing records (h=2 mod 4): {len(out['experimental'])}",
-    ]
-    return [r["verdict"] for r in records], lines, records
+    vanishing = [_check(f"vanishing {r['form']}", 0, r["c0"], r["verdict"])
+                 for r in out["vanishing"]]
+    signs = [_check(f"sign c0[T2({r['weight']})]", r["expected_sign"], r["c0"], r["verdict"])
+             for r in out["signs"]]
+    experimental = [_check(f"c0[T2({r['weight']})] nonzero (h=2 mod 4)", "nonzero", r["c0"],
+                           r["verdict"]) for r in out["experimental"]]
+    lines = [f"{kind} checks: {sum(r['verdict'] == Verdict.PASS for r in rows)}/{len(rows)} pass"
+             for kind, rows in (("vanishing", vanishing), ("sign", signs))]
+    lines.append(f"experimental nonvanishing records (h=2 mod 4): {len(experimental)}")
+    return vanishing + signs + experimental, lines
 
 
 def _suite_theorems4():
-    records = siegel.theorem4_checks()
-    lines = [f"{r['theorem']} {r['instance']}: {r['verdict']}" for r in records]
-    return [r["verdict"] for r in records], lines, records
+    rows = [_check(f"{r['theorem']} {r['instance']}", r["predicted"], r["observed"], r["verdict"])
+            for r in siegel.theorem4_checks()]
+    return rows, [f"{r['check']}: {r['verdict']}" for r in rows]
 
 
 def _suite_rules(rules_config, jobs: int):
     config = rules_config()
     report = run_survey(config, jobs=jobs)
-    lines = [render_summary(report)]
+    rows, lines = [{"summary": report.summary, "config": config["name"]}], [render_summary(report)]
     for rec in report.failed[:20]:
         lines.append(f"{rec.verdict}: {rec.expr} " + "; ".join(
             f"{c.rule} {c.predicted} {c.observed} {c.verdict}" for c in rec.checks))
-    return report.summary["verdicts"], lines, [{"summary": report.summary,
-                                                "config": config["name"]}]
+        rows += [_check(f"{rec.expr} {c.rule}", c.predicted, c.observed, c.verdict)
+                 for c in rec.checks if c.verdict.fails]
+    return rows, lines
 
 
 def _suite_sec33(n_delta: int, n_recip: int):
-    verdicts, records = [], []
-
-    def table(name, n_max, rows, **extra):
-        verdicts.extend(r["verdict"] for r in rows)
-        records.append({"table": name, "n_max": n_max, "rows": len(rows),
-                        "failed": sum(r["verdict"].fails for r in rows), **extra})
-
-    for p in (2, 3, 5):
-        rows = congruence.delta_pn_compare(p, n_delta)
-        table(f"delta_{p}n", n_delta, rows, exceptions=[
-            r["n"] for r in rows if r["verdict"] == Verdict.EXCEPTION])
-    table("reciprocal", n_recip, congruence.reciprocal_compare(n_recip))
-    table("lehner", n_recip, congruence.lehner_check(n_recip))
-    lines = [f"{r['table']} (n<={r['n_max']}): {r['rows']} rows, {r['failed']} failed"
-             + (f", exceptions at {r['exceptions']}" if r.get("exceptions") else "")
-             for r in records]
-    return verdicts, lines, records
+    tables = [(f"delta_{p}n", n_delta, congruence.delta_pn_compare(p, n_delta),
+               "predicted", "delta_pn") for p in (2, 3, 5)]
+    tables += [("reciprocal", n_recip, congruence.reciprocal_compare(n_recip), "ord_delta",
+                "ord_inv_j"), ("lehner", n_recip, congruence.lehner_check(n_recip), "required", "ord")]
+    summaries, checks, lines = [], [], []
+    for name, n_max, rows, predicted_key, observed_key in tables:
+        failed = [r for r in rows if r["verdict"].fails]
+        exceptions = [r["n"] for r in rows if r["verdict"] == Verdict.EXCEPTION]
+        summaries.append({"table": name, "n_max": n_max, "rows": len(rows), "failed": len(failed)}
+                         | ({"exceptions": exceptions} if name.startswith("delta_") else {}))
+        lines.append(f"{name} (n<={n_max}): {len(rows)} rows, {len(failed)} failed"
+                     + (f", exceptions at {exceptions}" if exceptions else ""))
+        checks += [_check(f"{name} n={r['n']} p={r['p']}", r[predicted_key], r[observed_key],
+                          r["verdict"]) for r in failed[:20]]
+    return summaries + checks, lines
 
 
 class _Suite(NamedTuple):
@@ -218,10 +238,10 @@ def _cmd_verify(args):
     jobs = (_jobs(args.jobs),) if suite.jobs else ()
     if args.full:
         print("warning: --full runs paper-scale ranges; expect a long run", file=sys.stderr)
-    verdicts, lines, records = (suite.full if args.full else suite.desk)(*jobs)
-    verdict = Verdict.FAIL if any(v.fails for v in verdicts) else Verdict.PASS
+    rows, lines = (suite.full if args.full else suite.desk)(*jobs)
+    verdict = Verdict.FAIL if any(r["verdict"].fails for r in rows if "check" in r) else Verdict.PASS
     return ([verdict], [*lines, f"suite {args.suite}: {verdict}"],
-            [*records, {"suite": args.suite, "verdict": verdict}])
+            [*rows, {"suite": args.suite, "verdict": verdict}])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,7 +311,12 @@ def main(argv=None) -> int:
     try:
         verdicts, lines, rows = args.func(args)
         with _full_digits():
-            return _report(args, verdicts, lines, rows)
+            code = _report(args, verdicts, lines, rows)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop as SIGPIPE would, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 141
     except (ParseError, ReachError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,20 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import golden
+import qgap
 from qgap.cli import _build_parser, main
+from qgap.forms import constant_term
 from qgap.quadratic import E8
+from qgap.verdict import Verdict
 from test_quadratic import E6, skewed
 
 D4 = golden.GOLDEN_DIR / "d4.gram"
@@ -21,6 +29,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the keys of the summary rows a verify suite may print besides its checks
+SUMMARY_KEYS = {"rules": [{"summary", "config"}],
+                "sec33": [{"table", "n_max", "rows", "failed"},
+                          {"table", "n_max", "rows", "failed", "exceptions"}]}
+
+
+def check_rows(suite, out):
+    """The check rows of ``verify --suite SUITE --json`` output ``out``,
+    once every row is a check row of exactly the four keys, all text, or a
+    summary row of ``SUMMARY_KEYS``, and the closing suite line reads FAIL
+    exactly when some check row fails."""
+    *rows, last = map(json.loads, out.splitlines())
+    checks = [r for r in rows if "check" in r]
+    for r in checks:
+        assert list(r) == ["check", "predicted", "observed", "verdict"], r
+        assert all(type(v) is str for v in r.values()), r
+        assert r["verdict"] in Verdict.__members__, r
+    for r in rows:
+        assert "check" in r or set(r) in SUMMARY_KEYS.get(suite, []), r
+    fails = any(Verdict[r["verdict"]].fails for r in checks)
+    assert last == {"suite": suite, "verdict": "FAIL" if fails else "PASS"}
+    return checks
 
 
 class TestExpand:
@@ -346,6 +378,21 @@ class TestInternalError:
         assert err.startswith("error: ")
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_exit_141_and_nothing_on_stderr(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(qgap.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "qgap.cli", "verify", "--suite", "identities"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader is gone before qgap prints a line
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+
 class TestGap:
     def test_small_run(self, capsys):
         code, out, _ = run(capsys, "gap", "--hmax", "8", "--combos", "2")
@@ -486,11 +533,99 @@ class TestVerify:
         assert code == 1
         assert "<Verdict." not in out
         assert out.splitlines()[1] == "FAIL: Delta2^-1 2a ord2=3 ord2=0 FAIL"
+        # the whole text, byte for byte: the summary, the first 20 failing
+        # forms and the suite line
+        assert len(out.splitlines()) == 22
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "15269757f3d891e4a1e25bb95543e0df2ba6feb8c6c5b43d062208674551466e")
 
     def test_satz(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "satz")
         assert code == 0
         assert "suite satz: PASS" in out
+
+    @pytest.mark.parametrize("suite", ["identities", "satz", "theorems4", "rules", "sec33"])
+    def test_json_rows_are_checks_or_summaries(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--json")
+        checks = check_rows(suite, out)
+        # a passing rules or sec33 run prints its summary rows alone
+        assert (code, bool(checks)) == (0, suite not in SUMMARY_KEYS)
+
+    def test_satz_json_rows_observe_c0(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "satz", "--json")
+        checks = check_rows("satz", out)
+        t2 = [r for r in checks if "T2(" in r["check"]]
+        assert code == 0 and len(t2) == 20
+        assert all(r["observed"] == "0" for r in checks if r["check"].startswith("vanishing"))
+        for r in t2:
+            h = int(re.search(r"T2\((\d+)\)", r["check"]).group(1))
+            # c0[T2(h)] by the text route, not the suite's own series read
+            assert r["observed"] == str(constant_term(f"T2({h})")), r
+
+    def test_rules_failure_json_rows(self, capsys, monkeypatch):
+        import qgap.congruence
+
+        monkeypatch.setattr(qgap.congruence, "constant_term", lambda expr, powers=None: 3)
+        code, out, _ = run(capsys, "verify", "--suite", "rules", "--json")
+        checks = check_rows("rules", out)
+        assert code == 1
+        assert checks[0] == {"check": "Delta2^-1 2a", "predicted": "ord2=3",
+                             "observed": "ord2=0", "verdict": "FAIL"}
+        assert [r["check"] for r in checks] == [f"Delta2^-{a} 2a" for a in range(1, 21)]
+
+    def test_rules_failure_json_rows_leave_out_passing_clauses(self, capsys, monkeypatch):
+        import qgap.congruence
+
+        # c0 = 8 keeps Delta^-1's clause 1a (ord2=3) and breaks 1c (ord3=1)
+        real = qgap.congruence.constant_term
+        monkeypatch.setattr(qgap.congruence, "constant_term", lambda expr, powers=None:
+                            8 if str(expr) == "Delta^-1" else real(expr, powers))
+        code, out, _ = run(capsys, "verify", "--suite", "rules")
+        assert (code, out.splitlines()[1:]) == (1, [
+            "FAIL: Delta^-1 1a ord2=3 ord2=3 PASS; 1c ord3=1,sign=- ord3=0,sign=-1 FAIL",
+            "suite rules: FAIL"])
+        code, out, _ = run(capsys, "verify", "--suite", "rules", "--json")
+        assert code == 1
+        assert check_rows("rules", out) == [{"check": "Delta^-1 1c", "predicted": "ord3=1,sign=-",
+                                             "observed": "ord3=0,sign=-1", "verdict": "FAIL"}]
+
+    SEC33_DESK_TEXT = {"delta_2n": "delta_2n (n<=512): 513 rows, 0 failed",
+                       "delta_3n": "delta_3n (n<=512): 513 rows, 0 failed",
+                       "delta_5n": "delta_5n (n<=512): 513 rows, 0 failed",
+                       "reciprocal": "reciprocal (n<=512): 1536 rows, 0 failed",
+                       "lehner": "lehner (n<=512): 601 rows, 0 failed"}
+
+    # each case: the patched table function, its rows, the text lines that
+    # change, and the (check, predicted, observed) of the check rows
+    @pytest.mark.parametrize("function, fake, text, checks", [
+        ("delta_pn_compare",
+         lambda p, n_max: [{"n": 2, "p": p, "ord_j": "0", "ord_inv_delta": "0", "delta_pn": 0,
+                            "predicted": 4, "verdict": Verdict.FAIL}],
+         {f"delta_{p}n": f"delta_{p}n (n<=512): 1 rows, 1 failed" for p in (2, 3, 5)},
+         [(f"delta_{p}n n=2 p={p}", "4", "0") for p in (2, 3, 5)]),
+        ("reciprocal_compare",
+         lambda n_max: [{"n": 3, "p": 2, "ord_inv_j": "5", "ord_delta": "3",
+                         "verdict": Verdict.FAIL}],
+         {"reciprocal": "reciprocal (n<=512): 1 rows, 1 failed"},
+         [("reciprocal n=3 p=2", "3", "5")]),
+        # 25 failing rows: the first 20 become check rows
+        ("lehner_check",
+         lambda n_max: [{"n": n, "p": 2, "alpha": 1, "required": 11, "ord": "3",
+                         "verdict": Verdict.FAIL} for n in range(2, 52, 2)],
+         {"lehner": "lehner (n<=512): 25 rows, 25 failed"},
+         [(f"lehner n={n} p=2", "11", "3") for n in range(2, 42, 2)]),
+    ], ids=["delta", "reciprocal", "lehner"])
+    def test_sec33_failure_json_rows(self, capsys, monkeypatch, function, fake, text, checks):
+        import qgap.congruence
+
+        monkeypatch.setattr(qgap.congruence, function, fake)
+        code, out, _ = run(capsys, "verify", "--suite", "sec33")
+        assert code == 1
+        assert out.splitlines() == [*{**self.SEC33_DESK_TEXT, **text}.values(), "suite sec33: FAIL"]
+        code, out, _ = run(capsys, "verify", "--suite", "sec33", "--json")
+        assert code == 1
+        assert check_rows("sec33", out) == [
+            {"check": c, "predicted": p, "observed": o, "verdict": "FAIL"} for c, p, o in checks]
 
     @pytest.mark.parametrize("suite", ["identities", "satz", "theorems4"])
     def test_full_without_paper_scale_exit_2(self, capsys, suite):
