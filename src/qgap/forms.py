@@ -36,8 +36,13 @@ expansion so far is asked for; ``generator_series`` serves every other
 window as a prefix of that one, and memoizes the prefix per (generator,
 window).  A batch read in decreasing pole order asks for each generator
 first at the largest window it reads, so it expands each of its
-generators once.  Factor powers sit in an LRU cache of FACTOR_CACHE_SIZE
-entries.  These three memos register with ``qgap.memo``, and
+generators once.  A prefix of an all-int expansion also carries the
+expansion's logarithmic derivative g (``QSeries.prefix``), so once a
+power has read g, every exponent that a batch, a ``FactorPowers`` table
+or a Satz weight asks of any window of the generator costs one dot
+product per coefficient.  Factor powers sit in an LRU cache of
+FACTOR_CACHE_SIZE entries.  These three memos register with
+``qgap.memo``, and
 ``memo.clear()`` is the one way to forget expansions.
 """
 
@@ -115,7 +120,7 @@ def generator_series(gen: Generator, window: int) -> QSeries:
     big = _largest.get(gen)
     if big is None or big.window < window:
         big = _largest[gen] = _expand(gen, window)
-    return _prefix(big, window)
+    return big.prefix(window)
 
 
 def _expand(gen: Generator, window: int) -> QSeries:
@@ -228,20 +233,13 @@ class FactorPowers:
                 (gen, e), = factors
                 built = factor_power(gen, e, window)
             else:
-                built = (_prefix(self.series(factors[:-1], window), window)
-                         * _prefix(self.series(factors[-1:], window), window))
+                built = (self.series(factors[:-1], window).prefix(window)
+                         * self.series(factors[-1:], window).prefix(window))
             self._built[factors] = built
         if built.window < window:
             raise DefectError(
                 f"reach propagation failure: window {built.window} < {window}")
         return built
-
-
-def _prefix(series: QSeries, window: int) -> QSeries:
-    """The first ``window`` coefficients of a series with at least as many."""
-    if series.window == window:
-        return series
-    return QSeries(series.valuation, series.coefficients(window))
 
 
 def constant_term(expr: FormExpr | str, powers: FactorPowers | None = None):

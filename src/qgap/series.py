@@ -15,11 +15,17 @@ its own content, over 1, known when it is made, so nothing is copied.
 
 Multiplication of QSeries is schoolbook convolution: it takes any exact
 coefficients, and bignum coefficient growth dominates its cost at the few
-thousand terms this package targets.  Integer powers, the inverse and m-th
-roots share one O(n^2) recurrence for u^(p/q) (J. C. P. Miller's), so none
-of them goes through repeated multiplication; it runs on the integer
-content, so its divisions are exact integer divisions wherever the result
-is integral after one scaling (always for integer p).  A single
+thousand terms this package targets.  Integer powers and m-th roots share
+one O(n^2) recurrence for u^(p/q), through the logarithmic derivative
+g = theta(V)/V (theta = q d/dq) of the scaled integer content V of u: one
+dot product per coefficient, since theta(b)/b = (p/q)*g for b = u^(p/q).
+g is computed once per series, on first use, and kept: every exponent
+asked of one series reuses it, and ``shift`` and ``prefix`` hand it on
+where the integer content, and so V, is unchanged (a prefix of an all-int
+series).  The inverse is the one-sum recurrence C*V = 1 and needs no g.
+None of them goes through repeated multiplication, and the divisions are
+exact integer divisions wherever the result is integral after one scaling
+(always for integer p).  A single
 coefficient of a product, such as a constant term, is one int dot product
 of the two contents and one division (``product_coeff``).
 
@@ -77,7 +83,7 @@ class QSeries:
     valuation == reach); reach == valuation + number of stored coefficients.
     """
 
-    __slots__ = ("_val", "_coeffs", "_reach", "_content")
+    __slots__ = ("_val", "_coeffs", "_reach", "_content", "_dlog")
 
     def __init__(self, valuation: int, coeffs: Iterable):
         coeffs = list(coeffs)
@@ -95,6 +101,7 @@ class QSeries:
         self._reach = reach
         # an all-int series is its own integer content
         self._content = (self._coeffs, 1) if integral else None
+        self._dlog = None  # the g of ``_log_derivative``, once computed
 
     # -- constructors ------------------------------------------------------
 
@@ -347,42 +354,36 @@ class QSeries:
 
     def _power(self, p: int, q: int = 1) -> "QSeries":
         """self^(p/q) on the same window; q > 1 needs q | valuation and a
-        monic unit part, which the caller checks.  J. C. P. Miller's
-        recurrence (Knuth, TAOCP Vol. 2, 4.7), from q*u*D(b) = p*D(u)*b
-        with D = q d/dq:
+        monic unit part, which the caller checks.
 
-            q*k*u_0*b_k = sum_{i=1..k} ((p+q)*i - q*k) * u_i * b_{k-i}.
+        It runs on the integer content U of self (``_int_content``).  With
+        V_0 = 1 and V_i = U_i * U_0^(i-1), the power is
+        b_k = b_0 * C_k / U_0^k, C = V^(p/q).  Let theta = q d/dq and
+        g = theta(V)/V (``_log_derivative``); then theta(C)/C = (p/q)*g, so
 
-        It is homogeneous in u, so it runs on the integer content U of u.
-        With b_k = b_0 * C_k / U_0^k and V_i = U_i * U_0^(i-1) it reads
+            q*k*C_k = p * sum_{i=1..k} g_i * C_{k-i},   C_0 = 1:
 
-            q*k*C_k = sum_{i=1..k} ((p+q)*i - q*k) * V_i * C_{k-i},
-
-        C_0 = 1, and C_k is an integer for integer p, so every division is
-        exact; only a root may leave a Fraction.
+        one dot product per coefficient, against a g shared by every
+        exponent of this series.  C_k is an integer for integer p, so the
+        division is exact; only a root may leave a Fraction.  The inverse
+        (p = -q) needs no g: C*V = 1 gives C_k = -sum_{i=1..k} V_i * C_{k-i},
+        with no division at all.
         """
         if not self._coeffs:
             raise ZeroDivisionError("cannot invert a series that is zero up to reach")
         u, _ = self._int_content()
         u0 = u[0]
         b0 = _norm_coeff(Fraction(self._coeffs[0]) ** p) if q == 1 else 1
-        v, f = u, 1
-        if u0 != 1:
-            v = [0]
-            for c in u[1:]:
-                v.append(c * f)
-                f *= u0
-        # p + q == 0 is the inverse: the i-weighted sum drops out, and
-        # dividing by q*k leaves C_k = -sum V_i*C_{k-i}
-        iv = [(p + q) * i * c for i, c in enumerate(v)] if p + q else None
         c = [1]
-        for k in range(1, len(u)):
-            s = sum(map(mul, v[1:k + 1], reversed(c)))
-            if iv is None:
-                c.append(-s)
-                continue
-            s = sum(map(mul, iv[1:k + 1], reversed(c))) - q * k * s
-            c.append(s // (q * k) if type(s) is int and not s % (q * k) else Fraction(s, q * k))
+        if p + q:
+            g = self._log_derivative()
+            for k in range(1, len(u)):
+                s = p * sum(map(mul, g[1:k + 1], reversed(c)))
+                c.append(s // (q * k) if type(s) is int and not s % (q * k) else Fraction(s, q * k))
+        else:
+            v = self._scaled_content()
+            for k in range(1, len(u)):
+                c.append(-sum(map(mul, v[1:k + 1], reversed(c))))
         val = self._val * p // q
         if u0 == 1 and b0 == 1:
             return QSeries(val, c)
@@ -391,6 +392,33 @@ class QSeries:
             b.append(Fraction(b0.numerator * x, f))
             f *= u0
         return QSeries(val, b)
+
+    def _scaled_content(self):
+        """V of ``_power``, which is the integer content U when U_0 = 1."""
+        u, _ = self._int_content()
+        if u[0] == 1:
+            return u
+        v, f = [1], 1
+        for c in u[1:]:
+            v.append(c * f)
+            f *= u[0]
+        return v
+
+    def _log_derivative(self) -> tuple:
+        """g = theta(V)/V for the V of ``_scaled_content``, computed on first
+        use and kept.  theta(V) = g*V with V_0 = 1 and g_0 = 0 gives
+
+            g_k = k*V_k - sum_{i=1..k-1} g_i * V_{k-i},
+
+        so every g_k is an integer.  g_k depends on V_0..V_k only, so a
+        prefix with the same content denominator shares g (``prefix``)."""
+        if self._dlog is None:
+            v = self._scaled_content()
+            g = [0]
+            for k in range(1, len(v)):
+                g.append(k * v[k] - sum(map(mul, g[1:], reversed(v[1:k]))))
+            self._dlog = tuple(g)
+        return self._dlog
 
     def q_derivative(self) -> "QSeries":
         """The operator q d/dq (= d/d log q): coefficient of q^n becomes n*c_n."""
@@ -421,6 +449,20 @@ class QSeries:
         s._coeffs = self._coeffs
         s._reach = self._reach + k
         s._content = self._content
+        s._dlog = self._dlog
+        return s
+
+    def prefix(self, window: int) -> "QSeries":
+        """The first ``window`` justified coefficients of this series, which
+        holds at least as many.  An all-int series hands on the first
+        ``window`` entries of its g (``_log_derivative``); a Fraction series
+        does not, since its prefix may have a smaller content denominator,
+        and so another V and another g."""
+        if self.window == window:
+            return self
+        s = QSeries(self._val, self.coefficients(window))
+        if self._dlog is not None and self._content[1] == 1:
+            s._dlog = self._dlog[:window]
         return s
 
 

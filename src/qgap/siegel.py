@@ -5,8 +5,9 @@ Three families of executable checks:
 * satz-style vanishing: c_0[f * T] = 0 for every entire f of matching
   weight, at level 1 (T_h pairing an Eisenstein factor with Delta^-r) and
   level 2 (T_{2,h} built from the three level-2 generators).  T is
-  ``catalog.pairing_generator(level, h)``, read as a series through
-  ``forms.t_series`` and its pole order from the generator.  Each basis
+  ``catalog.pairing_generator(level, h)``, built once per weight and
+  read to q^0 through ``forms.generator_series`` at its pole order + 1
+  coefficients.  Each basis
   is A * H^d (``forms.basis_factors``), so by bilinearity the suite pairs
   T with A once per weight and reads c_0 of each element as one dot
   product against a power of H, shared by the weights of a level;
@@ -30,9 +31,10 @@ from operator import mul
 from typing import NamedTuple
 
 from qgap.arith import digit_sum
-from qgap.catalog import dim_m, gap_bounds, pairing_generator
+from qgap.catalog import Generator, dim_m, gap_bounds, pairing_generator
 from qgap.congruence import RuleCheck, order_check, read_c0
-from qgap.forms import FactorPowers, basis_factors, basis_m1, basis_m2, constant_term, t_series
+from qgap.forms import (FactorPowers, basis_factors, basis_m1, basis_m2, constant_term,
+                         generator_series)
 from qgap.series import QSeries, ReachError
 from qgap.verdict import Verdict
 
@@ -74,7 +76,8 @@ def satz1_check(level: int, h: int, f: QSeries) -> dict:
     f must be holomorphic (valuation >= 0) with enough justified
     coefficients to cover the pole of the pairing series.
     """
-    pole = pairing_generator(level, h).pole_order
+    t = pairing_generator(level, h)
+    pole = t.pole_order
     if not f.is_zero and f.valuation < 0:
         raise ValueError("satz1_check requires a holomorphic form")
     if f.reach < pole + 1:
@@ -83,7 +86,12 @@ def satz1_check(level: int, h: int, f: QSeries) -> dict:
         )
     # t reaches q^0 only; the product's reach min(f.valuation + 1,
     # f.reach - pole) is still >= 1, so c_0 is justified
-    return _vanishing(level, h, t_series(level, h, pole + 1).product_coeff(f, 0))
+    return _vanishing(level, h, _to_q0(t).product_coeff(f, 0))
+
+
+def _to_q0(t: Generator) -> QSeries:
+    """The expansion of ``t`` read to q^0: pole order + 1 coefficients."""
+    return generator_series(t, t.pole_order + 1)
 
 
 def _vanishing(level: int, h: int, c0, **extra) -> dict:
@@ -111,7 +119,7 @@ def constant_term_t2(h: int) -> dict:
     if h < 4 or h % 4 != 0:
         raise ValueError(f"constant_term_t2 needs h = 0 mod 4, h >= 4, got {h}")
     r = dim_m(2, h)
-    c0 = t_series(2, h, pairing_generator(2, h).pole_order + 1).coeff(0)
+    c0 = _to_q0(pairing_generator(2, h)).coeff(0)
     want_positive = (r + 1) % 2 == 0
     ok = c0 != 0 and (c0 > 0) == want_positive
     return {
@@ -214,18 +222,18 @@ def run_satz_suite(hmax_level1: int = 36, hmax_level2: int = 40) -> dict:
     vanishing = []
     for level, h_start, hmax in ((1, 4, hmax_level1), (2, 2, hmax_level2)):
         weights = range(h_start, hmax + 1, 2)
-        poles = {h: pairing_generator(level, h).pole_order for h in weights}
+        ts = {h: pairing_generator(level, h) for h in weights}
         # one table per level, read in decreasing pole order, so each power
         # of H is built once, at the largest window the level reads it at
         powers = FactorPowers()
-        pairings = {h: _basis_pairings(level, h, t_series(level, h, poles[h] + 1), powers)
-                    for h in sorted(weights, key=poles.get, reverse=True)}
+        pairings = {h: _basis_pairings(level, h, _to_q0(ts[h]), powers)
+                    for h in sorted(weights, key=lambda h: ts[h].pole_order, reverse=True)}
         vanishing += [_vanishing(level, h, c0, form=f"level{level} h={h} basis[{d}]")
                       for h in weights for d, c0 in enumerate(pairings[h])]
     signs = [constant_term_t2(h) for h in range(4, hmax_level2 + 1, 4)]
     experimental = []
     for h in range(2, hmax_level2 + 1, 4):
-        c0 = t_series(2, h, pairing_generator(2, h).pole_order + 1).coeff(0)
+        c0 = _to_q0(pairing_generator(2, h)).coeff(0)
         experimental.append({
             "weight": h,
             "c0": c0,

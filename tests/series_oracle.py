@@ -1,7 +1,9 @@
 """Exact oracles for ``QSeries.invert``, ``root`` and ``**``, independent of
-the one recurrence those share: the classical inverse and root coefficient
-loops, and powers by repeated multiplication.  Also the term-by-term loop
-``product_expand`` once ran, as the oracle of its dot-product form."""
+the logarithmic-derivative recurrence those share: the classical inverse
+and root coefficient loops, powers by repeated multiplication, and J. C. P.
+Miller's two-sum recurrence, which ``QSeries._power`` ran before.  Also the
+term-by-term loop ``product_expand`` once ran, as the oracle of its
+dot-product form."""
 
 from fractions import Fraction
 

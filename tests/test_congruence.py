@@ -569,7 +569,7 @@ def residue_case(draw, count):
 
 class TestResidueKernel:
     """The packed product and the Newton inverse against the exact
-    schoolbook product and Miller inverse, reduced mod p^K."""
+    schoolbook product and series inverse, reduced mod p^K."""
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(residue_case(2), st.integers(1, 300))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qgap.forms
 import satz_oracle
+import series_oracle
 from qgap import memo
 from qgap.catalog import (EGAMMA2, EINF4, G4, G6, J, J2, KINDS, FormExpr, Generator, dim_m,
                           pairing_generator)
@@ -552,6 +553,30 @@ class TestOneExpansionPerGenerator:
         assert sorted(expanded) == [("Einf4", 6), ("G(4)", 6), ("G(6)", 6)]
         memo.clear()
         assert got == [eval_expr(e, e.pole_order + 1).coeff(0) for e in template.bind(envs)]
+
+
+class TestPrefixesShareTheLogDerivative:
+    """A ``generator_series`` prefix of an all-int expansion that a power
+    has read carries that expansion's g (``QSeries._log_derivative``); a
+    prefix of a Fraction expansion, such as G(12)'s, builds its own.  Either
+    way its powers are those of repeated multiplication."""
+
+    @pytest.mark.parametrize("name", KINDS)
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_kind(self, name, data):
+        gen = data.draw(st.sampled_from(ADMITTED[name]))
+        w = data.draw(st.integers(1, 12))
+        big_window = data.draw(st.integers(w + 1, 24))
+        e_big, e = (data.draw(st.integers(-4, 4).filter(lambda x: abs(x) > 1))
+                    for _ in range(2))
+        memo.clear()
+        big = generator_series(gen, big_window)
+        big**e_big
+        small = generator_series(gen, w)
+        shared = big._int_content()[1] == 1
+        assert small._dlog == (big._dlog[:w] if shared else None)
+        assert small**e == series_oracle.power(small, e)
 
 
 def test_generator_hash_is_cached_by_value_and_survives_pickling():

@@ -490,3 +490,67 @@ def test_content_power_matches_fraction_recurrence(a, p):
 def test_content_root_matches_fraction_recurrence(a, m):
     a = a.shift(a.valuation * (m - 1))  # valuation divisible by m
     assert a.root(m) == series_oracle.miller_power(a, 1, m) == series_oracle.root(a, m)
+
+
+# -- one logarithmic derivative per series, shared by its powers and prefixes
+
+
+#: exponents that read g: not 0 or 1 (no recurrence) and not -1 (the inverse)
+g_exponent_st = st.integers(-6, 6).filter(lambda e: abs(e) > 1)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(series_st(invertible=True), st.lists(g_exponent_st, min_size=2, max_size=5))
+def test_powers_in_any_order_share_one_log_derivative(a, exps):
+    g = None
+    for e in exps:
+        assert a**e == series_oracle.power(a, e)
+        g = g or a._dlog
+        assert a._dlog is g  # computed once, at the first power, and kept
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(series_st(min_window=2, max_window=10, invertible=True).filter(
+           lambda a: all(type(c) is int for c in a.coefficients())),
+       st.integers(1, 9), g_exponent_st, g_exponent_st)
+def test_prefix_of_int_series_shares_the_log_derivative(a, w, e_big, e):
+    w = min(w, a.window - 1)
+    a**e_big
+    small = a.prefix(w)
+    fresh = QSeries(a.valuation, a.coefficients(w))
+    assert small._dlog == fresh._log_derivative() == a._dlog[:w]
+    assert small**e == series_oracle.power(fresh, e)
+
+
+@st.composite
+def fraction_tail_st(draw):
+    """(a, w): a series whose first w coefficients are ints and whose
+    coefficients past them include a Fraction, so ``a.prefix(w)`` has a
+    smaller content denominator than a."""
+    w = draw(st.integers(2, 7))
+    head = [draw(st.sampled_from([1, -1, 2, -3, 5]))] + draw(
+        st.lists(st.integers(-9, 9), min_size=w - 1, max_size=w - 1))
+    tail = draw(st.lists(coeff_st, min_size=0, max_size=3))
+    tail.append(Fraction(draw(st.integers(-50, 50).filter(lambda x: x % 3)), 3))
+    return QSeries(draw(st.integers(-3, 3)), head + tail), w
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(fraction_tail_st(), g_exponent_st, g_exponent_st)
+def test_prefix_with_smaller_denominator_gets_its_own_log_derivative(aw, e_big, e):
+    a, w = aw
+    assert a**e_big == series_oracle.miller_power(a, e_big)
+    small = a.prefix(w)
+    assert small._int_content()[1] < a._int_content()[1]
+    assert small**e == series_oracle.miller_power(small, e)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(series_st(invertible=True), st.integers(-5, 5), g_exponent_st,
+       st.lists(g_exponent_st, min_size=1, max_size=3))
+def test_shift_keeps_the_log_derivative(a, k, e_first, exps):
+    a**e_first
+    s = a.shift(k)
+    assert s._dlog is a._dlog
+    for e in exps:
+        assert s**e == series_oracle.power(s, e)
