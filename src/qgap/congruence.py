@@ -42,23 +42,26 @@ itself, so worker processes (``jobs`` > 1) run the same ``_survey_batch``
 as a serial survey.  The checks come from one memo per process,
 ``_rule_checks``, keyed on all that they read: (s, w mod 12, conductor,
 ``_pure_e_power``, ``C0Read``).  Equal check tuples are one object.  It,
-``_SHARED_CHECKS`` and the table residues (``_residues``) register with
-``qgap.memo``, and ``memo.clear()`` empties them.
+``_SHARED_CHECKS``, the exact G4^3 (``_exact_g4_cubed``) and the table
+residues (``_residues``) register with ``qgap.memo``, and ``memo.clear()``
+empties them.
 
 The section 3.3 tables report p-adic orders only, and read every order at
 p from residues mod p^K_p (``_RESIDUE_EXPONENTS``): j, Delta^-1 and 1/j are
-built mod p^K_p from the exact Delta and G4 by the packed product
-``series.mul_mod`` and a Newton inverse, and ord_p(tau(n)) comes from the
-exact Delta.  A nonzero residue gives the exact order.  A residue that is 0
-mod p^K_p falls back to the exact series for that row (``generator_series``
-of j or T(14), or ``j.invert()``), built on first need, so a true zero
-still reads ``inf`` and no order is guessed.  Each residue series has the
-valuation and reach of the exact one: exactness and reach are unchanged.
-K_p is sized to the orders the tables read: at least 3 above the largest
-order at p of j, Delta^-1 or 1/j that any table reads to n = 4096 (44, 17,
-7 and 5 at p = 2, 3, 5, 7, measured at window 4098), so the fallback stays
-cold on the paper-scale run, and a smaller K_p makes every product
-cheaper.
+built mod p^K_p from the exact Delta and the exact G4^3, which is
+E12 + (432000/691)*Delta, taken once per window from the sigma_11 sieve and
+Delta without a product (``_exact_g4_cubed``).  Delta^-1 is one Newton
+inverse, j one packed product ``series.mul_mod`` with G4^3, and 1/j the
+inverse of q*j; ord_p(tau(n)) comes from the exact Delta.  A nonzero
+residue gives the exact order.  A residue that is 0 mod p^K_p falls back
+to the exact series for that row (``generator_series`` of j or T(14), or
+``j.invert()``), built on first need, so a true zero still reads ``inf``
+and no order is guessed.  Each residue series has the valuation and reach
+of the exact one: exactness and reach are unchanged.  K_p is sized to the
+orders the tables read: at least 3 above the largest order at p of j,
+Delta^-1 or 1/j that any table reads to n = 4096 (44, 17, 7 and 5 at
+p = 2, 3, 5, 7, measured at window 4098), so the fallback stays cold on
+the paper-scale run, and a smaller K_p makes every product cheaper.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
-from qgap.catalog import DELTA, G4, J, T14, FormExpr, Generator
+from qgap.arith import INFINITE, digit_sum, divisor_sum_sieve, largest_digit, ord_p
+from qgap.catalog import DELTA, J, T14, FormExpr, Generator
 from qgap.exprs import Template, parse_expr, parse_template
 from qgap.forms import FactorPowers, constant_term, generator_series
 from qgap.memo import register
@@ -564,18 +567,26 @@ _RESIDUE_EXPONENTS = {2: 48, 3: 20, 5: 10, 7: 8}
 
 def _inverse_mod(u: list, m: int) -> list:
     """1/u mod m to len(u) coefficients, for a residue list u whose leading
-    coefficient is a unit mod m (else DefectError).  Newton doubling: with
+    coefficient is a unit mod m (else DefectError).  Newton lifting: with
     b = 1/u below q^k, u*b - 1 vanishes below q^k, and b - b*(u*b - 1) is
-    1/u below q^2k."""
+    1/u below q^2k.  The schedule runs top down, through the lengths n,
+    ceil(n/2), ceil(n/4), ..., 1 read in reverse, so each step at most
+    doubles b and the last one ends at n: no step lifts a few coefficients
+    with a product as long as the window."""
     if not u:
         raise ZeroDivisionError("cannot invert a series that is zero up to reach")
     try:
         b = [pow(u[0], -1, m)]
     except ValueError:
         raise DefectError(f"leading coefficient {u[0]} is not a unit mod {m}") from None
-    while len(b) < len(u):
-        k, k2 = len(b), min(2 * len(b), len(u))
-        e = mul_mod(u, b, m, k2)[k:]
+    lengths = []
+    n = len(u)
+    while n > 1:
+        lengths.append(n)
+        n = (n + 1) // 2
+    for k2 in reversed(lengths):
+        k = len(b)
+        e = mul_mod(u, b, m, k2, k)
         b += [-x % m for x in mul_mod(b, e, m, k2 - k)]
     return b
 
@@ -609,28 +620,53 @@ class _Orders:
         return ord_p(self._exact.coeff(n), self._p)
 
 
+@register
+@lru_cache(maxsize=None)
+def _exact_g4_cubed(window: int) -> tuple[int, ...]:
+    """The exact G4^3 to ``window`` coefficients, with no product.  From
+    691*E12 = 441*E4^3 + 250*E6^2 and E4^3 - E6^2 = 1728*Delta,
+    E4^3 = E12 + (432000/691)*Delta, so for n >= 1
+
+        c_n = (65520*sigma_11(n) + 432000*tau(n)) / 691,
+
+    an integer since tau(n) = sigma_11(n) (mod 691) (Ramanujan); sigma_11
+    comes from the divisor sieve and tau from the exact Delta.  A nonzero
+    remainder is a DefectError."""
+    tau = generator_series(DELTA, window).coefficients()
+    out = [1]
+    for n, (s, t) in enumerate(zip(divisor_sum_sieve(window - 1, lambda d: d**11), tau), 1):
+        c, r = divmod(65520 * s + 432000 * t, 691)
+        if r:
+            raise DefectError(f"65520*sigma_11({n}) + 432000*tau({n}) is not a multiple of 691")
+        out.append(c)
+    return tuple(out)
+
+
 class _TableResidues:
     """The orders at p of j, Delta^-1 and 1/j at one window, read from
     residues mod m = p^K built from two exact inputs, Delta (Jacobi's
-    series, ``series.delta_over_q``) and G4 (the divisor sieve):
+    series, ``series.delta_over_q``) and G4^3 (``_exact_g4_cubed``, from
+    sigma_11 and Delta):
 
         Delta^-1 = inv(Delta/q) / q,  j = G4^3 * Delta^-1,
-        1/j = q * (Delta/q) * inv(G4^3),
+        1/j = q * inv(q*j),
 
     where inv is ``_inverse_mod``.  Each series has the valuation and window
-    of its exact expansion, which is its fallback.  Only 1/j reads
-    inv(G4^3); it is built on first read."""
+    of its exact expansion, which is its fallback.  Only 1/j reads inv(q*j);
+    it is built on first read from the residues of q*j held here."""
 
     def __init__(self, p: int, k: int, window: int):
         self.p, self.k, self.m, self.window = p, k, p**k, window
-        g = self._mod(G4)
-        self._g4_cubed = mul_mod(mul_mod(g, g, self.m, window), g, self.m, window)
         d_inv = _inverse_mod(self._mod(DELTA), self.m)
         # T(14) is Delta^-1
         self.delta_inverse = self._orders(-1, d_inv,
                                           lambda: generator_series(T14, window))
-        self.j = self._orders(-1, mul_mod(self._g4_cubed, d_inv, self.m, window),
-                              lambda: generator_series(J, window))
+        self._qj = mul_mod(self._g4_cubed, d_inv, self.m, window)
+        self.j = self._orders(-1, self._qj, lambda: generator_series(J, window))
+
+    @property
+    def _g4_cubed(self) -> list:
+        return [c % self.m for c in _exact_g4_cubed(self.window)]
 
     def _mod(self, gen: Generator) -> list:
         return [c % self.m for c in generator_series(gen, self.window).coefficients()]
@@ -640,9 +676,8 @@ class _TableResidues:
 
     @cached_property
     def inverse_j(self) -> _Orders:
-        res = mul_mod(self._mod(DELTA), _inverse_mod(self._g4_cubed, self.m),
-                      self.m, self.window)
-        return self._orders(1, res, lambda: generator_series(J, self.window).invert())
+        return self._orders(1, _inverse_mod(self._qj, self.m),
+                            lambda: generator_series(J, self.window).invert())
 
 
 @register

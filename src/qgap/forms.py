@@ -27,9 +27,10 @@ Delta is q times the eighth power of Jacobi's series for prod (1 - q^n)^3,
 three exact packed squarings (``series.delta_over_q``); ``product_expand``,
 the O(n^2) product recurrence, is its test oracle and builds the eta
 quotient in ``identity_checks``.  The section 3.3 tables of
-``qgap.congruence`` read Delta and G4 from here and reduce them mod p^K_p,
-K_p at least 3 above the largest order any table reads to n = 4096 (44,
-17, 7 and 5 at p = 2, 3, 5, 7, measured at window 4098).
+``qgap.congruence`` read Delta from here, build G4^3 from it and the
+sigma_11 sieve, and reduce both mod p^K_p, K_p at least 3 above the
+largest order any table reads to n = 4096 (44, 17, 7 and 5 at p = 2, 3,
+5, 7, measured at window 4098).
 
 Each generator is expanded only when a window longer than its largest
 expansion so far is asked for; ``generator_series`` serves every other

@@ -504,13 +504,14 @@ MUL_MOD_CROSSOVER = 1000
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
-def mul_mod(a: list, b: list, m: int, n: int) -> list:
-    """The first n coefficients of a*b mod m, for residue lists a, b with
+def mul_mod(a: list, b: list, m: int, n: int, lo: int = 0) -> list:
+    """Coefficients lo, ..., n - 1 of a*b mod m, for residue lists a, b with
     entries in [0, m).  Kronecker substitution: each list is packed, to at
     most n terms, into one number with a slot per coefficient wide enough
     for n*(m - 1)^2, the largest coefficient of the product, so no slot
-    carries; one product holds every coefficient, and a square (``a is b``)
-    packs once.  Below ``MUL_MOD_CROSSOVER`` terms in the shorter packed
+    carries; one product holds every coefficient, a square (``a is b``)
+    packs once, and the slots below lo are never unpacked (a Newton step
+    knows them).  Below ``MUL_MOD_CROSSOVER`` terms in the shorter packed
     operand a slot is 2*bits(m - 1) + bits(n) bits and the product is an int
     product.  From there on a slot is the decimal digits of n*(m - 1)^2,
     lowest coefficient last, read exactly by ``Decimal(str)``, and the
@@ -525,7 +526,7 @@ def mul_mod(a: list, b: list, m: int, n: int) -> list:
 
         x = pack(a)
         buf = (x * (x if b is a else pack(b))).to_bytes(2 * s * n, "little")
-        return [int.from_bytes(buf[i:i + s], "little") % m for i in range(0, s * n, s)]
+        return [int.from_bytes(buf[i:i + s], "little") % m for i in range(lo * s, s * n, s)]
     d = len(str(n * (m - 1) ** 2))
 
     def pack(c):
@@ -537,7 +538,7 @@ def mul_mod(a: list, b: list, m: int, n: int) -> list:
     except (Inexact, Rounded):
         raise DefectError("the decimal residue product was rounded") from None
     digits = format(prod, "f")[-n * d:].zfill(n * d)
-    return [int(digits[i - d:i]) % m for i in range(n * d, 0, -d)]
+    return [int(digits[i - d:i]) % m for i in range((n - lo) * d, 0, -d)]
 
 
 def delta_over_q(prec: int) -> QSeries:

@@ -641,6 +641,15 @@ class TestLongResidueKernel:
                            (long[:n // 2], long, n), ([], long, n), (long, [], n)):
             assert mul_mod(a, b, m, size) == int_product(a, b, m, size)
 
+    @pytest.mark.parametrize("p, k", ((2, 48), (7, 8), (2, 105)))
+    def test_slots_below_lo_are_left_out(self, p, k):
+        m, rng = p**k, random.Random(f"lo {p}^{k}")
+        for n in (64, MUL_MOD_CROSSOVER, 2100):
+            a, b = ([rng.randrange(m) for _ in range(n)] for _ in range(2))
+            want = int_product(a, b, m, n)
+            for lo in (0, 1, n // 2, n - 1, n):
+                assert mul_mod(a, b, m, n, lo) == want[lo:]
+
     def test_a_rounded_product_is_a_defect(self, monkeypatch):
         m, c = 2**48, MUL_MOD_CROSSOVER
         monkeypatch.setattr(series._EXACT, "prec", 28)
@@ -660,6 +669,16 @@ class TestLongResidueKernel:
         u = [rng.randrange(m) for _ in range(n)]
         u[0] = 1 + p * rng.randrange(m // p)
         assert int_product(u, congruence._inverse_mod(u, m), m, n) == [1] + [0] * (n - 1)
+
+    @pytest.mark.parametrize("p, k", PRODUCTION_K)
+    def test_inverse_times_u_is_one_at_every_schedule_shape(self, p, k):
+        # the top-down schedule lifts ceil(n/2) terms to n: every short length,
+        # both sides of a power of two at the crossover, and about the window
+        m, rng = p**k, random.Random(f"schedule {p}")
+        for n in (*range(1, 65), 1023, 1024, 1025, 2049, 2050, 2051):
+            u = [rng.randrange(m) for _ in range(n)]
+            u[0] = 1 + p * rng.randrange(m // p)
+            assert int_product(u, congruence._inverse_mod(u, m), m, n) == [1] + [0] * (n - 1)
 
 
 def inverse_orders(u, p, k):
@@ -794,8 +813,38 @@ class TestInverseOrders:
             assert all(max(orders._orders) < k for orders in readers[p])
 
 
+class TestExactG4Cubed:
+    """``congruence._exact_g4_cubed``: G4^3 as E12 + (432000/691) Delta."""
+
+    @pytest.mark.parametrize("window", (1, 2, 3, 64, 512))
+    def test_equals_the_cube_of_g4(self, window):
+        cube = generator_series(Generator("G", (4,)), window) ** 3
+        assert congruence._exact_g4_cubed(window) == tuple(cube.coefficients())
+
+    def test_a_tau_off_691_is_a_defect(self, monkeypatch):
+        # tau(3) + 1 breaks tau = sigma_11 (mod 691) at n = 3 only
+        delta, expand = Generator("Delta"), generator_series
+
+        def off_by_one(gen, window):
+            series = expand(gen, window)
+            if gen != delta:
+                return series
+            c = series.coefficients()
+            return QSeries(series.valuation, c[:2] + [c[2] + 1] + c[3:])
+
+        memo.clear()
+        try:
+            monkeypatch.setattr(congruence, "generator_series", off_by_one)
+            with pytest.raises(DefectError, match=r"tau\(3\)"):
+                congruence._exact_g4_cubed(8)
+        finally:
+            memo.clear()
+
+
 class TestTableInputs:
-    """A cold section 3.3 table build reads only the exact Delta and G4."""
+    """A cold section 3.3 table build reads only the exact Delta: G4^3 comes
+    from Delta and the sigma_11 sieve, j and Delta^-1 from one inverse and
+    one product mod p^K, and 1/j from the inverse of q*j."""
 
     N = 100
 
@@ -828,7 +877,7 @@ class TestTableInputs:
         tables += [reciprocal_compare, lehner_check]
         inversions, built = self._cold_build(monkeypatch, *tables)
         assert inversions == 0
-        assert built == {Generator("Delta"), Generator("G", (4,))}
+        assert built == {Generator("Delta")}
 
     def test_j_tables_build_no_reciprocal_table(self, monkeypatch):
         tables = (lambda n: delta_pn_compare(2, n), lehner_check)
@@ -836,7 +885,28 @@ class TestTableInputs:
                             property(lambda self: pytest.fail("built 1/j residues")))
         inversions, built = self._cold_build(monkeypatch, *tables)
         assert inversions == 0
-        assert built == {Generator("Delta"), Generator("G", (4,))}
+        assert built == {Generator("Delta")}
+
+    def test_a_cold_build_at_2048_takes_18_full_window_products(self, monkeypatch):
+        # the products that multiply in decimal, as ``mul_mod`` decides: G4^3
+        # takes none, each of the four inverses of Delta/q two (the last
+        # Newton step), each j one, and each of the three 1/j two
+        shapes, product = [], mul_mod
+
+        def spy(a, b, m, n, lo=0):
+            shapes.append(min(len(a), len(b), n))
+            return product(a, b, m, n, lo)
+
+        memo.clear()
+        try:
+            monkeypatch.setattr(congruence, "mul_mod", spy)
+            for p in (2, 3, 5):
+                delta_pn_compare(p, 2048)
+            reciprocal_compare(2048)
+            lehner_check(2048)
+        finally:
+            memo.clear()
+        assert sum(n >= MUL_MOD_CROSSOVER for n in shapes) == 18
 
 
 class TestRecordInvariants:
