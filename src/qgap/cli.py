@@ -50,13 +50,6 @@ from qgap.verdict import Verdict
 __all__ = ["main"]
 
 
-def _jobs(flag: int | None) -> int:
-    """The worker count: --jobs, else 1."""
-    if flag is not None and flag < 1:
-        raise ValueError(f"--jobs must be a positive integer, got '{flag}'")
-    return flag or 1
-
-
 @contextlib.contextmanager
 def _full_digits():
     """Print exact values of any size: CPython's cap on int-to-text digits
@@ -105,7 +98,7 @@ def _cmd_survey(args):
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}:{exc.lineno}: {exc.msg}") from None
-    report = run_survey(config, jobs=_jobs(args.jobs))
+    report = run_survey(config)
     # a full survey has about 91k records
     rows = itertools.chain((rec.to_dict() for rec in report.records), [{
         "summary": report.summary, "config": config.get("name"),
@@ -180,9 +173,9 @@ def _suite_theorems4():
     return rows, [f"{r['check']}: {r['verdict']}" for r in rows]
 
 
-def _suite_rules(rules_config, jobs: int):
+def _suite_rules(rules_config):
     config = rules_config()
-    report = run_survey(config, jobs=jobs)
+    report = run_survey(config)
     rows, lines = [{"summary": report.summary, "config": config["name"]}], [render_summary(report)]
     for rec in report.failed[:20]:
         lines.append(f"{rec.verdict}: {rec.expr} " + "; ".join(
@@ -211,11 +204,10 @@ def _suite_sec33(n_delta: int, n_recip: int):
 
 
 class _Suite(NamedTuple):
-    """A verify suite: its desk run, its paper-scale run, whether it reads --jobs."""
+    """A verify suite: its desk run and its paper-scale run."""
 
     desk: Callable
     full: Callable | None = None
-    jobs: bool = False
 
 
 _SUITES = {
@@ -223,22 +215,19 @@ _SUITES = {
     "satz": _Suite(_suite_satz),
     "theorems4": _Suite(_suite_theorems4),
     "rules": _Suite(partial(_suite_rules, desk_rules_config),
-                    partial(_suite_rules, full_rules_config), jobs=True),
+                    partial(_suite_rules, full_rules_config)),
     "sec33": _Suite(partial(_suite_sec33, 512, 512), partial(_suite_sec33, 2470, 4096)),
 }
 
 
 def _cmd_verify(args):
     suite = _SUITES[args.suite]
-    for flag, field, given in (("--full", "full", args.full),
-                               ("--jobs", "jobs", args.jobs is not None)):
-        if given and not getattr(suite, field):
-            takers = ", ".join(n for n, s in _SUITES.items() if getattr(s, field))
-            raise ValueError(f"suite {args.suite} takes no {flag}; {flag} is for {takers} only")
-    jobs = (_jobs(args.jobs),) if suite.jobs else ()
+    if args.full and not suite.full:
+        takers = ", ".join(n for n, s in _SUITES.items() if s.full)
+        raise ValueError(f"suite {args.suite} takes no --full; --full is for {takers} only")
     if args.full:
         print("warning: --full runs paper-scale ranges; expect a long run", file=sys.stderr)
-    rows, lines = (suite.full if args.full else suite.desk)(*jobs)
+    rows, lines = (suite.full if args.full else suite.desk)()
     verdict = Verdict.FAIL if any(r["verdict"].fails for r in rows if "check" in r) else Verdict.PASS
     return ([verdict], [*lines, f"suite {args.suite}: {verdict}"],
             [*rows, {"suite": args.suite, "verdict": verdict}])
@@ -270,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="run a survey config (JSON)")
     p.add_argument("config")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true",
                    help="JSON-lines records instead of a table")
     p.set_defaults(func=_cmd_survey)
@@ -298,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="paper-scale ranges instead of desk defaults ("
                         f"{', '.join(n for n, s in _SUITES.items() if s.full)} only)")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

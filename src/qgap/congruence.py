@@ -37,9 +37,8 @@ over its factors), and every form reads its factor powers from one
 ``forms.FactorPowers`` table; the forms are read in decreasing pole order,
 so the table builds each factor power once, and the records keep the bind
 order.  Each record is one ``classify_expr`` call
-and one ``SurveyRecord`` tuple, and a batch depends on nothing but
-itself, so worker processes (``jobs`` > 1) run the same ``_survey_batch``
-as a serial survey.  The checks come from one memo per process,
+and one ``SurveyRecord`` tuple, and the survey runs its batches one after
+another in one process.  The checks come from one memo per process,
 ``_rule_checks``, keyed on all that they read: (s, w mod 12, conductor,
 ``_pure_e_power``, ``C0Read``).  Equal check tuples are one object.  It,
 ``_SHARED_CHECKS``, the exact G4^3 (``_exact_g4_cubed``) and the table
@@ -503,17 +502,14 @@ def run_survey(config: dict, jobs: int = 1) -> SurveyReport:
     """Instantiate every family in the config, classify each form, and
     collect the records in deterministic (template, parameters) order.
     Every template is parsed before any form is evaluated.  The forms of
-    one template are one batch, bound by the process that runs it (a worker
-    when ``jobs`` > 1), where a bad instance raises its ValueError; the
-    first bad batch in order ends the survey, whatever ``jobs`` is."""
-    batches = _instantiate(config)
-    if jobs > 1 and len(batches) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_survey_batch, batches))
-    else:
-        chunks = map(_survey_batch, batches)
+    one template are one batch, bound when the survey reaches it, where a
+    bad instance raises its ValueError; the first bad batch in order ends
+    the survey.  The survey runs in one process: ``jobs`` must be 1, and
+    the keyword is kept only for the benchmark's ``run_survey(inputs,
+    jobs=1)`` call."""
+    if jobs != 1:
+        raise ValueError("run_survey runs in one process; jobs must be 1")
+    chunks = map(_survey_batch, _instantiate(config))
     return SurveyReport(records=[rec for chunk in chunks for rec in chunk])
 
 
@@ -652,16 +648,14 @@ class _TableResidues:
         1/j = q * inv(q*j),
 
     where inv is ``_inverse_mod``.  Each series has the valuation and window
-    of its exact expansion, which is its fallback.  Only 1/j reads inv(q*j);
-    it is built on first read from the residues of q*j held here."""
+    of its exact expansion, which is its fallback.  The orders of Delta^-1
+    and of 1/j are read on first need, from the residues of q*Delta^-1 and
+    of q*j held here: ``lehner_check`` reads only j."""
 
     def __init__(self, p: int, k: int, window: int):
         self.p, self.k, self.m, self.window = p, k, p**k, window
-        d_inv = _inverse_mod(self._mod(DELTA), self.m)
-        # T(14) is Delta^-1
-        self.delta_inverse = self._orders(-1, d_inv,
-                                          lambda: generator_series(T14, window))
-        self._qj = mul_mod(self._g4_cubed, d_inv, self.m, window)
+        self._d_inv = _inverse_mod(self._mod(DELTA), self.m)
+        self._qj = mul_mod(self._g4_cubed, self._d_inv, self.m, window)
         self.j = self._orders(-1, self._qj, lambda: generator_series(J, window))
 
     @property
@@ -673,6 +667,12 @@ class _TableResidues:
 
     def _orders(self, valuation: int, residues: list, exact) -> _Orders:
         return _Orders(valuation, residues, self.p, self.k, exact)
+
+    @cached_property
+    def delta_inverse(self) -> _Orders:
+        # T(14) is Delta^-1; its residues are read once, and then let go
+        d_inv, self._d_inv = self._d_inv, None
+        return self._orders(-1, d_inv, lambda: generator_series(T14, self.window))
 
     @cached_property
     def inverse_j(self) -> _Orders:

@@ -48,7 +48,7 @@ class ParseError(ValueError):
 
     def __reduce__(self):
         # args holds only the message; rebuild from the constructor's own
-        # arguments so an error raised in a worker process survives pickling
+        # arguments, so that the error survives pickling
         return ParseError, (self.text, self.pos, self.expected)
 
 

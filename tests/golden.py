@@ -9,10 +9,10 @@ other entry is desk tier and runs in tier-1
 (``tests/test_cli.py::test_golden_output``).
 
 Run the paper tier with ``python tests/golden.py``: each of its entries runs
-in a fresh interpreter, so neither it nor the workers it forks starts with
-the memos, or any other state, an earlier entry left; ``memo.clear()`` would
-reset the memos alone.  Each line it prints ends with the entry's wall time,
-start-up of the fresh interpreter included.
+in a fresh interpreter, so none starts with the memos, or any other state,
+an earlier entry left; ``memo.clear()`` would reset the memos alone.  Each
+line it prints ends with the entry's wall time, start-up of the fresh
+interpreter included.
 """
 
 import contextlib

@@ -12,7 +12,8 @@ import pytest
 import golden
 import qgap
 from qgap.cli import _build_parser, main
-from qgap.forms import constant_term
+from qgap import memo
+from qgap.forms import MAX_WINDOW, constant_term
 from qgap.quadratic import E8
 from qgap.verdict import Verdict
 from test_quadratic import E6, skewed
@@ -150,6 +151,33 @@ class TestDigitCap:
         assert code == 2 and "not integers" in err
 
 
+class TestWindowCap:
+    """A window over ``forms.MAX_WINDOW`` exits 2 before anything is expanded."""
+
+    @pytest.mark.parametrize("argv", [
+        ("expand", "G(4)", "--prec", str(MAX_WINDOW + 1)),
+        ("expand", "G(4)", "--prec", "100000000"),
+        ("c0", f"Delta^-{MAX_WINDOW}"),
+        ("c0", "Delta^-100000000"),
+        ("theta", str(D4), "--terms", str(MAX_WINDOW)),
+    ])
+    def test_past_the_cap_exit_2_before_any_expansion(self, capsys, monkeypatch, argv):
+        built = []
+        monkeypatch.setattr(qgap.forms, "_expand", lambda gen, window: built.append(gen))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"coefficients is over the cap of {MAX_WINDOW}\n")
+
+    def test_expand_at_the_cap(self, capsys):
+        try:
+            code, out, _ = run(capsys, "expand", "G(4)", "--prec", str(MAX_WINDOW))
+        finally:
+            memo.clear()  # leave no expansion of the cap's size behind
+        assert code == 0
+        assert out.startswith("val 0: [1, 240, 2160, ") and out.count(", ") == MAX_WINDOW - 1
+
+
 class TestSurvey:
     def test_table(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -217,27 +245,26 @@ class TestSurvey:
         assert code == 2
         assert "error:" in err
 
-    def test_bad_template_with_workers_exit_2(self, tmp_path, capsys):
+    def test_bad_template_in_a_later_family_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"families": [
             {"template": "Delta^-{a}", "ranges": {"a": [1, 3]}},
             {"template": "Delta^-{a}*G(3)", "ranges": {"a": [1, 2]}},
         ]}))
-        code, out, err = run(capsys, "survey", str(cfg), "--jobs", "2")
+        code, out, err = run(capsys, "survey", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith("error: survey family 1: position 11: expected a valid generator")
 
-    def test_bad_instance_with_workers_matches_serial(self, tmp_path, capsys):
-        # G(3) fails when k = 3 is bound, in the worker that runs its batch
+    def test_bad_instance_in_a_later_family_exit_2(self, tmp_path, capsys):
+        # G(3) fails when k = 3 is bound, after the first batch has run
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"families": [
             {"template": "Delta^-{a}", "ranges": {"a": [1, 3]}},
             {"template": "G({k})*Einf4^-{b}", "ranges": {"k": [2, 4, 1], "b": [1, 3]}},
         ]}))
-        serial = run(capsys, "survey", str(cfg), "--jobs", "1")
-        assert serial[0] == 2
-        assert "G(3)" in serial[2]
-        assert run(capsys, "survey", str(cfg), "--jobs", "2") == serial
+        code, out, err = run(capsys, "survey", str(cfg))
+        assert (code, out) == (2, "")
+        assert "G(3)" in err
 
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -321,33 +348,22 @@ class TestSurvey:
         assert out == "" and err.startswith("error: survey family 0: ") and word in err
 
 
-class TestJobs:
-    @pytest.mark.parametrize("argv", [
-        ("survey", "cfg.json", "--jobs", "0"),
-        ("verify", "--suite", "rules", "--jobs", "-1"),
-    ])
-    def test_jobs_below_one_exit_2(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps({"families": [
-            {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}}]}))
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == "" and err.startswith("error: ") and "jobs" in err
-
-    @pytest.mark.parametrize("value", ["two", "1.5", ""])
-    def test_non_integer_jobs_exit_2(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "rules", "--jobs", value])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument --jobs: invalid int value: '{value}'" in captured.err
-
-    @pytest.mark.parametrize("suite", ["identities", "satz", "theorems4", "sec33"])
-    def test_jobs_on_a_suite_without_workers_exit_2(self, capsys, suite):
-        code, out, err = run(capsys, "verify", "--suite", suite, "--jobs", "2")
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: suite {suite} ") and "--jobs" in err
+@pytest.mark.parametrize("argv", [
+    ("survey", "cfg.json", "--jobs", "2"),
+    ("verify", "--suite", "rules", "--jobs", "2"),
+])
+def test_jobs_is_no_option_exit_2(tmp_path, capsys, monkeypatch, argv):
+    """Every survey runs in one process; argparse refuses ``--jobs``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"families": [
+        {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestInternalError:

@@ -338,7 +338,7 @@ class TestSurveyRunner:
             json.dumps(r.to_dict())
 
     def test_records_are_immutable_and_pickle(self):
-        """``--jobs`` workers send their records back pickled."""
+        """Records are values: frozen, and equal after a pickle round trip."""
         records = [classify_expr("G(4)*Einf4^-3"), classify_expr("Delta^-1", 0),
                    classify_expr("j^2", Fraction(-9, 4))]
         assert [r.verdict for r in records] == ["PASS", "FAIL", "FAIL"]
@@ -890,23 +890,38 @@ class TestTableInputs:
     def test_a_cold_build_at_2048_takes_18_full_window_products(self, monkeypatch):
         # the products that multiply in decimal, as ``mul_mod`` decides: G4^3
         # takes none, each of the four inverses of Delta/q two (the last
-        # Newton step), each j one, and each of the three 1/j two
+        # Newton step), each j one, and each of the three 1/j two; with the
+        # crossover above the window every product is an int one, and the
+        # rows are the same
         shapes, product = [], mul_mod
 
         def spy(a, b, m, n, lo=0):
             shapes.append(min(len(a), len(b), n))
             return product(a, b, m, n, lo)
 
-        memo.clear()
+        def cold_rows():
+            memo.clear()
+            return ([delta_pn_compare(p, 2048) for p in (2, 3, 5)]
+                    + [reciprocal_compare(2048), lehner_check(2048)])
+
         try:
-            monkeypatch.setattr(congruence, "mul_mod", spy)
-            for p in (2, 3, 5):
-                delta_pn_compare(p, 2048)
-            reciprocal_compare(2048)
-            lehner_check(2048)
+            with monkeypatch.context() as m:
+                m.setattr(congruence, "mul_mod", spy)
+                rows = cold_rows()
+            monkeypatch.setattr(series, "MUL_MOD_CROSSOVER", 2048 + 3)
+            int_rows = cold_rows()
         finally:
             memo.clear()
         assert sum(n >= MUL_MOD_CROSSOVER for n in shapes) == 18
+        assert int_rows == rows
+
+    def test_the_divisibility_table_builds_no_delta_inverse_orders(self):
+        # lehner_check reads j alone; at p = 7 no other table reads Delta^-1
+        memo.clear()
+        lehner_check(self.N)
+        assert "delta_inverse" not in congruence._residues(7, self.N).__dict__
+        delta_pn_compare(2, self.N)
+        assert "delta_inverse" in congruence._residues(2, self.N).__dict__
 
 
 class TestRecordInvariants:
@@ -961,53 +976,20 @@ def test_desk_survey_c0_matches_independent_oracle():
     assert mismatches(records) == []
 
 
-@pytest.mark.slow
-def test_parallel_survey_matches_serial():
-    cfg = {"families": [{"template": "Delta^-{a}", "ranges": {"a": [1, 12]}}]}
-    serial = run_survey(cfg, jobs=1)
-    memo.clear()  # workers fork from a cold process
-    parallel = run_survey(cfg, jobs=2)
-    assert [r.to_dict() for r in serial.records] == [
-        r.to_dict() for r in parallel.records
-    ]
-
-
-@pytest.mark.slow
-def test_parallel_survey_splits_by_template():
-    cfg = {"families": [
-        {"template": "Delta^-{a}", "ranges": {"a": [1, 6]}},
-        {"template": "G(4)^{a}*Einf4^-{b}", "ranges": {"a": [1, 3], "b": [1, 4]}},
-        {"template": "Delta^-{a}", "ranges": {"a": [9, 11]}},
-        {"template": "Delta^-{a}*G(3)", "ranges": {"a": [1, 2]}},
-    ]}
-    with pytest.raises(ValueError, match="G"):
-        run_survey(cfg, jobs=2)
-    del cfg["families"][-1]
-    serial = run_survey(cfg, jobs=1)
-    assert len(serial.records) == 21
-    memo.clear()
-    assert [r.to_dict() for r in serial.records] == [
-        r.to_dict() for r in run_survey(cfg, jobs=2).records]
-
-
-@pytest.mark.slow
-def test_parallel_survey_binds_in_workers(monkeypatch):
-    """Under ``jobs`` > 1 the parent binds no batch; the serial run shows
-    that the patched binder is the one every batch goes through."""
+def test_survey_runs_in_one_process(monkeypatch):
+    """``jobs`` other than 1 is refused before any batch is bound; the one
+    process binds each batch once, in batch order."""
     cfg = {"families": [
         {"template": "Delta^-{a}", "ranges": {"a": [1, 6]}},
         {"template": "G(4)^{a}*Einf4^-{b}", "ranges": {"a": [1, 3], "b": [1, 4]}},
         {"template": "E(3,inf,6)^-{a}", "ranges": {"a": [1, 3]}},
     ]}
-    serial = run_survey(cfg, jobs=1)
     binds = []
     bind = exprs.Template.bind
     monkeypatch.setattr(exprs.Template, "bind",
                         lambda self, envs: binds.append(self.text) or bind(self, envs))
-    memo.clear()
-    parallel = run_survey(cfg, jobs=2)
+    with pytest.raises(ValueError, match="^run_survey runs in one process; jobs must be 1$"):
+        run_survey(cfg, jobs=2)
     assert binds == []
-    assert [r.to_dict() for r in parallel.records] == [r.to_dict() for r in serial.records]
-    assert len(serial.records) == 21
-    run_survey(cfg, jobs=1)
+    assert len(run_survey(cfg, jobs=1).records) == 21
     assert binds == ["Delta^-{a}", "E(3,inf,6)^-{a}", "G(4)^{a}*Einf4^-{b}"]
