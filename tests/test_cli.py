@@ -350,10 +350,21 @@ class TestSurvey:
 
 @pytest.mark.parametrize("argv", [
     ("survey", "cfg.json", "--jobs", "2"),
+    ("survey", "cfg.json", "--jobs", "1"),
+    ("survey", "cfg.json", "--jobs", "0"),
     ("verify", "--suite", "rules", "--jobs", "2"),
+    ("verify", "--suite", "rules", "--jobs", "-1"),
+    ("verify", "--suite", "rules", "--jobs", "two"),
+    ("verify", "--suite", "rules", "--jobs", "1.5"),
+    ("verify", "--suite", "identities", "--jobs", "2"),
+    ("verify", "--suite", "satz", "--jobs", "2"),
+    ("verify", "--suite", "theorems4", "--jobs", "2"),
+    ("verify", "--suite", "sec33", "--jobs", "2"),
 ])
 def test_jobs_is_no_option_exit_2(tmp_path, capsys, monkeypatch, argv):
-    """Every survey runs in one process; argparse refuses ``--jobs``."""
+    """Every survey runs in one process; argparse refuses ``--jobs`` with any
+    value, the old default 1 included, on every subcommand that once took it
+    and on every suite."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"families": [
         {"template": "Delta^-{a}", "ranges": {"a": [1, 2]}}]}))
@@ -362,7 +373,7 @@ def test_jobs_is_no_option_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --jobs 2" in captured.err
+    assert f"unrecognized arguments: --jobs {argv[-1]}\n" in captured.err
     assert "Traceback" not in captured.err
 
 
