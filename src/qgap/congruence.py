@@ -41,17 +41,17 @@ and one ``SurveyRecord`` tuple, and the survey runs its batches one after
 another in one process.  The checks come from one memo per process,
 ``_rule_checks``, keyed on all that they read: (s, w mod 12, conductor,
 ``_pure_e_power``, ``C0Read``).  Equal check tuples are one object.  It,
-``_SHARED_CHECKS``, the exact G4^3 (``_exact_g4_cubed``) and the table
-residues (``_residues``) register with ``qgap.memo``, and ``memo.clear()``
-empties them.
+``_SHARED_CHECKS`` and the table residues (``_residues``) register with
+``qgap.memo``, and ``memo.clear()`` empties them.
 
 The section 3.3 tables report p-adic orders only, and read every order at
 p from residues mod p^K_p (``_RESIDUE_EXPONENTS``): j, Delta^-1 and 1/j are
 built mod p^K_p from the exact Delta and the exact G4^3, which is
-E12 + (432000/691)*Delta, taken once per window from the sigma_11 sieve and
-Delta without a product (``_exact_g4_cubed``).  Delta^-1 is one Newton
-inverse, j one packed product ``series.mul_mod`` with G4^3, and 1/j the
-inverse of q*j; ord_p(tau(n)) comes from the exact Delta.  A nonzero
+E12 + (432000/691)*Delta, built from the sigma_11 sieve and Delta without
+a product (``forms.g4_cubed``, which j and S(n, d) read as well).
+Delta^-1 is one Newton inverse (``series.inverse_mod``), j one packed
+product ``series.mul_mod`` with G4^3, and 1/j the inverse of q*j;
+ord_p(tau(n)) comes from the exact Delta.  A nonzero
 residue gives the exact order.  A residue that is 0 mod p^K_p falls back
 to the exact series for that row (``generator_series`` of j or T(14), or
 ``j.invert()``), built on first need, so a true zero still reads ``inf``
@@ -66,19 +66,20 @@ the paper-scale run, and a smaller K_p makes every product cheaper.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from qgap.arith import INFINITE, digit_sum, divisor_sum_sieve, largest_digit, ord_p
-from qgap.catalog import DELTA, J, T14, FormExpr, Generator
+from qgap.arith import INFINITE, digit_sum, largest_digit, ord_p
+from qgap.catalog import DELTA, J, T14, FormExpr
 from qgap.exprs import Template, parse_expr, parse_template
-from qgap.forms import FactorPowers, constant_term, generator_series
+from qgap.forms import FactorPowers, constant_term, g4_cubed, generator_series
 from qgap.memo import register
-from qgap.series import DefectError, QSeries, ReachError, mul_mod
+from qgap.series import DefectError, QSeries, ReachError, inverse_mod, mul_mod
 from qgap.verdict import Verdict
 
 __all__ = [
@@ -407,10 +408,10 @@ def _parse_filter(filt, names) -> tuple[str, int, frozenset, bool]:
     return var, mod, residues, m.group("op") == "!="
 
 
-def _expand_range(spec) -> list[int]:
+def _expand_range(spec) -> range:
     if isinstance(spec, list) and len(spec) in (2, 3) \
             and all(type(x) is int for x in spec):
-        values = list(range(spec[0], spec[1] + 1, *spec[2:]))
+        values = range(spec[0], spec[1] + 1, *spec[2:])
         if not values:
             raise ValueError(f"range {spec!r} is empty")
         return values
@@ -425,10 +426,11 @@ def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
                              + ", ".join(repr(k) for k in keys))
 
 
-def _family_tasks(fam) -> tuple[Template, list[tuple]]:
-    """The parsed template of one survey family and the field values of
-    each instance, in sorted order of the field names; ValueError when the
-    family is malformed, checked before any instance is built."""
+def _family_tasks(fam) -> tuple[Template, list[range], Callable[[tuple], bool]]:
+    """The parsed template of one survey family, the range of each field
+    in sorted order of the field names, and the predicate its filters put
+    on a tuple of field values; ValueError when the family is malformed.
+    No instance is built."""
     if isinstance(fam, dict):
         _check_keys(fam, ("template", "ranges", "filters"), "a family")
     if not isinstance(fam, dict) or not isinstance(fam.get("template"), str):
@@ -442,27 +444,49 @@ def _family_tasks(fam) -> tuple[Template, list[tuple]]:
                          f"'ranges' names {sorted(ranges)}")
     names = sorted(ranges)
     preds = [_parse_filter(f, names) for f in filters]
-    combos = itertools.product(*[_expand_range(ranges[n]) for n in names])
     at = {n: i for i, n in enumerate(names)}
-    return template, [c for c in combos
-                      if all((c[at[var]] % mod in res) != neg for var, mod, res, neg in preds)]
+
+    def keep(c: tuple) -> bool:
+        return all((c[at[var]] % mod in res) != neg for var, mod, res, neg in preds)
+
+    return template, [_expand_range(ranges[n]) for n in names], keep
+
+
+#: The most instances, before filters, that one survey config may have:
+#: 11.5 times the 91,061 forms of ``full_rules_config()``.  The records
+#: alone take about 1 KB a form, so a run at the cap needs about 1.1 GB;
+#: forms of pole order at most 4 run in about 22 s (a quarter of the cap
+#: took 5.4 s and 274 MB on one Xeon core, CPython 3.11), and forms with
+#: larger poles take longer.
+MAX_SURVEY_FORMS = 1 << 20
 
 
 def _instantiate(config: dict) -> list[tuple[Template, list[dict]]]:
     """(template, [field values, ...]) for every template, in lexicographic
     order of its text, with the instances of all its families sorted by
-    their parameters.  A malformed config raises ValueError naming the
-    index of the family at fault, before any form is evaluated."""
+    their parameters.  A malformed config, or one whose families add up to
+    more than ``MAX_SURVEY_FORMS`` instances before filters, raises
+    ValueError naming the index of the family at fault, before any
+    instance is built."""
     families = config.get("families", []) if isinstance(config, dict) else None
     if not isinstance(families, list):
         raise ValueError("a survey config is an object with a 'families' list")
     _check_keys(config, ("name", "families"), "a survey config")
-    batches = {}
+    plans, total = [], 0
     for i, fam in enumerate(families):
         try:
-            template, combos = _family_tasks(fam)
+            template, values, keep = _family_tasks(fam)
+            count = math.prod(map(len, values))
+            total += count
+            if total > MAX_SURVEY_FORMS:
+                raise ValueError(f"{total:,} instances before filters, {count:,} of them "
+                                 f"from this family, are over the cap of {MAX_SURVEY_FORMS:,}")
         except ValueError as exc:
             raise ValueError(f"survey family {i}: {exc}") from None
+        plans.append((template, values, keep))
+    batches = {}
+    for template, values, keep in plans:
+        combos = filter(keep, itertools.product(*values))
         batches.setdefault(template.text, (template, []))[1].extend(combos)
     out = []
     for _, (template, combos) in sorted(batches.items()):
@@ -561,32 +585,6 @@ def render_summary(report: SurveyReport) -> str:
 _RESIDUE_EXPONENTS = {2: 48, 3: 20, 5: 10, 7: 8}
 
 
-def _inverse_mod(u: list, m: int) -> list:
-    """1/u mod m to len(u) coefficients, for a residue list u whose leading
-    coefficient is a unit mod m (else DefectError).  Newton lifting: with
-    b = 1/u below q^k, u*b - 1 vanishes below q^k, and b - b*(u*b - 1) is
-    1/u below q^2k.  The schedule runs top down, through the lengths n,
-    ceil(n/2), ceil(n/4), ..., 1 read in reverse, so each step at most
-    doubles b and the last one ends at n: no step lifts a few coefficients
-    with a product as long as the window."""
-    if not u:
-        raise ZeroDivisionError("cannot invert a series that is zero up to reach")
-    try:
-        b = [pow(u[0], -1, m)]
-    except ValueError:
-        raise DefectError(f"leading coefficient {u[0]} is not a unit mod {m}") from None
-    lengths = []
-    n = len(u)
-    while n > 1:
-        lengths.append(n)
-        n = (n + 1) // 2
-    for k2 in reversed(lengths):
-        k = len(b)
-        e = mul_mod(u, b, m, k2, k)
-        b += [-x % m for x in mul_mod(b, e, m, k2 - k)]
-    return b
-
-
 class _Orders:
     """ord_p of the coefficients of one series, read from its residues mod
     p^K on the valuation and window of the exact series.  A nonzero residue
@@ -616,54 +614,28 @@ class _Orders:
         return ord_p(self._exact.coeff(n), self._p)
 
 
-@register
-@lru_cache(maxsize=None)
-def _exact_g4_cubed(window: int) -> tuple[int, ...]:
-    """The exact G4^3 to ``window`` coefficients, with no product.  From
-    691*E12 = 441*E4^3 + 250*E6^2 and E4^3 - E6^2 = 1728*Delta,
-    E4^3 = E12 + (432000/691)*Delta, so for n >= 1
-
-        c_n = (65520*sigma_11(n) + 432000*tau(n)) / 691,
-
-    an integer since tau(n) = sigma_11(n) (mod 691) (Ramanujan); sigma_11
-    comes from the divisor sieve and tau from the exact Delta.  A nonzero
-    remainder is a DefectError."""
-    tau = generator_series(DELTA, window).coefficients()
-    out = [1]
-    for n, (s, t) in enumerate(zip(divisor_sum_sieve(window - 1, lambda d: d**11), tau), 1):
-        c, r = divmod(65520 * s + 432000 * t, 691)
-        if r:
-            raise DefectError(f"65520*sigma_11({n}) + 432000*tau({n}) is not a multiple of 691")
-        out.append(c)
-    return tuple(out)
-
-
 class _TableResidues:
     """The orders at p of j, Delta^-1 and 1/j at one window, read from
-    residues mod m = p^K built from two exact inputs, Delta (Jacobi's
-    series, ``series.delta_over_q``) and G4^3 (``_exact_g4_cubed``, from
-    sigma_11 and Delta):
+    residues mod m = p^K of two exact inputs, Delta (Jacobi's series,
+    ``series.delta_over_q``) and G4^3 (``forms.g4_cubed``, from sigma_11
+    and Delta):
 
         Delta^-1 = inv(Delta/q) / q,  j = G4^3 * Delta^-1,
         1/j = q * inv(q*j),
 
-    where inv is ``_inverse_mod``.  Each series has the valuation and window
-    of its exact expansion, which is its fallback.  The orders of Delta^-1
-    and of 1/j are read on first need, from the residues of q*Delta^-1 and
-    of q*j held here: ``lehner_check`` reads only j."""
+    where inv is ``series.inverse_mod``.  Each series has the valuation and
+    window of its exact expansion, which is its fallback.  The orders of
+    Delta^-1 and of 1/j are read on first need, from the residues of
+    q*Delta^-1 and of q*j held here: ``lehner_check`` reads only j."""
 
     def __init__(self, p: int, k: int, window: int):
         self.p, self.k, self.m, self.window = p, k, p**k, window
-        self._d_inv = _inverse_mod(self._mod(DELTA), self.m)
-        self._qj = mul_mod(self._g4_cubed, self._d_inv, self.m, window)
+        self._d_inv = inverse_mod(self._mod(generator_series(DELTA, window)), self.m)
+        self._qj = mul_mod(self._mod(g4_cubed(window)), self._d_inv, self.m, window)
         self.j = self._orders(-1, self._qj, lambda: generator_series(J, window))
 
-    @property
-    def _g4_cubed(self) -> list:
-        return [c % self.m for c in _exact_g4_cubed(self.window)]
-
-    def _mod(self, gen: Generator) -> list:
-        return [c % self.m for c in generator_series(gen, self.window).coefficients()]
+    def _mod(self, series: QSeries) -> list:
+        return [c % self.m for c in series.coefficients()]
 
     def _orders(self, valuation: int, residues: list, exact) -> _Orders:
         return _Orders(valuation, residues, self.p, self.k, exact)
@@ -676,7 +648,7 @@ class _TableResidues:
 
     @cached_property
     def inverse_j(self) -> _Orders:
-        return self._orders(1, _inverse_mod(self._qj, self.m),
+        return self._orders(1, inverse_mod(self._qj, self.m),
                             lambda: generator_series(J, self.window).invert())
 
 

@@ -26,11 +26,12 @@ largest window the batch reads it at and is built once.
 Delta is q times the eighth power of Jacobi's series for prod (1 - q^n)^3,
 three exact packed squarings (``series.delta_over_q``); ``product_expand``,
 the O(n^2) product recurrence, is its test oracle and builds the eta
-quotient in ``identity_checks``.  The section 3.3 tables of
-``qgap.congruence`` read Delta from here, build G4^3 from it and the
-sigma_11 sieve, and reduce both mod p^K_p, K_p at least 3 above the
-largest order any table reads to n = 4096 (44, 17, 7 and 5 at p = 2, 3,
-5, 7, measured at window 4098).
+quotient in ``identity_checks``.  G4^3 is built once per window, with no
+product, from Delta and the sigma_11 sieve (``g4_cubed``); j and S(n, d)
+read it, and so do the section 3.3 tables of ``qgap.congruence``, which
+reduce it and Delta mod p^K_p, K_p at least 3 above the largest order any
+table reads to n = 4096 (44, 17, 7 and 5 at p = 2, 3, 5, 7, measured at
+window 4098).
 
 Each generator is expanded only when a window longer than its largest
 expansion so far is asked for; ``generator_series`` serves every other
@@ -42,9 +43,9 @@ expansion's logarithmic derivative g (``QSeries.prefix``), so once a
 power has read g, every exponent that a batch, a ``FactorPowers`` table
 or a Satz weight asks of any window of the generator costs one dot
 product per coefficient.  Factor powers sit in an LRU cache of
-FACTOR_CACHE_SIZE entries.  These three memos register with
-``qgap.memo``, and
-``memo.clear()`` is the one way to forget expansions.
+FACTOR_CACHE_SIZE entries.  These three memos and ``g4_cubed`` register
+with ``qgap.memo``, and ``memo.clear()`` is the one way to forget
+expansions.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
     "eisenstein_g",
     "eval_expr",
     "factor_power",
+    "g4_cubed",
     "generator_series",
     "identity_checks",
     "m2",
@@ -135,6 +137,28 @@ def generator_series(gen: Generator, window: int) -> QSeries:
     return big.prefix(window)
 
 
+@register
+@lru_cache(maxsize=None)
+def g4_cubed(window: int) -> QSeries:
+    """The exact G4^3 to ``window`` coefficients, with no product.  From
+    691*E12 = 441*E4^3 + 250*E6^2 and E4^3 - E6^2 = 1728*Delta,
+    E4^3 = E12 + (432000/691)*Delta, so for n >= 1
+
+        c_n = (65520*sigma_11(n) + 432000*tau(n)) / 691,
+
+    an integer since tau(n) = sigma_11(n) (mod 691) (Ramanujan); sigma_11
+    comes from the divisor sieve and tau from the exact Delta.  A nonzero
+    remainder is a DefectError."""
+    tau = generator_series(DELTA, window).coefficients()
+    out = [1]
+    for n, (s, t) in enumerate(zip(divisor_sum_sieve(window - 1, lambda d: d**11), tau), 1):
+        c, r = divmod(65520 * s + 432000 * t, 691)
+        if r:
+            raise DefectError(f"65520*sigma_11({n}) + 432000*tau({n}) is not a multiple of 691")
+        out.append(c)
+    return QSeries(0, out)
+
+
 def _expand(gen: Generator, window: int) -> QSeries:
     """Build the expansion of ``gen`` to ``window`` coefficients, reading
     the generators it is made of through ``generator_series``."""
@@ -150,8 +174,7 @@ def _expand(gen: Generator, window: int) -> QSeries:
     if kind == "j":
         # T(14) is Delta^-1: its entry is the one inversion of Delta per
         # window, shared by j and phi
-        g4 = generator_series(G4, window)
-        return g4**3 * generator_series(T14, window)
+        return g4_cubed(window) * generator_series(T14, window)
     if kind == "Egamma2":
         sums = divisor_sum_sieve(window - 1, lambda d: d if d % 2 else 0)
         return QSeries(0, [1] + [24 * s for s in sums])
@@ -173,9 +196,8 @@ def _expand(gen: Generator, window: int) -> QSeries:
         return phi if N == 2 else phi.root(2)
     if kind == "S":
         n, d = p
-        g4 = generator_series(G4, window)
         g6 = generator_series(G6, window)
-        blend = Fraction(n, d) * g4**3 + Fraction(d - n, d) * g6**2
+        blend = Fraction(n, d) * g4_cubed(window) + Fraction(d - n, d) * g6**2
         return generator_series(DELTA, window) * blend
     if kind == "T":
         # Delta^-s, times the G(k) that makes up the rest of the weight

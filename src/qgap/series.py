@@ -34,8 +34,9 @@ Residue lists mod m multiply through one packed kernel, ``mul_mod``
 product): an int product for short lists, and from ``MUL_MOD_CROSSOVER``
 terms on a ``decimal`` one, which libmpdec takes by a number-theoretic
 transform, in a context of maximal precision that traps ``Inexact`` and
-``Rounded``.  It serves the p-adic tables of ``qgap.congruence`` and
-``delta_over_q``.  By Jacobi's identity prod (1 - q^n)^3 =
+``Rounded``.  It serves ``delta_over_q`` and ``inverse_mod``, the Newton
+inverse of a residue list, which with it builds the p-adic tables of
+``qgap.congruence``.  By Jacobi's identity prod (1 - q^n)^3 =
 sum_k (-1)^k (2k+1) q^(k(k+1)/2), a sparse series with small coefficients,
 so Delta/q, its eighth power, is three packed squarings, each exact because
 it runs mod a power of two above twice the elementary bound on its
@@ -53,7 +54,8 @@ from typing import Callable, Iterable
 
 from qgap.arith import divisor_sum_sieve
 
-__all__ = ["DefectError", "QSeries", "ReachError", "delta_over_q", "mul_mod", "product_expand"]
+__all__ = ["DefectError", "QSeries", "ReachError", "delta_over_q", "inverse_mod", "mul_mod",
+           "product_expand"]
 
 
 class ReachError(LookupError):
@@ -511,12 +513,12 @@ def mul_mod(a: list, b: list, m: int, n: int, lo: int = 0) -> list:
     for n*(m - 1)^2, the largest coefficient of the product, so no slot
     carries; one product holds every coefficient, a square (``a is b``)
     packs once, and the slots below lo are never unpacked (a Newton step
-    knows them).  Below ``MUL_MOD_CROSSOVER`` terms in the shorter packed
-    operand a slot is 2*bits(m - 1) + bits(n) bits and the product is an int
-    product.  From there on a slot is the decimal digits of n*(m - 1)^2,
-    lowest coefficient last, read exactly by ``Decimal(str)``, and the
-    product is a ``decimal`` product in a context that raises DefectError
-    rather than round.  Bytes and ``decimal``, not ``str`` of an int, carry
+    of ``inverse_mod`` knows them).  Below ``MUL_MOD_CROSSOVER`` terms in
+    the shorter packed operand a slot is 2*bits(m - 1) + bits(n) bits and
+    the product is an int product.  From there on a slot is the decimal
+    digits of n*(m - 1)^2, lowest coefficient last, read exactly by
+    ``Decimal(str)``, and the product is a ``decimal`` product in a context
+    that raises DefectError rather than round.  Bytes and ``decimal``, not ``str`` of an int, carry
     the packing, so the int-to-str digit cap never applies."""
     if min(len(a), len(b), n) < MUL_MOD_CROSSOVER:
         s = (2 * (m - 1).bit_length() + n.bit_length() + 7) // 8
@@ -539,6 +541,32 @@ def mul_mod(a: list, b: list, m: int, n: int, lo: int = 0) -> list:
         raise DefectError("the decimal residue product was rounded") from None
     digits = format(prod, "f")[-n * d:].zfill(n * d)
     return [int(digits[i - d:i]) % m for i in range((n - lo) * d, 0, -d)]
+
+
+def inverse_mod(u: list, m: int) -> list:
+    """1/u mod m to len(u) coefficients, for a residue list u whose leading
+    coefficient is a unit mod m (else DefectError).  Newton lifting: with
+    b = 1/u below q^k, u*b - 1 vanishes below q^k, and b - b*(u*b - 1) is
+    1/u below q^2k.  The schedule runs top down, through the lengths n,
+    ceil(n/2), ceil(n/4), ..., 1 read in reverse, so each step at most
+    doubles b and the last one ends at n: no step lifts a few coefficients
+    with a product as long as the window."""
+    if not u:
+        raise ZeroDivisionError("cannot invert a series that is zero up to reach")
+    try:
+        b = [pow(u[0], -1, m)]
+    except ValueError:
+        raise DefectError(f"leading coefficient {u[0]} is not a unit mod {m}") from None
+    lengths = []
+    n = len(u)
+    while n > 1:
+        lengths.append(n)
+        n = (n + 1) // 2
+    for k2 in reversed(lengths):
+        k = len(b)
+        e = mul_mod(u, b, m, k2, k)
+        b += [-x % m for x in mul_mod(b, e, m, k2 - k)]
+    return b
 
 
 def delta_over_q(prec: int) -> QSeries:

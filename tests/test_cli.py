@@ -266,6 +266,31 @@ class TestSurvey:
         assert (code, out) == (2, "")
         assert "G(3)" in err
 
+    @pytest.mark.parametrize("families, count", [
+        ([{"template": "Delta^-{a}", "ranges": {"a": [1, 1000000000]}}],
+         "1,000,000,000 instances before filters, 1,000,000,000 of them from this family"),
+        ([{"template": "Delta^-{a}", "ranges": {"a": [1, 3]}},
+          {"template": "G(4)^{a}*Delta^-{b}", "ranges": {"a": [1, 100000], "b": [1, 30000]}}],
+         "3,000,000,003 instances before filters, 3,000,000,000 of them from this family"),
+        # each family is under the cap, the two together are over it
+        ([{"template": "Delta^-{a}", "ranges": {"a": [1, 600000]}},
+          {"template": "G(4)*Delta^-{a}", "ranges": {"a": [1, 600000]}, "filters": ["a odd"]}],
+         "1,200,000 instances before filters, 600,000 of them from this family"),
+    ])
+    def test_oversized_config_exit_2_before_any_batch_is_bound(self, tmp_path, capsys,
+                                                               monkeypatch, families, count):
+        from qgap.congruence import MAX_SURVEY_FORMS
+        from qgap.exprs import Template
+
+        bound = []
+        monkeypatch.setattr(Template, "bind", lambda self, envs: bound.append(self))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": families}))
+        code, out, err = run(capsys, "survey", str(cfg))
+        assert (code, out, bound) == (2, "", [])
+        assert err == (f"error: survey family {len(families) - 1}: {count}, "
+                       f"are over the cap of {MAX_SURVEY_FORMS:,}\n")
+
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]")

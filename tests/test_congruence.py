@@ -1,7 +1,7 @@
 import itertools
 import json
+import math
 import pickle
-import random
 from fractions import Fraction
 from string import Formatter
 
@@ -22,6 +22,7 @@ from qgap.congruence import (
     desk_rules_config,
     deviation_rules,
     deviation_window,
+    full_rules_config,
     lehner_check,
     order_check,
     read_c0,
@@ -31,7 +32,7 @@ from qgap.congruence import (
     render_table,
 )
 from qgap.forms import eval_expr, generator_series
-from qgap.series import MUL_MOD_CROSSOVER, DefectError, QSeries, ReachError, mul_mod
+from qgap.series import MUL_MOD_CROSSOVER, DefectError, QSeries, ReachError, inverse_mod, mul_mod
 
 from c0_oracle import mismatches
 
@@ -494,6 +495,26 @@ class TestSurveyPlan:
         assert records[1].checks[0].observed == "DefectError: injected"
 
 
+    @pytest.mark.parametrize("config", [desk_rules_config, full_rules_config])
+    def test_the_built_in_configs_are_under_the_cap(self, config):
+        cfg = config()
+        counts = [math.prod(map(len, congruence._family_tasks(f)[1])) for f in cfg["families"]]
+        batches = congruence._instantiate(cfg)
+        assert sum(len(envs) for _, envs in batches) <= sum(counts) <= congruence.MAX_SURVEY_FORMS
+
+
+    def test_a_config_at_the_cap_is_instantiated_and_one_more_instance_is_not(self):
+        cap = congruence.MAX_SURVEY_FORMS
+        at_cap = {"template": "Delta^-{a}", "ranges": {"a": [1, cap]},
+                  "filters": [f"a % {cap // 4} == 0"]}
+        (template, envs), = congruence._instantiate({"families": [at_cap]})
+        assert envs == [{"a": a} for a in range(cap // 4, cap + 1, cap // 4)]
+        one_more = {"template": "G(4)*Delta^-{a}", "ranges": {"a": [1, 1]}}
+        with pytest.raises(ValueError, match=f"^survey family 1: {cap + 1:,} instances before "
+                                             f"filters, 1 of them from this family, are over"):
+            congruence._instantiate({"families": [at_cap, one_more]})
+
+
 class TestSection33:
     def test_delta_2n_small(self):
         rows = {r["n"]: r for r in delta_pn_compare(2, 8)}
@@ -539,153 +560,11 @@ class TestSection33:
 
 PRODUCTION_K = tuple(congruence._RESIDUE_EXPONENTS.items())
 TINY_K = ((2, 1), (3, 1), (5, 1), (7, 1))
-#: The (p, K) the packed kernel is checked at: the production K_p, moduli
-#: of about 64 bits, and 2^105, the widest modulus of delta_over_q(4098).
-KERNEL_K = PRODUCTION_K + ((2, 64), (3, 40), (5, 28), (7, 23), (2, 105))
-
-
-def residues_of(series, count, m):
-    """The coefficients of q^0 .. q^(count-1) of an exact series mod m
-    (every denominator prime to m)."""
-    out = []
-    for i in range(count):
-        c = Fraction(series.coeff(i))
-        out.append(c.numerator * pow(c.denominator, -1, m) % m)
-    return out
-
-
-@st.composite
-def residue_case(draw, count):
-    """(m, [series, ...]): m = p^K for p in 2, 3, 5, 7 and K from 1 to a
-    K_p of ``KERNEL_K``, and ``count`` integer coefficient lists of length
-    1..300, each entry a random integer in [-m, m], 0 (interior zeros),
-    m - 1 (a full slot) or 1 - m, drawn from a seeded generator."""
-    p, top = draw(st.sampled_from(KERNEL_K))
-    m = p ** draw(st.integers(1, top))
-    rng = draw(st.randoms(use_true_random=False))
-    return m, [[rng.choice([0, m - 1, 1 - m, rng.randint(-m, m)])
-                for _ in range(draw(st.integers(1, 300)))] for _ in range(count)]
-
-
-class TestResidueKernel:
-    """The packed product and the Newton inverse against the exact
-    schoolbook product and series inverse, reduced mod p^K."""
-
-    @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(residue_case(2), st.integers(1, 300))
-    def test_mul_mod_equals_the_schoolbook_product(self, case, n):
-        m, (a, b) = case
-        n = min(n, len(a), len(b))
-        ra, rb = [c % m for c in a], [c % m for c in b]
-        assert mul_mod(ra, rb, m, n) \
-            == residues_of(QSeries(0, a) * QSeries(0, b), n, m)
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(residue_case(1), st.sampled_from([1, -1, 11]))
-    def test_inverse_mod_equals_the_miller_inverse(self, case, lead):
-        m, (u,) = case
-        u[0] = lead
-        want = residues_of(QSeries(0, u).invert(), len(u), m)
-        assert congruence._inverse_mod([c % m for c in u], m) == want
-
-    @pytest.mark.parametrize("p, k", KERNEL_K)
-    def test_full_slots_do_not_carry(self, p, k):
-        m, n = p**k, 300
-        full = QSeries(0, [m - 1] * n)
-        assert mul_mod([m - 1] * n, [m - 1] * n, m, n) \
-            == residues_of(full * full, n, m)
-
-
-def int_product(a, b, m, n):
-    """The first n coefficients of a*b mod m through one int product: each
-    list packed in hex, a slot per coefficient wider than n*(m - 1)^2, so
-    no slot carries, and read back the same way."""
-    h = (n * (m - 1) ** 2).bit_length() // 4 + 1
-
-    def pack(c):
-        return int("".join(f"{x:0{h}x}" for x in reversed(c[:n])) or "0", 16)
-
-    digits = f"{pack(a) * pack(b):x}".zfill(2 * n * h)
-    return [int(digits[-(i + 1) * h:len(digits) - i * h], 16) % m for i in range(n)]
-
-
-#: Lengths on both sides of the crossover, and one about the paper window.
-LONG_LENGTHS = (MUL_MOD_CROSSOVER - 1, MUL_MOD_CROSSOVER, MUL_MOD_CROSSOVER + 1, 2100)
-
-
-class TestLongResidueKernel:
-    """``mul_mod`` across ``MUL_MOD_CROSSOVER``, where the int product
-    gives way to the decimal one, against the int product packed apart."""
-
-    @pytest.mark.parametrize("p, k", KERNEL_K)
-    def test_balanced_and_square_products(self, p, k):
-        m, rng = p**k, random.Random(f"{p}^{k}")
-        for n in LONG_LENGTHS:
-            a, b = ([rng.randrange(m) for _ in range(n)] for _ in range(2))
-            assert mul_mod(a, b, m, n) == int_product(a, b, m, n)
-            assert mul_mod(a, a, m, n) == int_product(a, a, m, n)
-
-    @pytest.mark.parametrize("p, k", KERNEL_K)
-    def test_full_slots_do_not_carry_across_the_crossover(self, p, k):
-        # coefficient j of ((m - 1) * sum q^i)^2 is (j + 1)(m - 1)^2 = j + 1 mod m
-        m = p**k
-        for n in LONG_LENGTHS:
-            full = [m - 1] * n
-            assert mul_mod(full, full, m, n) == [(j + 1) % m for j in range(n)]
-
-    @pytest.mark.parametrize("p, k", ((2, 48), (3, 20), (2, 105)))
-    def test_uneven_shapes(self, p, k):
-        m, rng, n = p**k, random.Random(p * k), 2100
-        long, short = [rng.randrange(m) for _ in range(n + 37)], [rng.randrange(m) for _ in range(9)]
-        for a, b, size in ((short, long, n), (long, short, n), (long, long[::-1], n - 60),
-                           (long[:n // 2], long, n), ([], long, n), (long, [], n)):
-            assert mul_mod(a, b, m, size) == int_product(a, b, m, size)
-
-    @pytest.mark.parametrize("p, k", ((2, 48), (7, 8), (2, 105)))
-    def test_slots_below_lo_are_left_out(self, p, k):
-        m, rng = p**k, random.Random(f"lo {p}^{k}")
-        for n in (64, MUL_MOD_CROSSOVER, 2100):
-            a, b = ([rng.randrange(m) for _ in range(n)] for _ in range(2))
-            want = int_product(a, b, m, n)
-            for lo in (0, 1, n // 2, n - 1, n):
-                assert mul_mod(a, b, m, n, lo) == want[lo:]
-
-    def test_a_rounded_product_is_a_defect(self, monkeypatch):
-        m, c = 2**48, MUL_MOD_CROSSOVER
-        monkeypatch.setattr(series._EXACT, "prec", 28)
-        with pytest.raises(DefectError):
-            mul_mod([m - 1] * c, [m - 1] * c, m, c)
-        # the int product serves every operand shorter than the crossover,
-        # however long n and the other operand are
-        for a, b, n in (([m - 1] * (c - 1), [m - 1] * (c - 1), c - 1),
-                        ([m - 1] * 5, [m - 1] * 2 * c, 2 * c),
-                        ([m - 1] * 2 * c, [m - 1] * 2 * c, c - 1)):
-            assert mul_mod(a, b, m, n) == int_product(a, b, m, n)
-
-    @pytest.mark.parametrize("p, k", PRODUCTION_K)
-    def test_long_inverse_times_u_is_one(self, p, k):
-        # at 2,100 terms the Newton steps from 1,024 terms on multiply in decimal
-        m, rng, n = p**k, random.Random(p), 2100
-        u = [rng.randrange(m) for _ in range(n)]
-        u[0] = 1 + p * rng.randrange(m // p)
-        assert int_product(u, congruence._inverse_mod(u, m), m, n) == [1] + [0] * (n - 1)
-
-    @pytest.mark.parametrize("p, k", PRODUCTION_K)
-    def test_inverse_times_u_is_one_at_every_schedule_shape(self, p, k):
-        # the top-down schedule lifts ceil(n/2) terms to n: every short length,
-        # both sides of a power of two at the crossover, and about the window
-        m, rng = p**k, random.Random(f"schedule {p}")
-        for n in (*range(1, 65), 1023, 1024, 1025, 2049, 2050, 2051):
-            u = [rng.randrange(m) for _ in range(n)]
-            u[0] = 1 + p * rng.randrange(m // p)
-            assert int_product(u, congruence._inverse_mod(u, m), m, n) == [1] + [0] * (n - 1)
-
-
 def inverse_orders(u, p, k):
     """The orders at p of 1/u, read from 1/u mod p^k, with the exact
     ``u.invert()`` as the fallback."""
     m = p**k
-    res = congruence._inverse_mod([c % m for c in u.coefficients()], m)
+    res = inverse_mod([c % m for c in u.coefficients()], m)
     return congruence._Orders(-u.valuation, res, p, k, u.invert)
 
 
@@ -733,10 +612,13 @@ class TestInverseOrders:
         assert residue_orders(u, small_k) == want
 
     def test_j_orders_and_residues_at_512(self):
-        g4_cubed = generator_series(Generator("G", (4,)), 512) ** 3
+        # q*j from the power G4**3 of the exact G4: the residues of q*j are
+        # those of the table's G4^3 times a unit, so they fix the G4^3 read
+        q_j = (generator_series(Generator("G", (4,)), 512) ** 3
+               * generator_series(Generator("T", (14,)), 512)).shift(1)
         for p, k in PRODUCTION_K:
             res = congruence._TableResidues(p, k, 512)
-            assert res._g4_cubed == residues_of(g4_cubed, 512, p**k)
+            assert res._qj == [c % p**k for c in q_j.coefficients()]
             for orders, exact in table_series(res):
                 assert [orders.ord(n) for n in range(exact.valuation, exact.reach)] \
                     == [ord_p(c, p) for c in exact.coefficients()]
@@ -760,9 +642,9 @@ class TestInverseOrders:
 
     def test_non_unit_leading_coefficient_is_a_defect(self):
         with pytest.raises(DefectError, match="not a unit"):
-            congruence._inverse_mod([6, 1, 1], 2**64)
+            inverse_mod([6, 1, 1], 2**64)
         with pytest.raises(DefectError, match="not a unit"):
-            congruence._inverse_mod([7, 1], 7**2)
+            inverse_mod([7, 1], 7**2)
 
     def test_tiny_k_rows_equal_the_exact_path(self, monkeypatch):
         n = 200
@@ -811,34 +693,6 @@ class TestInverseOrders:
             readers[p] += [res.j, res.delta_inverse, congruence._residues(p, n_recip).inverse_j]
         for p, k in PRODUCTION_K:
             assert all(max(orders._orders) < k for orders in readers[p])
-
-
-class TestExactG4Cubed:
-    """``congruence._exact_g4_cubed``: G4^3 as E12 + (432000/691) Delta."""
-
-    @pytest.mark.parametrize("window", (1, 2, 3, 64, 512))
-    def test_equals_the_cube_of_g4(self, window):
-        cube = generator_series(Generator("G", (4,)), window) ** 3
-        assert congruence._exact_g4_cubed(window) == tuple(cube.coefficients())
-
-    def test_a_tau_off_691_is_a_defect(self, monkeypatch):
-        # tau(3) + 1 breaks tau = sigma_11 (mod 691) at n = 3 only
-        delta, expand = Generator("Delta"), generator_series
-
-        def off_by_one(gen, window):
-            series = expand(gen, window)
-            if gen != delta:
-                return series
-            c = series.coefficients()
-            return QSeries(series.valuation, c[:2] + [c[2] + 1] + c[3:])
-
-        memo.clear()
-        try:
-            monkeypatch.setattr(congruence, "generator_series", off_by_one)
-            with pytest.raises(DefectError, match=r"tau\(3\)"):
-                congruence._exact_g4_cubed(8)
-        finally:
-            memo.clear()
 
 
 class TestTableInputs:
@@ -890,24 +744,28 @@ class TestTableInputs:
     def test_a_cold_build_at_2048_takes_18_full_window_products(self, monkeypatch):
         # the products that multiply in decimal, as ``mul_mod`` decides: G4^3
         # takes none, each of the four inverses of Delta/q two (the last
-        # Newton step), each j one, and each of the three 1/j two; with the
-        # crossover above the window every product is an int one, and the
-        # rows are the same
+        # Newton step of ``series.inverse_mod``), each j one, and each of
+        # the three 1/j two; with the crossover above the window every
+        # product is an int one, and the rows are the same
         shapes, product = [], mul_mod
 
         def spy(a, b, m, n, lo=0):
             shapes.append(min(len(a), len(b), n))
             return product(a, b, m, n, lo)
 
-        def cold_rows():
+        def cold_rows(*spied):
+            # Delta is built before the spy: its three squarings in
+            # ``series.delta_over_q`` are not table products
             memo.clear()
-            return ([delta_pn_compare(p, 2048) for p in (2, 3, 5)]
-                    + [reciprocal_compare(2048), lehner_check(2048)])
+            generator_series(Generator("Delta"), 2048 + 2)
+            with monkeypatch.context() as m:
+                for module in spied:
+                    m.setattr(module, "mul_mod", spy)
+                return ([delta_pn_compare(p, 2048) for p in (2, 3, 5)]
+                        + [reciprocal_compare(2048), lehner_check(2048)])
 
         try:
-            with monkeypatch.context() as m:
-                m.setattr(congruence, "mul_mod", spy)
-                rows = cold_rows()
+            rows = cold_rows(series, congruence)
             monkeypatch.setattr(series, "MUL_MOD_CROSSOVER", 2048 + 3)
             int_rows = cold_rows()
         finally:

@@ -10,8 +10,8 @@ import qgap.forms
 import satz_oracle
 import series_oracle
 from qgap import memo
-from qgap.catalog import (EGAMMA2, EINF4, G4, G6, J, J2, KINDS, FormExpr, Generator, dim_m,
-                          pairing_generator)
+from qgap.catalog import (DELTA, EGAMMA2, EINF4, G4, G6, J, J2, KINDS, T14, FormExpr, Generator,
+                          dim_m, pairing_generator)
 from qgap.congruence import _survey_batch
 from qgap.exprs import parse_template
 from qgap.forms import (
@@ -22,6 +22,7 @@ from qgap.forms import (
     constant_term,
     eisenstein_g,
     eval_expr,
+    g4_cubed,
     generator_series,
     identity_checks,
     m2,
@@ -125,6 +126,56 @@ class TestDeltaAndJ:
         assert j.coeff(0) == 744
         assert j.coeff(1) == 196884
         assert j.coeff(2) == 21493760
+
+
+class TestExactG4Cubed:
+    """``g4_cubed``: G4^3 as E12 + (432000/691) Delta, the one G4^3 that j,
+    S(n, d) and the section 3.3 tables read; the power G4**3 is its
+    oracle."""
+
+    @pytest.mark.parametrize("window", (1, 2, 3, 64, 512))
+    def test_equals_the_cube_of_g4(self, window):
+        assert g4_cubed(window) == generator_series(G4, window) ** 3
+
+    def test_a_tau_off_691_is_a_defect(self, monkeypatch):
+        # tau(3) + 1 breaks tau = sigma_11 (mod 691) at n = 3 only
+        expand = generator_series
+
+        def off_by_one(gen, window):
+            series = expand(gen, window)
+            if gen != DELTA:
+                return series
+            c = series.coefficients()
+            return QSeries(series.valuation, c[:2] + [c[2] + 1] + c[3:])
+
+        memo.clear()
+        try:
+            monkeypatch.setattr(qgap.forms, "generator_series", off_by_one)
+            with pytest.raises(DefectError, match=r"tau\(3\)"):
+                g4_cubed(8)
+        finally:
+            memo.clear()
+
+    @pytest.mark.parametrize("w", (2, 64, 512))
+    def test_j_and_s_equal_their_products_of_the_power(self, w):
+        cube = generator_series(G4, w) ** 3
+        assert generator_series(J, w) == cube * generator_series(T14, w)
+        g6 = generator_series(G6, w)
+        for n, d in ((1, 2), (3, 4)):
+            blend = Fraction(n, d) * cube + Fraction(d - n, d) * g6**2
+            assert gen("S", w, n, d) == generator_series(DELTA, w) * blend
+
+    def test_a_cold_j_expands_no_g4(self, monkeypatch):
+        expanded, real = [], qgap.forms._expand
+
+        def spy(gen, window):
+            expanded.append(gen)
+            return real(gen, window)
+
+        memo.clear()
+        monkeypatch.setattr(qgap.forms, "_expand", spy)
+        generator_series(J, 512)
+        assert set(expanded) == {J, DELTA, T14}  # and no G(4)
 
 
 class TestLevel2Generators:

@@ -10,9 +10,8 @@ from qgap.congruence import (delta_pn_compare, desk_rules_config, lehner_check,
 from qgap.forms import t_series
 
 MEMOS = ["qgap.arith._signed_bernoulli", "qgap.congruence._SHARED_CHECKS",
-         "qgap.congruence._exact_g4_cubed", "qgap.congruence._residues",
-         "qgap.congruence._rule_checks", "qgap.forms._largest", "qgap.forms.factor_power",
-         "qgap.forms.generator_series"]
+         "qgap.congruence._residues", "qgap.congruence._rule_checks", "qgap.forms._largest",
+         "qgap.forms.factor_power", "qgap.forms.g4_cubed", "qgap.forms.generator_series"]
 
 
 def _size(m) -> int:

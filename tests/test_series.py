@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgap.series import MUL_MOD_CROSSOVER, QSeries, ReachError, delta_over_q, product_expand
+from qgap.congruence import _RESIDUE_EXPONENTS
+from qgap.series import (_EXACT, MUL_MOD_CROSSOVER, DefectError, QSeries, ReachError, delta_over_q,
+                         inverse_mod, mul_mod, product_expand)
 
 import series_oracle
 from einf4_oracle import neg_power_einf4
@@ -554,3 +557,149 @@ def test_shift_keeps_the_log_derivative(a, k, e_first, exps):
     assert s._dlog is a._dlog
     for e in exps:
         assert s**e == series_oracle.power(s, e)
+
+
+# -- residue kernels: mul_mod and inverse_mod ---------------------------------
+
+#: The (p, K_p) of the section 3.3 tables.
+PRODUCTION_K = tuple(_RESIDUE_EXPONENTS.items())
+#: The (p, K) the packed kernel is checked at: the production K_p, moduli
+#: of about 64 bits, and 2^105, the widest modulus of delta_over_q(4098).
+KERNEL_K = PRODUCTION_K + ((2, 64), (3, 40), (5, 28), (7, 23), (2, 105))
+
+
+def residues_of(series, count, m):
+    """The coefficients of q^0 .. q^(count-1) of an exact series mod m
+    (every denominator prime to m)."""
+    out = []
+    for i in range(count):
+        c = Fraction(series.coeff(i))
+        out.append(c.numerator * pow(c.denominator, -1, m) % m)
+    return out
+
+
+@st.composite
+def residue_case(draw, count):
+    """(m, [series, ...]): m = p^K for p in 2, 3, 5, 7 and K from 1 to a
+    K_p of ``KERNEL_K``, and ``count`` integer coefficient lists of length
+    1..300, each entry a random integer in [-m, m], 0 (interior zeros),
+    m - 1 (a full slot) or 1 - m, drawn from a seeded generator."""
+    p, top = draw(st.sampled_from(KERNEL_K))
+    m = p ** draw(st.integers(1, top))
+    rng = draw(st.randoms(use_true_random=False))
+    return m, [[rng.choice([0, m - 1, 1 - m, rng.randint(-m, m)])
+                for _ in range(draw(st.integers(1, 300)))] for _ in range(count)]
+
+
+class TestResidueKernel:
+    """The packed product and the Newton inverse against the exact
+    schoolbook product and series inverse, reduced mod p^K."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(residue_case(2), st.integers(1, 300))
+    def test_mul_mod_equals_the_schoolbook_product(self, case, n):
+        m, (a, b) = case
+        n = min(n, len(a), len(b))
+        ra, rb = [c % m for c in a], [c % m for c in b]
+        assert mul_mod(ra, rb, m, n) \
+            == residues_of(QSeries(0, a) * QSeries(0, b), n, m)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(residue_case(1), st.sampled_from([1, -1, 11]))
+    def test_inverse_mod_equals_the_miller_inverse(self, case, lead):
+        m, (u,) = case
+        u[0] = lead
+        want = residues_of(QSeries(0, u).invert(), len(u), m)
+        assert inverse_mod([c % m for c in u], m) == want
+
+    @pytest.mark.parametrize("p, k", KERNEL_K)
+    def test_full_slots_do_not_carry(self, p, k):
+        m, n = p**k, 300
+        full = QSeries(0, [m - 1] * n)
+        assert mul_mod([m - 1] * n, [m - 1] * n, m, n) \
+            == residues_of(full * full, n, m)
+
+
+def int_product(a, b, m, n):
+    """The first n coefficients of a*b mod m through one int product: each
+    list packed in hex, a slot per coefficient wider than n*(m - 1)^2, so
+    no slot carries, and read back the same way."""
+    h = (n * (m - 1) ** 2).bit_length() // 4 + 1
+
+    def pack(c):
+        return int("".join(f"{x:0{h}x}" for x in reversed(c[:n])) or "0", 16)
+
+    digits = f"{pack(a) * pack(b):x}".zfill(2 * n * h)
+    return [int(digits[-(i + 1) * h:len(digits) - i * h], 16) % m for i in range(n)]
+
+
+#: Lengths on both sides of the crossover, and one about the paper window.
+LONG_LENGTHS = (MUL_MOD_CROSSOVER - 1, MUL_MOD_CROSSOVER, MUL_MOD_CROSSOVER + 1, 2100)
+
+
+class TestLongResidueKernel:
+    """``mul_mod`` across ``MUL_MOD_CROSSOVER``, where the int product
+    gives way to the decimal one, against the int product packed apart."""
+
+    @pytest.mark.parametrize("p, k", KERNEL_K)
+    def test_balanced_and_square_products(self, p, k):
+        m, rng = p**k, random.Random(f"{p}^{k}")
+        for n in LONG_LENGTHS:
+            a, b = ([rng.randrange(m) for _ in range(n)] for _ in range(2))
+            assert mul_mod(a, b, m, n) == int_product(a, b, m, n)
+            assert mul_mod(a, a, m, n) == int_product(a, a, m, n)
+
+    @pytest.mark.parametrize("p, k", KERNEL_K)
+    def test_full_slots_do_not_carry_across_the_crossover(self, p, k):
+        # coefficient j of ((m - 1) * sum q^i)^2 is (j + 1)(m - 1)^2 = j + 1 mod m
+        m = p**k
+        for n in LONG_LENGTHS:
+            full = [m - 1] * n
+            assert mul_mod(full, full, m, n) == [(j + 1) % m for j in range(n)]
+
+    @pytest.mark.parametrize("p, k", ((2, 48), (3, 20), (2, 105)))
+    def test_uneven_shapes(self, p, k):
+        m, rng, n = p**k, random.Random(p * k), 2100
+        long, short = [rng.randrange(m) for _ in range(n + 37)], [rng.randrange(m) for _ in range(9)]
+        for a, b, size in ((short, long, n), (long, short, n), (long, long[::-1], n - 60),
+                           (long[:n // 2], long, n), ([], long, n), (long, [], n)):
+            assert mul_mod(a, b, m, size) == int_product(a, b, m, size)
+
+    @pytest.mark.parametrize("p, k", ((2, 48), (7, 8), (2, 105)))
+    def test_slots_below_lo_are_left_out(self, p, k):
+        m, rng = p**k, random.Random(f"lo {p}^{k}")
+        for n in (64, MUL_MOD_CROSSOVER, 2100):
+            a, b = ([rng.randrange(m) for _ in range(n)] for _ in range(2))
+            want = int_product(a, b, m, n)
+            for lo in (0, 1, n // 2, n - 1, n):
+                assert mul_mod(a, b, m, n, lo) == want[lo:]
+
+    def test_a_rounded_product_is_a_defect(self, monkeypatch):
+        m, c = 2**48, MUL_MOD_CROSSOVER
+        monkeypatch.setattr(_EXACT, "prec", 28)
+        with pytest.raises(DefectError):
+            mul_mod([m - 1] * c, [m - 1] * c, m, c)
+        # the int product serves every operand shorter than the crossover,
+        # however long n and the other operand are
+        for a, b, n in (([m - 1] * (c - 1), [m - 1] * (c - 1), c - 1),
+                        ([m - 1] * 5, [m - 1] * 2 * c, 2 * c),
+                        ([m - 1] * 2 * c, [m - 1] * 2 * c, c - 1)):
+            assert mul_mod(a, b, m, n) == int_product(a, b, m, n)
+
+    @pytest.mark.parametrize("p, k", PRODUCTION_K)
+    def test_long_inverse_times_u_is_one(self, p, k):
+        # at 2,100 terms the Newton steps from 1,024 terms on multiply in decimal
+        m, rng, n = p**k, random.Random(p), 2100
+        u = [rng.randrange(m) for _ in range(n)]
+        u[0] = 1 + p * rng.randrange(m // p)
+        assert int_product(u, inverse_mod(u, m), m, n) == [1] + [0] * (n - 1)
+
+    @pytest.mark.parametrize("p, k", PRODUCTION_K)
+    def test_inverse_times_u_is_one_at_every_schedule_shape(self, p, k):
+        # the top-down schedule lifts ceil(n/2) terms to n: every short length,
+        # both sides of a power of two at the crossover, and about the window
+        m, rng = p**k, random.Random(f"schedule {p}")
+        for n in (*range(1, 65), 1023, 1024, 1025, 2049, 2050, 2051):
+            u = [rng.randrange(m) for _ in range(n)]
+            u[0] = 1 + p * rng.randrange(m // p)
+            assert int_product(u, inverse_mod(u, m), m, n) == [1] + [0] * (n - 1)
